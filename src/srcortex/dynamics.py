@@ -5,15 +5,34 @@ Both models evolve an activation stack ``a`` by explicit time stepping of
     da/dt = -(1 + lam) a + lam a0 + mu + (1/2M) * S[a]
 
 where ``S`` applies the heat kernel to a sigmoid of the activity (WC) or
-of the local contrast (LHE).  The LHE contrast term is made separable by
-replacing the clamped-linear sigmoid with an odd polynomial fit: the
-kernel average of ``poly(a(xi) - a(eta))`` expands into coefficient
-fields times heat-evolved powers of ``a``.
+of the local contrast (LHE).  Under ``forcing="discrete-paper"`` the
+stimulus and its local mean swap weights: ``a0 + lam mu``.
 
-The LHE flow is the gradient descent of an explicit energy; this module
-evaluates that energy (for testing and traces) using the exact even
-primitive of the fitted polynomial, so that the finite-difference
-gradient of the energy matches the implemented drift.
+The LHE contrast term is made separable by replacing the clamped-linear
+sigmoid with an odd polynomial fit.  Expanding ``sum_j c_j (x - y)^j``
+binomially gives one weight table
+
+    W[p, i] = (-1)^i c_{p+i} binom(p+i, i),   the weight of x^p y^i,
+
+so with K the heat kernel and E_i = K[a^i] (E_0 = 1) the interaction is
+
+    S[a](xi) = sum_p a(xi)^p * sum_i W[p, i] E_i(xi):
+
+one small matmul of the table with the evolved powers, then a Horner
+pass in ``a``.  The powers a^1 .. a^n are built once per iteration and
+the same evolved stacks serve the interaction and the energy.
+
+The LHE flow is the gradient descent of an explicit energy: the two
+fidelity terms whose gradient is ``(1 + lam) a`` minus the forcing
+(``lam/2 |a - a0|^2 + 1/2 |a - mu|^2``, or ``1/2 |a - a0|^2 +
+lam/2 |a - mu|^2`` under the discrete-paper forcing), minus 1/(4M) times
+the kernel double sum of the even primitive Sigma of the polynomial.
+That double sum is ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``: a Gram
+product of the powers with their evolutions, plus the terms with p = 0
+or i = 0.  Those are sums of a^j alone, because the kernel conserves
+mass (``sum K[f] = sum f``); in particular the degree-(n+1) term needs
+no evolved a^(n+1).  The finite-difference gradient of this energy
+matches the implemented drift.
 """
 
 import math
@@ -77,24 +96,31 @@ def expand_coefficients(a, poly: PolyCoeffs) -> list[np.ndarray]:
     """Coefficient fields C_i with sum_i C_i(xi) b^i = poly(a(xi) - b).
 
     The binomial expansion of ``sum_j c_j (a(xi) - a(eta))^j`` collected
-    by powers of ``a(eta)``.
+    by powers of ``a(eta)``: ``C_i = sum_p W[p, i] a^p``.
     """
-    return _collect(as_stack(a), poly.coeffs)
+    a = as_stack(a)
+    weights = _weights(poly.coeffs)
+    return [_horner(a, weights[:, i]) for i in range(len(weights))]
 
 
-def _collect(a, coeffs) -> list[np.ndarray]:
+def _weights(coeffs) -> np.ndarray:
+    """W[p, i]: weight of x^p y^i in ``sum_j coeffs[j] (x - y)^j``."""
     n = len(coeffs) - 1
-    powers = [np.ones_like(a)]
-    for _ in range(n):
-        powers.append(powers[-1] * a)
-    fields = []
-    for i in range(n + 1):
-        acc = np.zeros_like(a)
-        for j in range(i, n + 1):
-            if coeffs[j] != 0.0:
-                acc += coeffs[j] * math.comb(j, i) * powers[j - i]
-        fields.append((-1.0) ** i * acc)
-    return fields
+    w = np.zeros((n + 1, n + 1))
+    for j, c in enumerate(coeffs):
+        for i in range(j + 1):
+            w[j - i, i] = (-1.0) ** i * math.comb(j, i) * c
+    return w
+
+
+def _horner(a, rows):
+    """``sum_p rows[p] a^p`` by Horner's rule; rows are scalars or stacks."""
+    out = np.empty_like(a)
+    out[...] = rows[-1]
+    for row in rows[-2::-1]:
+        out *= a
+        out += row
+    return out
 
 
 def _primitive_coeffs(coeffs) -> np.ndarray:
@@ -118,28 +144,34 @@ def lhe_interaction(a, prop: HeatPropagator, tau: float, poly: PolyCoeffs):
     evolves to the constant 1 and is folded in directly.
     """
     a = as_stack(a)
-    evolved = _evolved_powers(a, prop, tau, poly.degree)
-    return _combine(a, poly.coeffs, evolved)
+    _, evolved = _evolved_powers(a, prop, tau, poly.degree)
+    return _combine(a, _weights(poly.coeffs), evolved)
 
 
 def _evolved_powers(a, prop, tau, nmax):
-    """Heat-evolved monomials a^1 .. a^nmax, stacked on a trailing axis."""
-    m = prop.step_count(tau)
-    powers = np.empty(a.shape + (nmax,))
-    powers[..., 0] = a
+    """Monomials a^1 .. a^nmax and their heat evolutions.
+
+    The powers lie on a leading axis, ``(nmax, N, N, K)``; the evolved
+    stacks come back with the batch on the trailing axis,
+    ``(N, N, K, nmax)``, as ``_evolve_batch`` returns them.
+    """
+    powers = np.empty((nmax,) + a.shape)
+    powers[0] = a
     for i in range(1, nmax):
-        powers[..., i] = powers[..., i - 1] * a
+        np.multiply(powers[i - 1], a, out=powers[i])
+    stacks = np.moveaxis(powers, 0, -1)
+    m = prop.step_count(tau)
     if m == 0:
-        return powers
-    return _evolve_batch(powers, prop, m)
+        return powers, stacks
+    return powers, _evolve_batch(stacks, prop, m)
 
 
-def _combine(a, coeffs, evolved):
-    fields = _collect(a, coeffs)
-    out = fields[0].copy()
-    for i in range(1, len(fields)):
-        out += fields[i] * evolved[..., i - 1]
-    return out
+def _combine(a, weights, evolved):
+    """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a."""
+    nmax = evolved.shape[-1]
+    rows = weights[:, 1:] @ evolved.reshape(-1, nmax).T
+    rows += weights[:, :1]
+    return _horner(a, rows.reshape((len(weights),) + a.shape))
 
 
 def local_mean(a0, sigma_mu: float):
@@ -166,10 +198,16 @@ class EvolutionState:
             raise ValueError("state stacks must share one shape")
 
 
-def _forcing(cfg: ModelConfig, a0, mu):
+def _fidelity_weights(cfg: ModelConfig) -> tuple[float, float]:
+    """Weights of the stimulus a0 and of its local mean mu in the forcing."""
     if cfg.forcing == "continuous":
-        return cfg.lam * a0 + mu
-    return a0 + cfg.lam * mu  # the discrete-compatibility role swap
+        return cfg.lam, 1.0
+    return 1.0, cfg.lam  # the discrete-compatibility role swap
+
+
+def _forcing(cfg: ModelConfig, a0, mu):
+    w_a0, w_mu = _fidelity_weights(cfg)
+    return w_a0 * a0 + w_mu * mu
 
 
 def _nonlinearity_sign(cfg: ModelConfig) -> float:
@@ -207,27 +245,45 @@ def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray
 def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     """Energy whose negative gradient is the LHE drift.
 
-    Two quadratic fidelity terms plus the kernel-averaged even primitive
-    of the polynomial contrast sigmoid.  The primitive is integrated
-    termwise (so Sigma(0) = 0) and the double kernel sum is evaluated
-    with the same power expansion as the interaction; the interaction
-    term enters with coefficient -1/(4M), which is what makes the
-    printed flow its exact gradient descent.
+    Two quadratic fidelity terms weighted as in the forcing, plus the
+    kernel-averaged even primitive of the polynomial contrast sigmoid.
+    The primitive is integrated termwise (so Sigma(0) = 0); the
+    interaction term enters with coefficient -1/(4M), which is what
+    makes the printed flow its exact gradient descent.
     """
     if cfg.model != LHE:
         raise ValueError("energy is defined for the LHE model")
     a = as_stack(a)
     poly = _model_poly(cfg)
-    prim = _primitive_coeffs(poly.coeffs)
-    evolved = _evolved_powers(a, prop, cfg.tau, len(prim) - 1)
-    return _energy_from_terms(a, a0, mu, cfg, prim, evolved)
+    powers, evolved = _evolved_powers(a, prop, cfg.tau, poly.degree)
+    prim_weights = _weights(_primitive_coeffs(poly.coeffs))
+    return _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved)
 
 
-def _energy_from_terms(a, a0, mu, cfg, prim, evolved) -> float:
-    fidelity = 0.5 * cfg.lam * float(((a - a0) ** 2).sum())
-    mean_term = 0.5 * float(((a - mu) ** 2).sum())
-    inter_field = _combine(a, prim, evolved)
-    inter = -float(inter_field.sum()) / (4.0 * cfg.m_scale)
+def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
+    """Energy from the powers a^1 .. a^n and their evolutions E_1 .. E_n.
+
+    ``prim_weights`` is the (n+2, n+2) weight table of the primitive.
+    The double sum is ``sum_{p,i} W[p, i] <a^p, K a^i>``; with p, i >= 1
+    that is the Gram product of the powers with the evolved stacks, and
+    with p = 0 or i = 0 it is ``sum a^j`` because K conserves mass.
+    """
+    w_a0, w_mu = _fidelity_weights(cfg)
+    fidelity = 0.5 * w_a0 * float(((a - a0) ** 2).sum())
+    mean_term = 0.5 * w_mu * float(((a - mu) ** 2).sum())
+    nmax = len(powers)
+    flat = powers.reshape(nmax, -1)
+    gram = flat @ evolved.reshape(-1, nmax)
+    sums = np.empty(nmax + 2)  # sum a^j, j = 0 .. n+1
+    sums[0] = a.size
+    sums[1:-1] = flat.sum(axis=1)
+    sums[-1] = flat[-1] @ a.ravel()
+    double_sum = (
+        float((prim_weights[1:-1, 1:-1] * gram).sum())
+        + float(prim_weights[:, 0] @ sums)
+        + float(prim_weights[0, 1:] @ sums[1:])
+    )
+    inter = -double_sum / (4.0 * cfg.m_scale)
     return fidelity + mean_term + inter
 
 
@@ -254,9 +310,11 @@ def run_model(
     """Lift, iterate to the stopping rule, project.
 
     Non-convergence within ``cfg.max_iters`` is reported through the
-    ``converged`` flag, not an exception.  With ``trace_energy`` (LHE
-    only) the energy sequence E(A_0) .. E(A_P) is recorded; it reuses
-    the evolved powers already needed by the interaction.
+    ``converged`` flag, not an exception; a non-finite relative change
+    raises ``FloatingPointError`` naming the iteration.  With
+    ``trace_energy`` (LHE only) the energy sequence E(A_0) .. E(A_P) is
+    recorded; it reuses the powers and evolved powers already built for
+    the interaction.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
@@ -265,8 +323,8 @@ def run_model(
     trace_energy = trace_energy and cfg.model == LHE
     if cfg.model == LHE:
         poly = _model_poly(cfg)
-        prim = _primitive_coeffs(poly.coeffs)
-        n_powers = len(prim) - 1 if trace_energy else poly.degree
+        weights = _weights(poly.coeffs)
+        prim_weights = _weights(_primitive_coeffs(poly.coeffs))
 
     rel_history = []
     energies = [] if trace_energy else None
@@ -275,14 +333,19 @@ def run_model(
         if cfg.model == WC:
             inter = wc_interaction(state.a, prop, cfg.tau, cfg.alpha, sign)
         else:
-            evolved = _evolved_powers(state.a, prop, cfg.tau, n_powers)
-            inter = _combine(state.a, poly.coeffs, evolved[..., : poly.degree])
+            powers, evolved = _evolved_powers(state.a, prop, cfg.tau, poly.degree)
+            inter = _combine(state.a, weights, evolved)
             if trace_energy:
                 energies.append(
-                    _energy_from_terms(state.a, a0, mu, cfg, prim, evolved)
+                    _energy_from_terms(state.a, a0, mu, cfg, prim_weights, powers, evolved)
                 )
         new_a = gd_step(state, cfg, inter)
         rel = relative_change(new_a, state.a)
+        if not math.isfinite(rel):
+            raise FloatingPointError(
+                f"{cfg.model.upper()} run diverged: relative change is {rel} "
+                f"at iteration {p}"
+            )
         rel_history.append(rel)
         state = EvolutionState(a=new_a, a0=a0, mu=mu, p=p, last_change=rel)
         if rel < cfg.tol:

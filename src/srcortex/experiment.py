@@ -70,8 +70,21 @@ class ExperimentConfig:
         if self.sweep_param is not None:
             if not self.sweep_values:
                 raise ValueError("sweep_param given without sweep_values")
+            dirs = {}
             for v in self.sweep_values:
                 dataclasses.replace(self.model_cfg, **{self.sweep_param: v})
+                name = _sweep_dir(self.sweep_param, v)
+                if name in dirs:
+                    raise ValueError(
+                        f"sweep values {dirs[name]!r} and {v!r} share the "
+                        f"output directory {name!r}"
+                    )
+                dirs[name] = v
+
+
+def _sweep_dir(param: str, value) -> str:
+    """Output subdirectory of one sweep value."""
+    return f"{param}={value:g}"
 
 
 def measure_offset(
@@ -305,7 +318,7 @@ def run_sweep(cfg: ExperimentConfig, max_workers: int | None = None) -> list[dic
             dataclasses.replace(
                 cfg,
                 model_cfg=dataclasses.replace(cfg.model_cfg, **{cfg.sweep_param: value}),
-                out_dir=str(Path(cfg.out_dir) / f"{cfg.sweep_param}={value:g}"),
+                out_dir=str(Path(cfg.out_dir) / _sweep_dir(cfg.sweep_param, value)),
                 sweep_param=None,
                 sweep_values=(),
             )

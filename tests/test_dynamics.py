@@ -24,7 +24,7 @@ from srcortex import (
     sigmoid_hat,
     wc_interaction,
 )
-from srcortex.dynamics import _model_poly
+from srcortex.dynamics import _model_poly, _primitive_coeffs, _weights
 from srcortex.stimuli import StimulusSpec, poggendorff_gratings
 
 
@@ -105,6 +105,18 @@ class TestExpandCoefficients:
         fields = expand_coefficients(np.zeros((2, 2, 2)), poly)
         for i, f in enumerate(fields):
             np.testing.assert_allclose(f, poly.coeffs[i] * (-1.0) ** i)
+
+    def test_weight_table_expands_polynomial(self):
+        rng = np.random.default_rng(12)
+        for coeffs in (fit_polynomial(6.0, 9).coeffs,
+                       _primitive_coeffs(fit_polynomial(6.0, 9).coeffs)):
+            w = _weights(coeffs)
+            n = len(coeffs) - 1
+            assert np.all(w[np.add.outer(np.arange(n + 1), np.arange(n + 1)) > n] == 0.0)
+            for x, y in rng.uniform(-1.0, 1.0, (8, 2)):
+                lhs = x ** np.arange(n + 1) @ w @ y ** np.arange(n + 1)
+                rhs = np.polyval(coeffs[::-1], x - y)
+                assert abs(lhs - rhs) < 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +275,18 @@ class TestRunModel:
         assert not res.converged
         assert res.iterations == 2
 
+    def test_divergence_raises_at_first_non_finite_change(self):
+        spec = StimulusSpec(n_pixels=32, bar_width=8, grating_period=8,
+                            line_thickness=3)
+        f0 = 50.0 * poggendorff_gratings(spec)
+        bank = build_cake_bank(32, 8, 5)
+        cfg = ModelConfig(model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0,
+                          dt=0.15, dtau=0.01, tau=0.1, forcing="discrete-paper")
+        prop = build_propagator(32, 8, cfg.beta_for(32, 8), cfg.dtau)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(FloatingPointError, match=r"iteration [1-5]$"):
+                run_model(f0, cfg, bank, prop)
+
     def test_wc_residual_bounded_by_stopping_rule(self):
         f0, bank = _small_gratings()
         cfg = ModelConfig(model="wc", lam=0.5, alpha=4.0, sigma_mu=2.0,
@@ -300,12 +324,17 @@ class TestEnergy:
         assert lhe_energy(a, a, a, self._cfg(), small_prop) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference_gradient(self, small_prop):
+        self._check_gradient(self._cfg(), small_prop)
+
+    def test_finite_difference_gradient_discrete_paper(self, small_prop):
+        self._check_gradient(self._cfg(forcing="discrete-paper"), small_prop)
+
+    def _check_gradient(self, cfg, small_prop):
         rng = np.random.default_rng(10)
         shape = (6, 6, 3)
         a = 0.2 + 0.6 * rng.random(shape)
         a0 = 0.2 + 0.6 * rng.random(shape)
         mu = 0.2 + 0.6 * rng.random(shape)
-        cfg = self._cfg()
         drift = model_drift(a, a0, mu, cfg, small_prop)
         eps = 1e-4
         for _ in range(5):
@@ -317,6 +346,26 @@ class TestEnergy:
             ) / (2.0 * eps)
             analytic = -float((drift * v).sum())
             assert abs(fd - analytic) <= 1e-4 * abs(analytic)
+
+    @pytest.mark.parametrize("forcing", ["continuous", "discrete-paper"])
+    def test_energy_matches_all_powers_evolved(self, forcing):
+        # reference: every power up to the primitive's degree evolved
+        # through the kernel, expanded voxel by voxel, then summed
+        prop = build_propagator(16, 4, 0.05, 0.01)
+        rng = np.random.default_rng(13)
+        a, a0, mu = (0.2 + 0.6 * rng.random((16, 16, 4)) for _ in range(3))
+        cfg = self._cfg(poly_degree=9, tau=0.2, forcing=forcing)
+        prim = _primitive_coeffs(_model_poly(cfg).coeffs)
+        evolved = [np.ones_like(a)] + [heat_evolve(a**i, prop, cfg.tau)
+                                       for i in range(1, len(prim))]
+        field = sum(prim[j] * math.comb(j, i) * (-1.0) ** i * a ** (j - i) * evolved[i]
+                    for j in range(len(prim)) for i in range(j + 1))
+        w_a0, w_mu = (cfg.lam, 1.0) if forcing == "continuous" else (1.0, cfg.lam)
+        expected = (0.5 * w_a0 * ((a - a0) ** 2).sum() + 0.5 * w_mu * ((a - mu) ** 2).sum()
+                    - field.sum() / (4.0 * cfg.m_scale))
+        got = lhe_energy(a, a0, mu, cfg, prop)
+        assert type(got) is float
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_energy_descent_along_trajectory(self, small_prop):
         rng = np.random.default_rng(11)

@@ -97,6 +97,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             quick_config(tmp_path, sweep_param="dt", sweep_values=(0.9,))
 
+    def test_sweep_values_sharing_a_directory_rejected(self, tmp_path):
+        # f"{6.0000001:g}" == "6": both runs would write alpha=6/
+        with pytest.raises(ValueError, match="6.0000001.*'alpha=6'"):
+            quick_config(tmp_path, sweep_param="alpha", sweep_values=(6.0, 6.0000001))
+
 
 class TestRunExperiment:
     def test_writes_artifacts_and_report(self, tmp_path):
@@ -172,6 +177,23 @@ class TestCli:
         code = main(["--model", "lhe", "--lambda", "4.0", "--dt", "0.5"])
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
+
+    def test_colliding_sweep_exit_code_one(self, tmp_path, capsys):
+        code = main(["--model", "lhe", "--sweep", "alpha=6,6.0000001",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "share the output directory" in capsys.readouterr().err
+
+    def test_divergence_exit_code_two(self, tmp_path, capsys, monkeypatch):
+        # a stimulus far outside [0, 1] drives contrasts beyond the fit domain
+        monkeypatch.setattr("srcortex.experiment.make_stimulus",
+                            lambda spec: 50.0 * poggendorff_gratings(spec))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["--model", "lhe", "--N", "32", "--K", "8",
+                         "--alpha", "8", "--dt", "0.15", "--tau", "0.1",
+                         "--forcing", "discrete-paper", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "diverged" in capsys.readouterr().err
 
     def test_small_end_to_end_run(self, tmp_path, capsys):
         code = main([

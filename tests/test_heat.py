@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
 from srcortex import (
@@ -12,6 +13,7 @@ from srcortex import (
     solve_cyclic_tridiagonal,
     spectral_symbol,
 )
+from srcortex.heat import _evolve_batch
 
 
 def dense_generator(n, k, beta, h):
@@ -201,6 +203,18 @@ class TestHeatEvolve:
     def test_contraction(self):
         out = heat_evolve(self.a, self.prop, 1.0)
         assert np.linalg.norm(out) <= np.linalg.norm(self.a) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("batch, rtol", [(9, 0.0), (1, 1e-12)])
+    def test_interleaved_product_matches_split_product(self, batch, rtol):
+        # reference: the propagator applied to the real and imaginary parts
+        # of the spectrum as two separate products
+        prop = build_propagator(16, 8, 0.5, 0.01)
+        stacks = np.random.default_rng(43).random((16, 16, 8, batch))
+        pm = prop.propagator(30)
+        hats = rfft2(stacks, axes=(0, 1))
+        split = irfft2(pm @ hats.real + 1j * (pm @ hats.imag), s=(16, 16), axes=(0, 1))
+        got = _evolve_batch(stacks, prop, 30)
+        assert np.abs(got - split).max() <= rtol * np.abs(split).max()
 
 
 class TestKernelColumn:
