@@ -35,6 +35,9 @@ no evolved a^(n+1).  The finite-difference gradient of this energy
 matches the implemented drift.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +50,12 @@ from .heat import HeatPropagator, _evolve_batch, heat_evolve
 
 FIT_SAMPLES = 2001
 MAX_POLY_DEGREE = 15
+# (get, set) thread-count symbols of the OpenBLAS numpy links: the
+# suffixed ILP64 build numpy wheels ship, then a plain system build
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def sigmoid(r, alpha: float):
@@ -300,6 +309,54 @@ class RunResult:
     energies: list | None = None
 
 
+@functools.cache
+def _blas_thread_functions():
+    """numpy's OpenBLAS thread-count getter and setter, or None.
+
+    Looked up through the handle of numpy's core extension, whose symbol
+    search covers the BLAS it links.  None for a BLAS of another vendor
+    (or numpy 1.x, which keeps the extension elsewhere).
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:
+        return None
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, then restore the caller's count.
+
+    The loop's BLAS calls are small and memory-bound; spread over a
+    thread pool, the idle workers spin on the cores the FFT threads and
+    sibling sweep processes need, and a dot product split over threads
+    sums in an order that depends on the machine's core count.  The
+    count is process-wide.  Without OpenBLAS this does nothing.
+    """
+    functions = _blas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+@_single_blas_thread()
 def run_model(
     f0,
     cfg: ModelConfig,
@@ -314,7 +371,8 @@ def run_model(
     raises ``FloatingPointError`` naming the iteration.  With
     ``trace_energy`` (LHE only) the energy sequence E(A_0) .. E(A_P) is
     recorded; it reuses the powers and evolved powers already built for
-    the interaction.
+    the interaction.  numpy's BLAS runs on one thread for the whole call,
+    so the result does not depend on the machine's core count.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)

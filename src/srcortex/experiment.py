@@ -44,8 +44,7 @@ SEED_HALFWIDTH = 3.0  # seed search radius around the center crossing
 class ExperimentConfig:
     """One model run: dynamics parameters plus stimulus or input image.
 
-    Exactly one of ``stimulus``/``input_path`` must be set.  ``seed`` is
-    reserved: the pipeline is deterministic and never consumes it.
+    Exactly one of ``stimulus``/``input_path`` must be set.
     """
 
     model_cfg: ModelConfig
@@ -58,7 +57,6 @@ class ExperimentConfig:
     h: float | None = None
     sweep_param: str | None = None
     sweep_values: tuple = ()
-    seed: int | None = None
 
     def __post_init__(self):
         if (self.stimulus is None) == (self.input_path is None):
@@ -305,7 +303,10 @@ def _write_report(out: Path, report: dict) -> None:
 
 
 def run_sweep(cfg: ExperimentConfig, max_workers: int | None = None) -> list[dict]:
-    """Run the configured parameter sweep, one process per value.
+    """Run the configured parameter sweep over a pool of worker processes.
+
+    The pool has ``max_workers`` processes, by default one per value up
+    to four; ``max_workers=1`` runs the values in turn in this process.
 
     Each value gets ``<out_dir>/<param>=<value>/``; a summary of the
     offsets lands in ``<out_dir>/sweep_summary.txt``.

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import srcortex
 from srcortex import (
     EvolutionState,
     ModelConfig,
@@ -19,11 +25,13 @@ from srcortex import (
     local_mean,
     model_drift,
     project,
+    relative_change,
     run_model,
     sigmoid,
     sigmoid_hat,
     wc_interaction,
 )
+from srcortex import dynamics
 from srcortex.dynamics import _model_poly, _primitive_coeffs, _weights
 from srcortex.stimuli import StimulusSpec, poggendorff_gratings
 
@@ -245,6 +253,33 @@ def _small_gratings(n=48, k=6):
     return poggendorff_gratings(spec), build_cake_bank(n, k, 5)
 
 
+def _tiny_lhe(scale=1.0, max_iters=500):
+    """Arguments of run_model for LHE on 32 x 32 x 8 gratings scaled by ``scale``."""
+    spec = StimulusSpec(n_pixels=32, bar_width=8, grating_period=8,
+                        line_thickness=3)
+    cfg = ModelConfig(model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0, dt=0.15,
+                      dtau=0.01, tau=0.1, forcing="discrete-paper",
+                      max_iters=max_iters)
+    prop = build_propagator(32, 8, cfg.beta_for(32, 8), cfg.dtau)
+    return scale * poggendorff_gratings(spec), cfg, build_cake_bank(32, 8, 5), prop
+
+
+# rel_history and energies of an LHE run on 48 x 48 x 8, printed exactly
+_THREAD_COUNT_RUN = """
+import json
+from srcortex import ModelConfig, StimulusSpec, build_cake_bank, build_propagator
+from srcortex import poggendorff_gratings, run_model
+n, k = 48, 8
+f0 = poggendorff_gratings(StimulusSpec(n_pixels=n, bar_width=8, grating_period=6,
+                                       line_thickness=1.5))
+cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0, dt=0.15,
+                  dtau=0.05, tau=0.25, poly_degree=5, max_iters=20)
+prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
+res = run_model(f0, cfg, build_cake_bank(n, k, 3), prop, trace_energy=True)
+print(json.dumps([[x.hex() for x in res.rel_history], [x.hex() for x in res.energies]]))
+"""
+
+
 class TestRunModel:
     def test_wc_large_lambda_reproduces_lift(self):
         f0, bank = _small_gratings()
@@ -276,16 +311,65 @@ class TestRunModel:
         assert res.iterations == 2
 
     def test_divergence_raises_at_first_non_finite_change(self):
-        spec = StimulusSpec(n_pixels=32, bar_width=8, grating_period=8,
-                            line_thickness=3)
-        f0 = 50.0 * poggendorff_gratings(spec)
-        bank = build_cake_bank(32, 8, 5)
-        cfg = ModelConfig(model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0,
-                          dt=0.15, dtau=0.01, tau=0.1, forcing="discrete-paper")
-        prop = build_propagator(32, 8, cfg.beta_for(32, 8), cfg.dtau)
+        f0, cfg, bank, prop = _tiny_lhe(scale=50.0)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match=r"iteration [1-5]$"):
                 run_model(f0, cfg, bank, prop)
+
+    def test_blas_held_at_one_thread_and_restored(self, monkeypatch):
+        functions = dynamics._blas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        get, set_ = functions
+        seen = []
+
+        def counting(a, b):
+            seen.append(get())
+            return relative_change(a, b)
+
+        monkeypatch.setattr(dynamics, "relative_change", counting)
+        caller = get()
+        set_(2)
+        try:
+            run_model(*_tiny_lhe(max_iters=5))
+            after_return = get()
+            f0, cfg, bank, prop = _tiny_lhe(scale=50.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(FloatingPointError):
+                    run_model(f0, cfg, bank, prop)
+            after_raise = get()
+        finally:
+            set_(caller)
+        assert (after_return, after_raise) == (2, 2)
+        assert seen and set(seen) == {1}
+
+    def test_runs_unchanged_without_blas_thread_control(self, monkeypatch):
+        # 32 x 32 x 8 = 8192 entries: below OpenBLAS's 10,000-entry cutoff
+        # for threaded dot products, so the unpinned run sums in the same order
+        case = _tiny_lhe(max_iters=20)
+        pinned = run_model(*case, trace_energy=True)
+        monkeypatch.setattr(dynamics, "_blas_thread_functions", lambda: None)
+        plain = run_model(*case, trace_energy=True)
+        np.testing.assert_array_equal(plain.stack, pinned.stack)
+        np.testing.assert_array_equal(plain.image, pinned.image)
+        assert (plain.iterations, plain.converged, plain.last_change) == (
+            pinned.iterations, pinned.converged, pinned.last_change)
+        assert plain.rel_history == pinned.rel_history
+        assert plain.energies == pinned.energies
+
+    def test_result_independent_of_blas_thread_count(self):
+        # 48 x 48 x 8 = 18432 entries: above the threaded-dot cutoff, where
+        # an unpinned norm sums in an order set by the thread count
+        env = dict(os.environ)
+        src = str(Path(srcortex.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", _THREAD_COUNT_RUN], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]
 
     def test_wc_residual_bounded_by_stopping_rule(self):
         f0, bank = _small_gratings()

@@ -160,6 +160,16 @@ class TestSweep:
         summary = (tmp_path / "sweep" / "sweep_summary.txt").read_text()
         assert "tau=0.05" in summary and "tau=0.25" in summary
 
+    def test_pooled_sweep_matches_serial(self, tmp_path):
+        for workers in (1, 2):
+            cfg = quick_config(tmp_path, out_dir=str(tmp_path / f"workers{workers}"),
+                               sweep_param="tau", sweep_values=(0.05, 0.25))
+            run_sweep(cfg, max_workers=workers)
+        for name in ("tau=0.05/report.json", "tau=0.25/report.json", "sweep_summary.txt"):
+            assert (tmp_path / "workers1" / name).read_bytes() == (
+                tmp_path / "workers2" / name
+            ).read_bytes()
+
 
 class TestCli:
     def test_missing_input_file_is_clean_error(self, tmp_path, capsys):
