@@ -9,31 +9,17 @@ test stimuli and a completion-offset probe are included.
 """
 
 from .core import ModelConfig, project, relative_change, renormalize
-from .imgio import read_image, write_image
-from .cakes import WaveletBank, build_cake_bank, lift, pou_check, save_bank, load_bank
-from .heat import (
-    HeatPropagator,
-    angular_second_difference,
-    build_propagator,
-    heat_evolve,
-    kernel_column,
-    solve_cyclic_tridiagonal,
-    spectral_symbol,
-)
+from .imgio import read_image
+from .cakes import WaveletBank, build_cake_bank, lift, pou_check
+from .heat import HeatPropagator, build_propagator, heat_evolve, kernel_column
 from .dynamics import (
-    EvolutionState,
     PolyCoeffs,
-    expand_coefficients,
     fit_polynomial,
-    gd_step,
     lhe_energy,
     lhe_interaction,
     local_mean,
     model_drift,
     run_model,
-    sigmoid,
-    sigmoid_hat,
-    wc_interaction,
 )
 from .stimuli import StimulusSpec, poggendorff_classic, poggendorff_gratings
 from .experiment import ExperimentConfig, measure_offset, run_experiment, run_sweep
@@ -44,33 +30,21 @@ __all__ = [
     "relative_change",
     "renormalize",
     "read_image",
-    "write_image",
     "WaveletBank",
     "build_cake_bank",
     "lift",
     "pou_check",
-    "save_bank",
-    "load_bank",
     "HeatPropagator",
-    "angular_second_difference",
     "build_propagator",
     "heat_evolve",
     "kernel_column",
-    "solve_cyclic_tridiagonal",
-    "spectral_symbol",
-    "EvolutionState",
     "PolyCoeffs",
-    "expand_coefficients",
     "fit_polynomial",
-    "gd_step",
     "lhe_energy",
     "lhe_interaction",
     "local_mean",
     "model_drift",
     "run_model",
-    "sigmoid",
-    "sigmoid_hat",
-    "wc_interaction",
     "StimulusSpec",
     "poggendorff_classic",
     "poggendorff_gratings",

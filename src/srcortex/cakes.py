@@ -19,7 +19,6 @@ part is pure roundoff.  The DFT makes all spatial boundaries periodic.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ from scipy.interpolate import BSpline
 from .core import as_image
 
 TAPER_START = 0.9  # fraction of the Nyquist radius where the roll-off begins
-CACHE_MAGIC = b"CAKE1"
 
 
 @dataclass
@@ -148,39 +146,3 @@ def pou_check(bank: WaveletBank) -> float:
     """
     mask = retained_mask(bank.n_pixels)
     return float(np.abs(bank.filters.sum(axis=0) - 1.0)[mask].max())
-
-
-def save_bank(bank: WaveletBank, path) -> None:
-    """Cache a bank: magic, (N, K, bw) key, residual, filters as <f8 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(
-            struct.pack(
-                "<qqqd",
-                bank.n_pixels,
-                bank.n_orient,
-                bank.profile_order,
-                bank.pou_residual,
-            )
-        )
-        interleaved = np.stack(
-            [bank.filters.real, bank.filters.imag], axis=-1
-        ).astype("<f8")
-        fh.write(interleaved.tobytes())
-
-
-def load_bank(path, key: tuple[int, int, int] | None = None) -> WaveletBank:
-    """Load a cached bank, optionally validating its (N, K, bw) key."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"bad bank cache magic: {magic!r}")
-        n, k, bw, residual = struct.unpack("<qqqd", fh.read(32))
-        if key is not None and (n, k, bw) != tuple(key):
-            raise ValueError(f"bank cache key {(n, k, bw)} does not match {key}")
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    if raw.size != k * n * n * 2:
-        raise ValueError("bank cache is truncated")
-    pairs = raw.reshape(k, n, n, 2)
-    filters = pairs[..., 0] + 1j * pairs[..., 1]
-    return WaveletBank(n, k, bw, filters, residual)

@@ -14,6 +14,7 @@ import numpy as np
 
 WC = "wc"
 LHE = "lhe"
+MAX_POLY_DEGREE = 15  # contrast-sigmoid fit; above it the fit is ill-conditioned
 
 
 def as_image(arr) -> np.ndarray:
@@ -139,8 +140,8 @@ class ModelConfig:
             raise ValueError("tol must be > 0")
         if self.poly_degree < 1 or self.poly_degree % 2 == 0:
             raise ValueError("poly_degree must be odd and >= 1")
-        if self.poly_degree > 15:
-            raise ValueError("poly_degree capped at 15 (fit becomes ill-conditioned)")
+        if self.poly_degree > MAX_POLY_DEGREE:
+            raise ValueError(f"poly_degree capped at {MAX_POLY_DEGREE}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.forcing not in ("continuous", "discrete-paper"):

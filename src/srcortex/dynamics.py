@@ -45,11 +45,11 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .cakes import lift
-from .core import LHE, WC, ModelConfig, as_stack, project, relative_change
+from .core import LHE, MAX_POLY_DEGREE, WC, ModelConfig, as_stack
+from .core import project, relative_change
 from .heat import HeatPropagator, _evolve_batch, heat_evolve
 
 FIT_SAMPLES = 2001
-MAX_POLY_DEGREE = 15
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -192,21 +192,6 @@ def local_mean(a0, sigma_mu: float):
     )
 
 
-@dataclass
-class EvolutionState:
-    """Loop state: current activation, lifted stimulus, local mean."""
-
-    a: np.ndarray
-    a0: np.ndarray
-    mu: np.ndarray
-    p: int = 0
-    last_change: float = math.inf
-
-    def __post_init__(self):
-        if not (self.a.shape == self.a0.shape == self.mu.shape):
-            raise ValueError("state stacks must share one shape")
-
-
 def _fidelity_weights(cfg: ModelConfig) -> tuple[float, float]:
     """Weights of the stimulus a0 and of its local mean mu in the forcing."""
     if cfg.forcing == "continuous":
@@ -231,24 +216,39 @@ def _model_poly(cfg: ModelConfig) -> PolyCoeffs:
     return poly
 
 
-def gd_step(state: EvolutionState, cfg: ModelConfig, interaction) -> np.ndarray:
-    """One explicit descent update from a precomputed interaction term."""
-    drift = (
-        -(1.0 + cfg.lam) * state.a
-        + _forcing(cfg, state.a0, state.mu)
-        + interaction / (2.0 * cfg.m_scale)
-    )
-    return state.a + cfg.dt * drift
+def _interaction(cfg: ModelConfig, prop: HeatPropagator):
+    """The model's interaction term as a function of ``a``: the WC/LHE branch.
+
+    The function returns the term and, for LHE, the powers a^1 .. a^n
+    with their evolutions, which the energy reuses (None for WC).
+    """
+    if cfg.model == WC:
+        sign = _nonlinearity_sign(cfg)
+        return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha, sign), None)
+    poly = _model_poly(cfg)
+    weights = _weights(poly.coeffs)
+
+    def lhe(a):
+        powers, evolved = _evolved_powers(a, prop, cfg.tau, poly.degree)
+        return _combine(a, weights, evolved), (powers, evolved)
+
+    return lhe
+
+
+def _drift(a, forcing, inter, cfg: ModelConfig):
+    return -(1.0 + cfg.lam) * a + forcing + inter / (2.0 * cfg.m_scale)
+
+
+def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
+    """One explicit descent update from precomputed forcing and interaction."""
+    return a + cfg.dt * _drift(a, forcing, inter, cfg)
 
 
 def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray:
     """Right-hand side of the evolution at state ``a``."""
     a = as_stack(a)
-    if cfg.model == WC:
-        inter = wc_interaction(a, prop, cfg.tau, cfg.alpha, _nonlinearity_sign(cfg))
-    else:
-        inter = lhe_interaction(a, prop, cfg.tau, _model_poly(cfg))
-    return -(1.0 + cfg.lam) * a + _forcing(cfg, a0, mu) + inter / (2.0 * cfg.m_scale)
+    inter, _ = _interaction(cfg, prop)(a)
+    return _drift(a, _forcing(cfg, a0, mu), inter, cfg)
 
 
 def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
@@ -376,48 +376,42 @@ def run_model(
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
-    state = EvolutionState(a=a0.copy(), a0=a0, mu=mu)
-    sign = _nonlinearity_sign(cfg)
+    forcing = _forcing(cfg, a0, mu)
+    interaction = _interaction(cfg, prop)
     trace_energy = trace_energy and cfg.model == LHE
-    if cfg.model == LHE:
-        poly = _model_poly(cfg)
-        weights = _weights(poly.coeffs)
-        prim_weights = _weights(_primitive_coeffs(poly.coeffs))
+    if trace_energy:
+        prim_weights = _weights(_primitive_coeffs(_model_poly(cfg).coeffs))
 
+    a = a0
     rel_history = []
     energies = [] if trace_energy else None
     converged = False
     for p in range(1, cfg.max_iters + 1):
-        if cfg.model == WC:
-            inter = wc_interaction(state.a, prop, cfg.tau, cfg.alpha, sign)
-        else:
-            powers, evolved = _evolved_powers(state.a, prop, cfg.tau, poly.degree)
-            inter = _combine(state.a, weights, evolved)
-            if trace_energy:
-                energies.append(
-                    _energy_from_terms(state.a, a0, mu, cfg, prim_weights, powers, evolved)
-                )
-        new_a = gd_step(state, cfg, inter)
-        rel = relative_change(new_a, state.a)
+        inter, terms = interaction(a)
+        if trace_energy:
+            energies.append(_energy_from_terms(a, a0, mu, cfg, prim_weights, *terms))
+        del terms  # free the powers before the next iteration builds its own
+        new_a = gd_step(a, forcing, inter, cfg)
+        rel = relative_change(new_a, a)
         if not math.isfinite(rel):
             raise FloatingPointError(
                 f"{cfg.model.upper()} run diverged: relative change is {rel} "
                 f"at iteration {p}"
             )
         rel_history.append(rel)
-        state = EvolutionState(a=new_a, a0=a0, mu=mu, p=p, last_change=rel)
+        a = new_a
         if rel < cfg.tol:
             converged = True
             break
     if trace_energy:
-        energies.append(lhe_energy(state.a, a0, mu, cfg, prop))
+        energies.append(lhe_energy(a, a0, mu, cfg, prop))
 
     return RunResult(
-        image=project(state.a),
-        stack=state.a,
-        iterations=state.p,
+        image=project(a),
+        stack=a,
+        iterations=len(rel_history),
         converged=converged,
-        last_change=state.last_change,
+        last_change=rel_history[-1],
         rel_history=rel_history,
         energies=energies,
     )

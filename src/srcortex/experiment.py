@@ -54,7 +54,6 @@ class ExperimentConfig:
     n_orient: int = 16
     profile_order: int = 5
     band_halfwidth: float = BAND_HALFWIDTH
-    h: float | None = None
     sweep_param: str | None = None
     sweep_values: tuple = ()
 
@@ -207,9 +206,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     mc = cfg.model_cfg
     bank = build_cake_bank(n, cfg.n_orient, cfg.profile_order)
-    prop = build_propagator(
-        n, cfg.n_orient, mc.beta_for(n, cfg.n_orient), mc.dtau, h=cfg.h
-    )
+    prop = build_propagator(n, cfg.n_orient, mc.beta_for(n, cfg.n_orient), mc.dtau)
     result = run_model(f0, mc, bank, prop, trace_energy=mc.model == LHE)
 
     offset = None

@@ -42,29 +42,26 @@ def read_pgm(path) -> np.ndarray:
             while pos < len(raw) and raw[pos : pos + 1] != b"\n":
                 pos += 1
             continue
+        if pos == len(raw):
+            raise ValueError(f"{path}: PGM header ends after {len(tokens)} of 4 fields")
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
         tokens.append(raw[start:pos])
     if tokens[0] != b"P5":
-        raise ValueError(f"not a binary PGM file: magic {tokens[0]!r}")
+        raise ValueError(f"{path}: not a binary PGM file: magic {tokens[0]!r}")
+    if not all(t.isdigit() for t in tokens[1:4]):
+        raise ValueError(f"{path}: PGM header fields {tokens[1:4]} are not integers")
     w, h, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval}")
+        raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace byte after maxval
+    if len(raw) - pos < w * h:
+        raise ValueError(
+            f"{path}: PGM data truncated: {max(len(raw) - pos, 0)} of {w * h} bytes"
+        )
     data = np.frombuffer(raw, dtype=np.uint8, count=w * h, offset=pos)
     return from_bytes_image(data.reshape(h, w))
-
-
-def write_image(path, img: np.ndarray) -> None:
-    """Write a [0, 1] image as PGM or (with Pillow) PNG, by extension."""
-    path = Path(path)
-    if path.suffix.lower() == ".pgm":
-        write_pgm(path, img)
-    elif path.suffix.lower() == ".png":
-        _pil().fromarray(to_bytes_image(img), mode="L").save(path)
-    else:
-        raise ValueError(f"unsupported image extension: {path.suffix!r}")
 
 
 def read_image(path) -> np.ndarray:

@@ -8,10 +8,8 @@ from srcortex import (
     WaveletBank,
     build_cake_bank,
     lift,
-    load_bank,
     pou_check,
     project,
-    save_bank,
 )
 from srcortex.cakes import retained_mask
 
@@ -123,20 +121,3 @@ def test_reconstruction_on_smooth_image(bank64):
     f = gaussian_filter(rng.random((64, 64)), 2.0, mode="wrap")
     rec = project(lift(f, bank64))
     assert np.linalg.norm(rec - f) / np.linalg.norm(f) < 1e-2
-
-
-def test_bank_cache_roundtrip(tmp_path, bank64):
-    path = tmp_path / "bank.bin"
-    save_bank(bank64, path)
-    loaded = load_bank(path, key=(64, 8, 5))
-    np.testing.assert_array_equal(loaded.filters, bank64.filters)
-    assert loaded.pou_residual == bank64.pou_residual
-    with pytest.raises(ValueError, match="key"):
-        load_bank(path, key=(64, 16, 5))
-
-
-def test_bank_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"JUNK!" + b"\0" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        load_bank(path)

@@ -135,3 +135,20 @@ def test_pgm_deterministic_bytes(tmp_path):
     write_pgm(p1, img)
     write_pgm(p2, img)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_pgm_truncated_data_names_file(tmp_path):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+    with pytest.raises(ValueError, match=r"short\.pgm: PGM data truncated: 10 of 16"):
+        read_pgm(path)
+
+
+def test_pgm_bad_header_names_file(tmp_path):
+    path = tmp_path / "cut.pgm"
+    path.write_bytes(b"P5\n4 # width, then nothing\n")
+    with pytest.raises(ValueError, match=r"cut\.pgm: PGM header ends after 2 of 4"):
+        read_pgm(path)
+    path.write_bytes(b"P5\n4 x\n255\n" + bytes(16))
+    with pytest.raises(ValueError, match=r"cut\.pgm: PGM header fields .* not integers"):
+        read_pgm(path)

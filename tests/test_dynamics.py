@@ -10,13 +10,10 @@ import pytest
 
 import srcortex
 from srcortex import (
-    EvolutionState,
     ModelConfig,
     build_cake_bank,
     build_propagator,
-    expand_coefficients,
     fit_polynomial,
-    gd_step,
     heat_evolve,
     kernel_column,
     lhe_energy,
@@ -27,12 +24,19 @@ from srcortex import (
     project,
     relative_change,
     run_model,
+)
+from srcortex import dynamics
+from srcortex.dynamics import (
+    _forcing,
+    _model_poly,
+    _primitive_coeffs,
+    _weights,
+    expand_coefficients,
+    gd_step,
     sigmoid,
     sigmoid_hat,
     wc_interaction,
 )
-from srcortex import dynamics
-from srcortex.dynamics import _model_poly, _primitive_coeffs, _weights
 from srcortex.stimuli import StimulusSpec, poggendorff_gratings
 
 
@@ -216,9 +220,6 @@ class TestLocalMean:
 
 
 class TestGdStep:
-    def _state(self, a, a0, mu):
-        return EvolutionState(a=a, a0=a0, mu=mu)
-
     def test_fixed_point(self):
         cfg = ModelConfig(model="wc", lam=1.5, alpha=2.0, sigma_mu=1.0,
                           dt=0.2, dtau=0.01, tau=0.1)
@@ -226,7 +227,7 @@ class TestGdStep:
         a0 = rng.random((4, 4, 2))
         mu = rng.random((4, 4, 2))
         a = (cfg.lam * a0 + mu) / (1.0 + cfg.lam)
-        out = gd_step(self._state(a, a0, mu), cfg, np.zeros_like(a))
+        out = gd_step(a, _forcing(cfg, a0, mu), np.zeros_like(a), cfg)
         np.testing.assert_allclose(out, a, atol=1e-14)
 
     def test_zero_dt_like_freeze(self):
@@ -235,7 +236,7 @@ class TestGdStep:
         cfg = ModelConfig(model="wc", lam=0.0, alpha=2.0, sigma_mu=1.0,
                           dt=1.0, dtau=0.01, tau=0.1)
         a = np.random.default_rng(7).random((3, 3, 2))
-        out = gd_step(self._state(a, a, a), cfg, (2.0 * cfg.m_scale) * a - a - a)
+        out = gd_step(a, _forcing(cfg, a, a), (2.0 * cfg.m_scale) * a - a - a, cfg)
         np.testing.assert_allclose(out, a, atol=1e-14)
 
     def test_geometric_decay(self):
@@ -243,7 +244,7 @@ class TestGdStep:
                           dt=0.25, dtau=0.01, tau=0.1)
         a = np.random.default_rng(8).random((3, 3, 2))
         zeros = np.zeros_like(a)
-        out = gd_step(self._state(a, zeros, zeros), cfg, zeros)
+        out = gd_step(a, _forcing(cfg, zeros, zeros), zeros, cfg)
         np.testing.assert_allclose(out, (1.0 - cfg.dt) * a, atol=1e-14)
 
 
@@ -462,7 +463,7 @@ class TestEnergy:
         energy = lhe_energy(a, a0, mu, cfg, small_prop)
         for _ in range(25):
             inter = lhe_interaction(a, small_prop, cfg.tau, poly)
-            a = gd_step(EvolutionState(a=a, a0=a0, mu=mu), cfg, inter)
+            a = gd_step(a, _forcing(cfg, a0, mu), inter, cfg)
             new_energy = lhe_energy(a, a0, mu, cfg, small_prop)
             assert new_energy <= energy + 1e-6 * abs(energy)
             energy = new_energy

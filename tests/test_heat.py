@@ -5,15 +5,15 @@ import pytest
 from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
-from srcortex import (
-    angular_second_difference,
-    build_propagator,
-    heat_evolve,
-    kernel_column,
-    solve_cyclic_tridiagonal,
-    spectral_symbol,
-)
+from srcortex import build_propagator, heat_evolve, kernel_column
 from srcortex.heat import _evolve_batch
+
+
+def angular_second_difference(g, beta: float, dtheta: float) -> np.ndarray:
+    """Periodic second difference along the last axis, scaled by beta^2/dtheta^2."""
+    g = np.asarray(g, dtype=float)
+    coeff = beta**2 / dtheta**2
+    return coeff * (np.roll(g, 1, axis=-1) - 2.0 * g + np.roll(g, -1, axis=-1))
 
 
 def dense_generator(n, k, beta, h):
@@ -47,6 +47,25 @@ def dense_generator(n, k, beta, h):
     return mat
 
 
+def cn_step_matrix(mat, dtau):
+    """Dense Crank-Nicolson step ``(I - dtau/2 B)^-1 (I + dtau/2 B)``."""
+    eye = np.eye(len(mat))
+    return np.linalg.solve(eye - 0.5 * dtau * mat, eye + 0.5 * dtau * mat)
+
+
+def factored_generator(prop, r, s):
+    """Mode (r, s) generator rebuilt from the propagator's eigenpairs."""
+    vecs = prop.eigvecs[r, s]
+    return (vecs * prop.eigvals[r, s]) @ vecs.T
+
+
+def assembled_generator(prop, r, s):
+    """Mode (r, s) generator from the angular stencil and the stored symbol."""
+    k = prop.n_orient
+    ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
+    return ang - np.diag(prop.d2h[r, s])
+
+
 class TestAngularDifference:
     def test_constant_maps_to_zero(self):
         np.testing.assert_array_equal(
@@ -69,94 +88,83 @@ class TestAngularDifference:
 
 
 class TestSpectralSymbol:
+    """``d2h[r, s, k] = (d / h)^2`` with the directional-difference symbol
+    ``d = cos(theta_k) sin(2 pi r / N) + sin(theta_k) sin(2 pi s / N)``."""
+
     def test_dc_mode_is_zero(self):
-        for k in range(1, 5):
-            assert spectral_symbol(1, 1, k, 8, 4) == 0.0
+        prop = build_propagator(8, 4, 0.5, 0.01)
+        np.testing.assert_array_equal(prop.d2h[0, 0], 0.0)
 
     def test_vertical_orientation_kills_first_axis(self):
-        # theta = pi/2 (k index K/2 + 1 for K even): cos factor vanishes
-        k = 3  # with K=4, theta = (3-1)*pi/4 = pi/2
-        assert spectral_symbol(5, 1, k, 8, 4) == pytest.approx(0.0, abs=1e-15)
+        # theta = pi/2 (index K/2): the cos factor vanishes on first-axis modes
+        prop = build_propagator(8, 4, 0.5, 0.01, h=1.0)
+        assert np.abs(prop.d2h[:, 0, 2]).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
-        # N=4, r-1=1, s-1=0, theta=0 -> sin(pi/2) = 1
-        assert spectral_symbol(2, 1, 1, 4, 4) == pytest.approx(1.0)
+        # N=4, h=1, mode (1, 0), theta=0 -> sin(pi/2)^2 = 1
+        prop = build_propagator(4, 4, 0.5, 0.01, h=1.0)
+        assert prop.d2h[1, 0, 0] == pytest.approx(1.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            spectral_symbol(0, 1, 1, 8, 4)
+            build_propagator(1, 4, 0.5, 0.01)
         with pytest.raises(ValueError):
-            spectral_symbol(1, 1, 5, 8, 4)
+            build_propagator(8, 1, 0.5, 0.01)
+        with pytest.raises(ValueError):
+            build_propagator(8, 4, 0.5, 0.01, h=0.0)
 
     def test_matches_propagator_grid(self):
-        n, k = 6, 4
-        prop = build_propagator(n, k, 0.5, 0.01, h=1.0)
-        for r in (1, 2, 5):
-            for s in (1, 3):
-                for kk in (1, 2, 4):
-                    d = spectral_symbol(r, s, kk, n, k)
-                    assert prop.d2h[r - 1, s - 1, kk - 1] == pytest.approx(d * d)
-
-
-class TestCyclicTridiagonal:
-    def test_identity(self):
-        rhs = np.array([1.0, -2.0, 3.0, 0.5])
-        out = solve_cyclic_tridiagonal(np.ones(4), 0.0, 0.0, rhs)
-        np.testing.assert_allclose(out, rhs, atol=1e-14)
-
-    def test_unit_row_sum_system(self):
-        # diag 3, off -1, corner -1: rows sum to 1 so the solution of
-        # A x = ones is ones
-        out = solve_cyclic_tridiagonal(np.full(3, 3.0), -1.0, -1.0, np.ones(3))
-        np.testing.assert_allclose(out, np.ones(3), atol=1e-14)
-
-    def test_random_spd_matches_dense(self):
-        rng = np.random.default_rng(7)
-        k = 8
-        for _ in range(5):
-            off = rng.standard_normal(k - 1)
-            corner = float(rng.standard_normal())
-            diag = np.abs(rng.standard_normal(k)) + 2.0 * (
-                np.abs(np.r_[off, corner]) + np.abs(np.r_[corner, off])
-            )
-            rhs = rng.standard_normal(k)
-            dense = np.diag(diag)
-            dense[np.arange(k - 1), np.arange(1, k)] = off
-            dense[np.arange(1, k), np.arange(k - 1)] = off
-            dense[0, -1] = dense[-1, 0] = corner
-            expected = np.linalg.solve(dense, rhs)
-            got = solve_cyclic_tridiagonal(diag, off, corner, rhs)
-            assert np.linalg.norm(got - expected) < 1e-12 * np.linalg.norm(rhs)
-
-    def test_needs_three_entries(self):
-        with pytest.raises(ValueError):
-            solve_cyclic_tridiagonal(np.ones(2), 0.1, 0.1, np.ones(2))
+        n, k, h = 6, 4, 0.5
+        prop = build_propagator(n, k, 0.5, 0.01, h=h)
+        for r in (0, 1, 4):
+            for s in (0, 2):
+                for kk in (0, 1, 3):
+                    theta = kk * math.pi / k
+                    d = math.cos(theta) * math.sin(2 * math.pi * r / n) + math.sin(
+                        theta
+                    ) * math.sin(2 * math.pi * s / n)
+                    assert prop.d2h[r, s, kk] == pytest.approx((d / h) ** 2)
 
 
 class TestPropagator:
     def test_mode_matrices_symmetric(self):
         prop = build_propagator(6, 5, 0.8, 0.02)
         for r, s in [(0, 0), (1, 3), (2, 2), (5, 1)]:
-            mat = prop.mode_matrix(r, s)
+            mat = assembled_generator(prop, r, s)
             assert np.abs(mat - mat.T).max() == 0.0
+            vecs = prop.eigvecs[r, s]
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(5), atol=1e-12)
+            np.testing.assert_allclose(
+                factored_generator(prop, r, s), mat, atol=1e-12 * np.abs(mat).max()
+            )
 
     def test_zero_mode_is_pure_angular(self):
         prop = build_propagator(6, 4, 0.8, 0.02)
-        mat = prop.mode_matrix(0, 0)
         g = np.arange(4.0)
         np.testing.assert_allclose(
-            mat @ g, angular_second_difference(g, 0.8, math.pi / 4), atol=1e-12
+            factored_generator(prop, 0, 0) @ g,
+            angular_second_difference(g, 0.8, math.pi / 4),
+            atol=1e-12,
         )
 
     def test_cn_step_eigenvalues_stable(self):
-        prop = build_propagator(6, 6, 0.7, 0.05)
-        for r, s in [(0, 0), (1, 2), (3, 3)]:
-            b = prop.mode_matrix(r, s)
-            m_minus = np.eye(6) - 0.5 * prop.dtau * b
-            m_plus = np.eye(6) + 0.5 * prop.dtau * b
-            vals = np.linalg.eigvals(np.linalg.solve(m_minus, m_plus))
-            assert np.all(np.abs(vals) <= 1.0 + 1e-12)
-            assert np.all(vals.real > -1.0)
+        # the dense step matrix is symmetric (a rational function of the
+        # symmetric generator); its spectrum is that of every mode's
+        # one-step ratios, conjugate modes (r, s) ~ (-r, -s) filling in
+        # the half grid the propagator stores
+        n, k = 6, 6
+        prop = build_propagator(n, k, 0.7, 0.05)
+        step = cn_step_matrix(dense_generator(n, k, prop.beta, prop.h), prop.dtau)
+        vals = np.linalg.eigvalsh(0.5 * (step + step.T))
+        assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+        assert np.all(vals > -1.0)
+        ratios = prop.step_ratios(1)
+        full = [
+            ratios[r, s] if s <= n // 2 else ratios[-r % n, n - s]
+            for r in range(n)
+            for s in range(n)
+        ]
+        np.testing.assert_allclose(np.sort(vals), np.sort(np.ravel(full)), atol=1e-12)
 
 
 class TestHeatEvolve:
@@ -188,17 +196,17 @@ class TestHeatEvolve:
         assert rel < 1e-3
 
     def test_spectral_equals_stepping(self):
+        # 30 literal Crank-Nicolson steps of the dense generator
+        mat = dense_generator(8, 4, self.prop.beta, self.prop.h)
+        step = np.linalg.matrix_power(cn_step_matrix(mat, self.prop.dtau), 30)
+        expected = (step @ self.a.ravel()).reshape(8, 8, 4)
         spec = heat_evolve(self.a, self.prop, 0.3)
-        step = heat_evolve(self.a, self.prop, 0.3, method="stepping")
-        assert np.linalg.norm(spec - step) < 1e-10 * np.linalg.norm(spec)
+        assert np.linalg.norm(spec - expected) < 1e-12 * np.linalg.norm(spec)
 
     def test_semigroup(self):
-        for method in ("spectral", "stepping"):
-            ab = heat_evolve(
-                heat_evolve(self.a, self.prop, 0.2, method), self.prop, 0.3, method
-            )
-            full = heat_evolve(self.a, self.prop, 0.5, method)
-            assert np.linalg.norm(ab - full) <= 1e-12 * np.linalg.norm(full)
+        ab = heat_evolve(heat_evolve(self.a, self.prop, 0.2), self.prop, 0.3)
+        full = heat_evolve(self.a, self.prop, 0.5)
+        assert np.linalg.norm(ab - full) <= 1e-12 * np.linalg.norm(full)
 
     def test_contraction(self):
         out = heat_evolve(self.a, self.prop, 1.0)
