@@ -16,7 +16,6 @@ from .dynamics import (
     PolyCoeffs,
     fit_polynomial,
     lhe_energy,
-    lhe_interaction,
     local_mean,
     model_drift,
     run_model,
@@ -41,7 +40,6 @@ __all__ = [
     "PolyCoeffs",
     "fit_polynomial",
     "lhe_energy",
-    "lhe_interaction",
     "local_mean",
     "model_drift",
     "run_model",

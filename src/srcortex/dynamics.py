@@ -33,6 +33,18 @@ or i = 0.  Those are sums of a^j alone, because the kernel conserves
 mass (``sum K[f] = sum f``); in particular the degree-(n+1) term needs
 no evolved a^(n+1).  The finite-difference gradient of this energy
 matches the implemented drift.
+
+``run_model`` seeks the fixed point of the descent step
+``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
+tol``.  WC iterates ``a <- G(a)``.  Near the LHE fixed point that plain
+iteration contracts slowly, so LHE uses type-II Anderson acceleration
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011) over the last five
+steps.  The energy guards it: each interaction evaluation yields the
+energy of its state, an extrapolated state that does not lower it is
+rejected, and the run restarts from the plain step with the history
+cleared.  So the accepted energies never rise, as long as the plain
+step descends (dt in the stable range).  WC has no energy to guard an
+extrapolation and keeps the plain iteration.
 """
 
 import contextlib
@@ -50,6 +62,7 @@ from .core import project, relative_change
 from .heat import HeatPropagator, _evolve_batch, heat_evolve
 
 FIT_SAMPLES = 2001
+ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -101,17 +114,6 @@ def fit_polynomial(alpha: float, degree: int) -> PolyCoeffs:
     return PolyCoeffs(degree, coeffs, alpha, sup_error)
 
 
-def expand_coefficients(a, poly: PolyCoeffs) -> list[np.ndarray]:
-    """Coefficient fields C_i with sum_i C_i(xi) b^i = poly(a(xi) - b).
-
-    The binomial expansion of ``sum_j c_j (a(xi) - a(eta))^j`` collected
-    by powers of ``a(eta)``: ``C_i = sum_p W[p, i] a^p``.
-    """
-    a = as_stack(a)
-    weights = _weights(poly.coeffs)
-    return [_horner(a, weights[:, i]) for i in range(len(weights))]
-
-
 def _weights(coeffs) -> np.ndarray:
     """W[p, i]: weight of x^p y^i in ``sum_j coeffs[j] (x - y)^j``."""
     n = len(coeffs) - 1
@@ -144,17 +146,6 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
 def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float, sign: float = 1.0):
     """Heat evolution of the voxelwise activity sigmoid."""
     return heat_evolve(sign * sigmoid(as_stack(a), alpha), prop, tau)
-
-
-def lhe_interaction(a, prop: HeatPropagator, tau: float, poly: PolyCoeffs):
-    """Kernel average of the polynomial contrast sigmoid.
-
-    Computes ``sum_i C_i(xi) * exp(tau L)[a^i](xi)``; the zeroth power
-    evolves to the constant 1 and is folded in directly.
-    """
-    a = as_stack(a)
-    _, evolved = _evolved_powers(a, prop, tau, poly.degree)
-    return _combine(a, _weights(poly.coeffs), evolved)
 
 
 def _evolved_powers(a, prop, tau, nmax):
@@ -298,7 +289,13 @@ def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
 
 @dataclass
 class RunResult:
-    """Outcome of a model run: projected image plus loop diagnostics."""
+    """Outcome of a model run: projected image plus loop diagnostics.
+
+    ``iterations`` counts interaction evaluations: one per entry of
+    ``rel_history`` (the accepted iterates) plus ``rejected_steps``, the
+    LHE extrapolations the energy safeguard turned down.  ``energies``
+    (LHE only) holds E of each accepted iterate and of the returned state.
+    """
 
     image: np.ndarray
     stack: np.ndarray
@@ -307,6 +304,53 @@ class RunResult:
     last_change: float
     rel_history: list
     energies: list | None = None
+    rejected_steps: int = 0
+
+
+class _AndersonHistory:
+    """Type-II Anderson mixing for a fixed-point map G (Walker & Ni, 2011).
+
+    Holds the differences of the residuals ``f = G(x) - x`` and of the
+    images ``G(x)`` of consecutive accepted iterates in two preallocated
+    ``(ANDERSON_WINDOW, size)`` ring buffers, ``df`` and ``dg``.  The
+    next iterate is ``G(x) - dg^T gamma``, with gamma solving the Gram
+    system ``df df^T gamma = df f`` (least squares, so a singular Gram
+    matrix gives the minimum-norm gamma).  The order of the pairs in the
+    ring does not matter to that solution.
+    """
+
+    def __init__(self, size: int):
+        self.df = np.empty((ANDERSON_WINDOW, size))
+        self.dg = np.empty((ANDERSON_WINDOW, size))
+        self.pairs = 0  # valid pairs, in slots 0 .. pairs-1 until the ring wraps
+        self.slot = 0  # the slot the next pair overwrites
+        self.f_prev = self.g_prev = None
+
+    def clear(self):
+        """Forget every pair; the next two accepted iterates start a new one."""
+        self.pairs = self.slot = 0
+        self.f_prev = self.g_prev = None
+
+    def extrapolate(self, x, g):
+        """Record the accepted iterate x with g = G(x); return the next iterate.
+
+        With no pair recorded yet this is g, the plain descent step.
+        """
+        f = (g - x).ravel()
+        g_flat = g.ravel()
+        if self.f_prev is not None:
+            np.subtract(f, self.f_prev, out=self.df[self.slot])
+            np.subtract(g_flat, self.g_prev, out=self.dg[self.slot])
+            self.slot = (self.slot + 1) % ANDERSON_WINDOW
+            self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
+        self.f_prev, self.g_prev = f, g_flat
+        if self.pairs == 0:
+            return g
+        df, dg = self.df[: self.pairs], self.dg[: self.pairs]
+        gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+        out = gamma @ dg
+        np.subtract(g_flat, out, out=out)
+        return out.reshape(g.shape)
 
 
 @functools.cache
@@ -357,61 +401,82 @@ def _single_blas_thread():
 
 
 @_single_blas_thread()
-def run_model(
-    f0,
-    cfg: ModelConfig,
-    bank,
-    prop: HeatPropagator,
-    trace_energy: bool = False,
-) -> RunResult:
+def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     """Lift, iterate to the stopping rule, project.
 
-    Non-convergence within ``cfg.max_iters`` is reported through the
-    ``converged`` flag, not an exception; a non-finite relative change
-    raises ``FloatingPointError`` naming the iteration.  With
-    ``trace_energy`` (LHE only) the energy sequence E(A_0) .. E(A_P) is
-    recorded; it reuses the powers and evolved powers already built for
-    the interaction.  numpy's BLAS runs on one thread for the whole call,
-    so the result does not depend on the machine's core count.
+    Both models stop at the first evaluated state ``a`` whose descent
+    step ``G(a) = gd_step(a, ...)`` satisfies ``relative_change(G(a), a)
+    < cfg.tol``, and return ``G(a)``.  WC iterates ``a <- G(a)``.  LHE
+    iterates with type-II Anderson acceleration on G (``_AndersonHistory``),
+    guarded by the energy that each interaction evaluation yields: an
+    extrapolated state whose energy is non-finite or above that of the
+    last accepted state is rejected, and the run restarts from the plain
+    step G of the last accepted state with the history cleared.  A plain
+    step has nothing to fall back to and is accepted; for dt in the
+    stable range it descends, and if its energy does not fall it clears
+    the history, so no extrapolation builds on an ascending (for example
+    diverging) run.
+
+    ``cfg.max_iters`` caps the interaction evaluations.  Non-convergence
+    is reported through the ``converged`` flag, not an exception; a
+    non-finite relative change raises ``FloatingPointError`` naming the
+    evaluation.  numpy's BLAS runs on one thread for the whole call, so
+    the result does not depend on the machine's core count.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
     interaction = _interaction(cfg, prop)
-    trace_energy = trace_energy and cfg.model == LHE
-    if trace_energy:
+    lhe = cfg.model == LHE
+    if lhe:
         prim_weights = _weights(_primitive_coeffs(_model_poly(cfg).coeffs))
+        history = _AndersonHistory(a0.size)
 
     a = a0
+    g = None  # G of the last accepted state: where a rejection restarts
+    extrapolated = False
     rel_history = []
-    energies = [] if trace_energy else None
+    energies = [] if lhe else None
+    rejected = 0
     converged = False
     for p in range(1, cfg.max_iters + 1):
         inter, terms = interaction(a)
-        if trace_energy:
-            energies.append(_energy_from_terms(a, a0, mu, cfg, prim_weights, *terms))
-        del terms  # free the powers before the next iteration builds its own
-        new_a = gd_step(a, forcing, inter, cfg)
-        rel = relative_change(new_a, a)
+        if lhe:
+            energy = _energy_from_terms(a, a0, mu, cfg, prim_weights, *terms)
+            del terms  # free the powers before the next evaluation builds its own
+            if energies and not (math.isfinite(energy) and energy <= energies[-1]):
+                history.clear()
+                if extrapolated:
+                    rejected += 1
+                    a, extrapolated = g, False
+                    continue
+            energies.append(energy)
+        g = gd_step(a, forcing, inter, cfg)
+        rel = relative_change(g, a)
         if not math.isfinite(rel):
             raise FloatingPointError(
                 f"{cfg.model.upper()} run diverged: relative change is {rel} "
                 f"at iteration {p}"
             )
         rel_history.append(rel)
-        a = new_a
         if rel < cfg.tol:
             converged = True
             break
-    if trace_energy:
-        energies.append(lhe_energy(a, a0, mu, cfg, prop))
+        if lhe:
+            a = history.extrapolate(a, g)
+            extrapolated = a is not g
+        else:
+            a = g
+    if lhe:
+        energies.append(lhe_energy(g, a0, mu, cfg, prop))
 
     return RunResult(
-        image=project(a),
-        stack=a,
-        iterations=len(rel_history),
+        image=project(g),
+        stack=g,
+        iterations=p,
         converged=converged,
         last_change=rel_history[-1],
         rel_history=rel_history,
         energies=energies,
+        rejected_steps=rejected,
     )

@@ -19,6 +19,7 @@ and None is returned.
 
 import dataclasses
 import json
+import logging
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .cakes import build_cake_bank
-from .core import LHE, ModelConfig, renormalize
+from .core import ModelConfig, renormalize
 from .dynamics import RunResult, run_model
 from .heat import build_propagator
 from .imgio import read_image, write_pgm
@@ -38,6 +39,8 @@ CONTRAST_THRESHOLD = 0.05
 BAND_HALFWIDTH = 10.0
 EDGE_MARGIN = 2.0
 SEED_HALFWIDTH = 3.0  # seed search radius around the center crossing
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -207,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     mc = cfg.model_cfg
     bank = build_cake_bank(n, cfg.n_orient, cfg.profile_order)
     prop = build_propagator(n, cfg.n_orient, mc.beta_for(n, cfg.n_orient), mc.dtau)
-    result = run_model(f0, mc, bank, prop, trace_energy=mc.model == LHE)
+    result = run_model(f0, mc, bank, prop)
 
     offset = None
     if cfg.stimulus is not None:
@@ -220,7 +223,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     report = _build_report(cfg, stimulus_kind, n, result, offset)
     _write_report(out, report)
     elapsed = time.perf_counter() - t0
-    print(f"[srcortex] {cfg.out_dir}: {report['iterations']} iters in {elapsed:.1f}s")
+    logger.info("%s: %d iterations (%d rejected) in %.1fs", cfg.out_dir,
+                report["iterations"], report["rejected_steps"], elapsed)
     return report
 
 
@@ -269,6 +273,7 @@ def _build_report(cfg, stimulus_kind, n, result: RunResult, offset) -> dict:
         "forcing": mc.forcing,
         "sigma_sign": mc.sigma_sign,
         "iterations": result.iterations,
+        "rejected_steps": result.rejected_steps,
         "converged": result.converged,
         "final_relative_change": result.last_change,
         "offset_detected": offset is not None,

@@ -164,9 +164,9 @@ def _evolve_batch(stacks, prop, m):
     """
     n = prop.n_pixels
     hats = rfft2(stacks, axes=(0, 1), workers=-1)
-    pm = prop.propagator(m)
-    out = (pm @ hats.view(np.float64)).view(np.complex128)
-    return irfft2(out, s=(n, n), axes=(0, 1), workers=-1)
+    # rebinding frees the forward spectrum before irfft2 allocates its output
+    hats = (prop.propagator(m) @ hats.view(np.float64)).view(np.complex128)
+    return irfft2(hats, s=(n, n), axes=(0, 1), workers=-1)
 
 
 def kernel_column(prop: HeatPropagator, i: int, j: int, k: int, tau: float):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -17,7 +18,6 @@ from srcortex import (
     heat_evolve,
     kernel_column,
     lhe_energy,
-    lhe_interaction,
     lift,
     local_mean,
     model_drift,
@@ -26,18 +26,63 @@ from srcortex import (
     run_model,
 )
 from srcortex import dynamics
+from srcortex.core import as_stack
 from srcortex.dynamics import (
+    _combine,
+    _evolved_powers,
     _forcing,
+    _horner,
+    _interaction,
     _model_poly,
     _primitive_coeffs,
     _weights,
-    expand_coefficients,
     gd_step,
     sigmoid,
     sigmoid_hat,
     wc_interaction,
 )
 from srcortex.stimuli import StimulusSpec, poggendorff_gratings
+
+
+def expand_coefficients(a, poly):
+    """Coefficient fields C_i with sum_i C_i(xi) b^i = poly(a(xi) - b).
+
+    The binomial expansion of ``sum_j c_j (a(xi) - a(eta))^j`` collected
+    by powers of ``a(eta)``: ``C_i = sum_p W[p, i] a^p``.
+    """
+    a = as_stack(a)
+    weights = _weights(poly.coeffs)
+    return [_horner(a, weights[:, i]) for i in range(len(weights))]
+
+
+def lhe_interaction(a, prop, tau, poly):
+    """Kernel average of the polynomial contrast sigmoid.
+
+    Computes ``sum_i C_i(xi) * exp(tau L)[a^i](xi)``; the zeroth power
+    evolves to the constant 1 and is folded in directly.
+    """
+    a = as_stack(a)
+    _, evolved = _evolved_powers(a, prop, tau, poly.degree)
+    return _combine(a, _weights(poly.coeffs), evolved)
+
+
+def gd_reference(f0, cfg, bank, prop):
+    """The plain descent loop: a <- G(a) until |G(a) - a| / |G(a)| < tol.
+
+    Returns the final stack, the number of steps and the relative changes.
+    """
+    a0 = lift(f0, bank)
+    forcing = _forcing(cfg, a0, local_mean(a0, cfg.sigma_mu))
+    interaction = _interaction(cfg, prop)
+    a, rel_history = a0, []
+    for _ in range(cfg.max_iters):
+        inter, _ = interaction(a)
+        new_a = gd_step(a, forcing, inter, cfg)
+        rel_history.append(relative_change(new_a, a))
+        a = new_a
+        if rel_history[-1] < cfg.tol:
+            break
+    return a, len(rel_history), rel_history
 
 
 class TestSigmoids:
@@ -276,7 +321,7 @@ f0 = poggendorff_gratings(StimulusSpec(n_pixels=n, bar_width=8, grating_period=6
 cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0, dt=0.15,
                   dtau=0.05, tau=0.25, poly_degree=5, max_iters=20)
 prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
-res = run_model(f0, cfg, build_cake_bank(n, k, 3), prop, trace_energy=True)
+res = run_model(f0, cfg, build_cake_bank(n, k, 3), prop)
 print(json.dumps([[x.hex() for x in res.rel_history], [x.hex() for x in res.energies]]))
 """
 
@@ -348,9 +393,9 @@ class TestRunModel:
         # 32 x 32 x 8 = 8192 entries: below OpenBLAS's 10,000-entry cutoff
         # for threaded dot products, so the unpinned run sums in the same order
         case = _tiny_lhe(max_iters=20)
-        pinned = run_model(*case, trace_energy=True)
+        pinned = run_model(*case)
         monkeypatch.setattr(dynamics, "_blas_thread_functions", lambda: None)
-        plain = run_model(*case, trace_energy=True)
+        plain = run_model(*case)
         np.testing.assert_array_equal(plain.stack, pinned.stack)
         np.testing.assert_array_equal(plain.image, pinned.image)
         assert (plain.iterations, plain.converged, plain.last_change) == (
@@ -387,6 +432,81 @@ class TestRunModel:
         lip = (1.0 + cfg.lam) + cfg.alpha / (2.0 * cfg.m_scale)
         bound = cfg.tol / cfg.dt * (1.0 + lip * cfg.dt)
         assert np.linalg.norm(drift) <= bound * np.linalg.norm(res.stack)
+
+
+def _tiny_run(alpha, tau, model="lhe"):
+    """``_tiny_lhe`` with another slope, kernel width or model."""
+    f0, cfg, bank, prop = _tiny_lhe()
+    return f0, dataclasses.replace(cfg, model=model, alpha=alpha, tau=tau), bank, prop
+
+
+class TestAnderson:
+    @pytest.mark.parametrize("alpha", [6.0, 8.0])
+    def test_fewer_evaluations_to_the_same_stopping_rule(self, alpha):
+        f0, cfg, bank, prop = _tiny_run(alpha, 0.5)
+        res = run_model(f0, cfg, bank, prop)
+        gd_stack, gd_steps, _ = gd_reference(f0, cfg, bank, prop)
+        assert res.converged and res.iterations < gd_steps
+        assert res.last_change < cfg.tol
+        a0 = lift(f0, bank)
+        drift = model_drift(res.stack, a0, local_mean(a0, cfg.sigma_mu), cfg, prop)
+        assert cfg.dt * np.linalg.norm(drift) <= cfg.tol * np.linalg.norm(res.stack)
+        # Both runs stop on the same residual rule, so both lie about
+        # rel / (1 - q) from the fixed point, q the slowest contraction;
+        # which is nearer depends on where each one's last residual fell
+        # below tol.  Measured ratios of the distances: 0.89 (alpha 6) and
+        # 1.05 (alpha 8).
+        fixed, _, _ = gd_reference(f0, dataclasses.replace(cfg, tol=1e-6), bank, prop)
+
+        def dist(stack):
+            return np.linalg.norm(stack - fixed) / np.linalg.norm(fixed)
+
+        assert dist(res.stack) <= 1.1 * dist(gd_stack)
+
+    def test_wc_is_the_plain_loop(self):
+        f0, cfg, bank, prop = _tiny_run(20.0, 0.5, model="wc")
+        res = run_model(f0, cfg, bank, prop)
+        with dynamics._single_blas_thread():
+            stack, steps, rel_history = gd_reference(f0, cfg, bank, prop)
+        np.testing.assert_array_equal(res.stack, stack)
+        assert (res.iterations, res.rel_history) == (steps, rel_history)
+        assert res.energies is None and res.rejected_steps == 0
+
+    def _forced(self, monkeypatch, value):
+        """Run with the third energy, the first extrapolated state's, replaced."""
+        case = _tiny_run(6.0, 0.5)
+        base = run_model(*case)
+        energy, step = dynamics._energy_from_terms, dynamics.gd_step
+        evaluated, steps = [], []
+
+        def forced(a, *args):
+            evaluated.append(a)
+            e = energy(a, *args)
+            return value(e) if len(evaluated) == 3 else e
+
+        def recorded(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(dynamics, "_energy_from_terms", forced)
+        monkeypatch.setattr(dynamics, "gd_step", recorded)
+        res = run_model(*case)
+        assert base.rejected_steps == 0 and res.rejected_steps >= 1
+        assert res.converged
+        assert res.iterations == len(res.rel_history) + res.rejected_steps
+        # the rejected state is followed by the plain step of the last accepted one
+        assert evaluated[3] is steps[1]
+        return res
+
+    def test_forced_rejection_keeps_energy_descending(self, monkeypatch):
+        res = self._forced(monkeypatch, lambda e: e + 1e6)
+        energies = np.array(res.energies)
+        assert np.all(np.diff(energies[:-1]) <= 0.0)
+        assert energies[-1] <= energies[-2] + 1e-12 * abs(energies[-2])
+
+    def test_nan_energy_is_a_rejection(self, monkeypatch):
+        res = self._forced(monkeypatch, lambda e: math.nan)
+        assert np.all(np.isfinite(res.energies))
 
 
 class TestEnergy:

@@ -67,6 +67,17 @@ class TestMeasureOffset:
         assert off is not None
         assert off == pytest.approx(shift * math.cos(spec.incidence_angle), abs=0.6)
 
+    @pytest.mark.parametrize("roll", [2, 4, -4])
+    def test_rolled_path_inside_transparent_bar(self, roll):
+        # the continuation inside a see-through bar, translated by ``roll``
+        # rows, lies roll * cos(angle) px off perpendicular to the lines
+        spec = paper_spec()
+        img = poggendorff_gratings(dataclasses.replace(spec, bar_gray=spec.background))
+        in_bar = np.abs(np.arange(spec.n_pixels) - spec.center) < spec.bar_width / 2.0
+        img[:, in_bar] = np.roll(img[:, in_bar], roll, axis=0)
+        off = measure_offset(img, spec)
+        assert off == pytest.approx(roll * math.cos(spec.incidence_angle), abs=0.1)
+
 
 def quick_config(tmp_path, **overrides):
     model_kw = dict(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
@@ -120,7 +131,7 @@ class TestRunExperiment:
         assert parsed["iterations"] == report["iterations"]
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "p,relative_change,energy"
-        assert len(trace) == report["iterations"] + 1
+        assert len(trace) == report["iterations"] - report["rejected_steps"] + 1
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg1 = quick_config(tmp_path, out_dir=str(tmp_path / "a"))
