@@ -8,10 +8,8 @@ import math
 import sys
 
 from .core import ModelConfig
-from .experiment import ExperimentConfig, run_experiment, run_sweep
+from .experiment import SWEEPABLE, ExperimentConfig, run_experiment, run_sweep
 from .stimuli import StimulusSpec
-
-SWEEPABLE = ("tau", "alpha", "lam", "sigma_mu", "dt", "dtau", "tol")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -78,13 +78,14 @@ class ModelConfig:
     """Scalar parameters of the activation models.
 
     Fields follow the evolution equation
-    ``da/dt = -(1 + lam) a + lam a0 + mu + (1/2M) * interaction``:
+    ``da/dt = -(1 + lam) a + lam a0 + mu + (s/2M) * interaction`` with
+    the interaction normalizer M = 1 fixed and s = +-1 set by
+    ``sigma_sign``:
 
     - ``model``: "wc" (sigmoid of activity) or "lhe" (sigmoid of contrast)
     - ``lam``: fidelity weight (>= 0)
     - ``alpha``: sigmoid slope (> 1)
     - ``sigma_mu``: std in pixels of the Gaussian local-mean filter
-    - ``m_scale``: interaction normalizer M
     - ``beta``: spatial/angular coherency of the diffusion; None derives
       the default K / (N^2 sqrt(2)) once the grid is known
     - ``dt``: gradient-descent step, constrained to dt <= 1/(1 + lam)
@@ -94,8 +95,9 @@ class ModelConfig:
     - ``poly_degree``: odd degree of the contrast-sigmoid fit (LHE only)
     - ``forcing``: "continuous" uses lam*a0 + mu, "discrete-paper" swaps
       the roles to a0 + lam*mu
-    - ``sigma_sign``: "paper" keeps the decreasing sigmoid, "flipped"
-      negates the interaction nonlinearity
+    - ``sigma_sign``: the sign s of the interaction's scale s/2M:
+      "paper" (+1) keeps the decreasing sigmoid, "flipped" (-1) negates
+      the interaction nonlinearity
     """
 
     model: str
@@ -105,7 +107,6 @@ class ModelConfig:
     dt: float
     dtau: float
     tau: float
-    m_scale: float = 1.0
     beta: float | None = None
     tol: float = 1e-4
     poly_degree: int = 9
@@ -122,8 +123,6 @@ class ModelConfig:
             raise ValueError("alpha must be > 1")
         if self.sigma_mu <= 0:
             raise ValueError("sigma_mu must be > 0")
-        if self.m_scale <= 0:
-            raise ValueError("m_scale must be > 0")
         if self.beta is not None and self.beta <= 0:
             raise ValueError("beta must be > 0")
         if self.dt <= 0:
@@ -148,6 +147,11 @@ class ModelConfig:
             raise ValueError(f"unknown forcing {self.forcing!r}")
         if self.sigma_sign not in ("paper", "flipped"):
             raise ValueError(f"unknown sigma_sign {self.sigma_sign!r}")
+
+    @property
+    def interaction_scale(self) -> float:
+        """s/2M, the interaction's weight in the drift (M = 1, s from sigma_sign)."""
+        return 0.5 if self.sigma_sign == "paper" else -0.5
 
     def beta_for(self, n_pixels: int, n_orient: int) -> float:
         """Coherency actually used on an N x K grid (default K/(N^2 sqrt 2))."""

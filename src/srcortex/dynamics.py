@@ -2,11 +2,13 @@
 
 Both models evolve an activation stack ``a`` by explicit time stepping of
 
-    da/dt = -(1 + lam) a + lam a0 + mu + (1/2M) * S[a]
+    da/dt = -(1 + lam) a + lam a0 + mu + (s/2M) * S[a]
 
 where ``S`` applies the heat kernel to a sigmoid of the activity (WC) or
-of the local contrast (LHE).  Under ``forcing="discrete-paper"`` the
-stimulus and its local mean swap weights: ``a0 + lam mu``.
+of the local contrast (LHE).  M = 1, and s = +1 for ``sigma_sign="paper"``
+and -1 for ``"flipped"``; the one scalar s/2M is
+``ModelConfig.interaction_scale``.  Under ``forcing="discrete-paper"``
+the stimulus and its local mean swap weights: ``a0 + lam mu``.
 
 The LHE contrast term is made separable by replacing the clamped-linear
 sigmoid with an odd polynomial fit.  Expanding ``sum_j c_j (x - y)^j``
@@ -19,13 +21,14 @@ so with K the heat kernel and E_i = K[a^i] (E_0 = 1) the interaction is
     S[a](xi) = sum_p a(xi)^p * sum_i W[p, i] E_i(xi):
 
 one small matmul of the table with the evolved powers, then a Horner
-pass in ``a``.  The powers a^1 .. a^n are built once per iteration and
-the same evolved stacks serve the interaction and the energy.
+pass in ``a``.  ``_interaction`` is the one place a model is evaluated:
+it builds the fit and both weight tables once, and each call evolves
+the powers a^1 .. a^n once, for the interaction and the energy alike.
 
 The LHE flow is the gradient descent of an explicit energy: the two
 fidelity terms whose gradient is ``(1 + lam) a`` minus the forcing
 (``lam/2 |a - a0|^2 + 1/2 |a - mu|^2``, or ``1/2 |a - a0|^2 +
-lam/2 |a - mu|^2`` under the discrete-paper forcing), minus 1/(4M) times
+lam/2 |a - mu|^2`` under the discrete-paper forcing), minus s/(4M) times
 the kernel double sum of the even primitive Sigma of the polynomial.
 That double sum is ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``: a Gram
 product of the powers with their evolutions, plus the terms with p = 0
@@ -143,9 +146,9 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
     return prim
 
 
-def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float, sign: float = 1.0):
+def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float):
     """Heat evolution of the voxelwise activity sigmoid."""
-    return heat_evolve(sign * sigmoid(as_stack(a), alpha), prop, tau)
+    return heat_evolve(sigmoid(as_stack(a), alpha), prop, tau)
 
 
 def _evolved_powers(a, prop, tau, nmax):
@@ -195,39 +198,30 @@ def _forcing(cfg: ModelConfig, a0, mu):
     return w_a0 * a0 + w_mu * mu
 
 
-def _nonlinearity_sign(cfg: ModelConfig) -> float:
-    return 1.0 if cfg.sigma_sign == "paper" else -1.0
+def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu):
+    """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
-
-def _model_poly(cfg: ModelConfig) -> PolyCoeffs:
-    poly = fit_polynomial(cfg.alpha, cfg.poly_degree)
-    sign = _nonlinearity_sign(cfg)
-    if sign < 0:
-        poly = PolyCoeffs(poly.degree, -poly.coeffs, poly.alpha, poly.sup_error)
-    return poly
-
-
-def _interaction(cfg: ModelConfig, prop: HeatPropagator):
-    """The model's interaction term as a function of ``a``: the WC/LHE branch.
-
-    The function returns the term and, for LHE, the powers a^1 .. a^n
-    with their evolutions, which the energy reuses (None for WC).
+    ``term`` is the interaction S[a] before its scale s/2M; ``energy``
+    is the energy of ``a`` for LHE and None for WC.  The LHE fit and
+    its two weight tables are built here, once.
     """
     if cfg.model == WC:
-        sign = _nonlinearity_sign(cfg)
-        return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha, sign), None)
-    poly = _model_poly(cfg)
-    weights = _weights(poly.coeffs)
+        return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha), None)
+    coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
+    weights = _weights(coeffs)
+    prim_weights = _weights(_primitive_coeffs(coeffs))
 
     def lhe(a):
-        powers, evolved = _evolved_powers(a, prop, cfg.tau, poly.degree)
-        return _combine(a, weights, evolved), (powers, evolved)
+        powers, evolved = _evolved_powers(a, prop, cfg.tau, cfg.poly_degree)
+        # combine before the energy: that order has the lower peak memory
+        term = _combine(a, weights, evolved)
+        return term, _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved)
 
     return lhe
 
 
 def _drift(a, forcing, inter, cfg: ModelConfig):
-    return -(1.0 + cfg.lam) * a + forcing + inter / (2.0 * cfg.m_scale)
+    return -(1.0 + cfg.lam) * a + forcing + cfg.interaction_scale * inter
 
 
 def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
@@ -238,7 +232,7 @@ def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
 def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray:
     """Right-hand side of the evolution at state ``a``."""
     a = as_stack(a)
-    inter, _ = _interaction(cfg, prop)(a)
+    inter, _ = _interaction(cfg, prop, a0, mu)(a)
     return _drift(a, _forcing(cfg, a0, mu), inter, cfg)
 
 
@@ -248,16 +242,14 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     Two quadratic fidelity terms weighted as in the forcing, plus the
     kernel-averaged even primitive of the polynomial contrast sigmoid.
     The primitive is integrated termwise (so Sigma(0) = 0); the
-    interaction term enters with coefficient -1/(4M), which is what
-    makes the printed flow its exact gradient descent.
+    interaction term enters with coefficient -s/(4M), half the drift's
+    scale with the opposite sign, which is what makes the printed flow
+    its exact gradient descent.  It is the energy ``run_model`` records
+    for an evaluated state, from the same ``_interaction`` call.
     """
     if cfg.model != LHE:
         raise ValueError("energy is defined for the LHE model")
-    a = as_stack(a)
-    poly = _model_poly(cfg)
-    powers, evolved = _evolved_powers(a, prop, cfg.tau, poly.degree)
-    prim_weights = _weights(_primitive_coeffs(poly.coeffs))
-    return _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved)
+    return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
 
 
 def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
@@ -266,7 +258,8 @@ def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
     ``prim_weights`` is the (n+2, n+2) weight table of the primitive.
     The double sum is ``sum_{p,i} W[p, i] <a^p, K a^i>``; with p, i >= 1
     that is the Gram product of the powers with the evolved stacks, and
-    with p = 0 or i = 0 it is ``sum a^j`` because K conserves mass.
+    with p = 0 or i = 0 it is ``sum a^j`` because K conserves mass.  It
+    enters with half the interaction's scale, negated.
     """
     w_a0, w_mu = _fidelity_weights(cfg)
     fidelity = 0.5 * w_a0 * float(((a - a0) ** 2).sum())
@@ -283,7 +276,7 @@ def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
         + float(prim_weights[:, 0] @ sums)
         + float(prim_weights[0, 1:] @ sums[1:])
     )
-    inter = -double_sum / (4.0 * cfg.m_scale)
+    inter = -0.5 * cfg.interaction_scale * double_sum
     return fidelity + mean_term + inter
 
 
@@ -294,7 +287,9 @@ class RunResult:
     ``iterations`` counts interaction evaluations: one per entry of
     ``rel_history`` (the accepted iterates) plus ``rejected_steps``, the
     LHE extrapolations the energy safeguard turned down.  ``energies``
-    (LHE only) holds E of each accepted iterate and of the returned state.
+    (LHE only) pairs with ``rel_history``: entry i is the energy of the
+    i-th accepted evaluated state, from the same evaluation.  The
+    returned state G(a) is never evaluated, so it has no entry.
     """
 
     image: np.ndarray
@@ -426,10 +421,9 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
-    interaction = _interaction(cfg, prop)
+    interaction = _interaction(cfg, prop, a0, mu)
     lhe = cfg.model == LHE
     if lhe:
-        prim_weights = _weights(_primitive_coeffs(_model_poly(cfg).coeffs))
         history = _AndersonHistory(a0.size)
 
     a = a0
@@ -440,10 +434,8 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     rejected = 0
     converged = False
     for p in range(1, cfg.max_iters + 1):
-        inter, terms = interaction(a)
+        inter, energy = interaction(a)
         if lhe:
-            energy = _energy_from_terms(a, a0, mu, cfg, prim_weights, *terms)
-            del terms  # free the powers before the next evaluation builds its own
             if energies and not (math.isfinite(energy) and energy <= energies[-1]):
                 history.clear()
                 if extrapolated:
@@ -467,8 +459,6 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
             extrapolated = a is not g
         else:
             a = g
-    if lhe:
-        energies.append(lhe_energy(g, a0, mu, cfg, prop))
 
     return RunResult(
         image=project(g),

@@ -39,6 +39,8 @@ CONTRAST_THRESHOLD = 0.05
 BAND_HALFWIDTH = 10.0
 EDGE_MARGIN = 2.0
 SEED_HALFWIDTH = 3.0  # seed search radius around the center crossing
+# the ModelConfig fields a sweep may vary
+SWEEPABLE = ("tau", "alpha", "lam", "sigma_mu", "dt", "dtau", "tol")
 
 logger = logging.getLogger(__name__)
 
@@ -68,6 +70,11 @@ class ExperimentConfig:
         if self.profile_order < 1:
             raise ValueError("profile_order must be >= 1")
         if self.sweep_param is not None:
+            if self.sweep_param not in SWEEPABLE:
+                raise ValueError(
+                    f"cannot sweep {self.sweep_param!r}; choose one of "
+                    f"{', '.join(SWEEPABLE)}"
+                )
             if not self.sweep_values:
                 raise ValueError("sweep_param given without sweep_values")
             dirs = {}
@@ -243,8 +250,9 @@ def _write_trace(path, result: RunResult) -> None:
     with open(path, "w") as fh:
         if result.energies is not None:
             fh.write("p,relative_change,energy\n")
-            for p, rel in enumerate(result.rel_history, start=1):
-                fh.write(f"{p},{rel!r},{result.energies[p]!r}\n")
+            pairs = zip(result.rel_history, result.energies, strict=True)
+            for p, (rel, energy) in enumerate(pairs, start=1):
+                fh.write(f"{p},{rel!r},{energy!r}\n")
         else:
             fh.write("p,relative_change\n")
             for p, rel in enumerate(result.rel_history, start=1):
@@ -262,7 +270,6 @@ def _build_report(cfg, stimulus_kind, n, result: RunResult, offset) -> dict:
         "lam": mc.lam,
         "alpha": mc.alpha,
         "sigma_mu": mc.sigma_mu,
-        "m_scale": mc.m_scale,
         "beta": mc.beta_for(n, cfg.n_orient),
         "dt": mc.dt,
         "dtau": mc.dtau,

@@ -80,22 +80,6 @@ class StimulusSpec:
         lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "StimulusSpec":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in types:
-                raise ValueError(f"unknown stimulus key {key!r}")
-            caster = int if key == "n_pixels" else float
-            kwargs[key] = caster(value.strip())
-        return cls(**kwargs)
-
 
 def poggendorff_classic(spec: StimulusSpec) -> np.ndarray:
     """Single transversal interrupted by the central bar."""

@@ -1,0 +1,49 @@
+"""The package names the benchmark recorder wraps must keep resolving.
+
+``bench/recorder.py`` gets its per-layer split by replacing names in the
+package's module namespaces.  A refactor that renames or removes one of
+them breaks ``bench/run_bench.py --trace 1``; these checks catch that in
+the test suite.  The recorder is imported, never installed.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from srcortex import build_cake_bank, build_propagator
+
+RECORDER = Path(__file__).resolve().parent.parent / "bench" / "recorder.py"
+
+
+@pytest.fixture(scope="module")
+def recorder():
+    spec = importlib.util.spec_from_file_location("bench_recorder", RECORDER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve(recorder):
+    missing = [f"{module.__name__}.{name}" for module, name, _ in recorder.TRACED
+               if not callable(getattr(module, name, None))]
+    assert missing == []
+
+
+def test_untraced_names_resolve(recorder):
+    for name in ("run_experiment", "run_model", "ProcessPoolExecutor"):
+        assert callable(getattr(recorder.experiment, name, None)), name
+    assert callable(getattr(recorder.heat.HeatPropagator, "propagator", None))
+
+
+def test_evolve_sites_resolve(recorder):
+    for module in recorder.EVOLVE_SITES:
+        assert callable(getattr(module, "_evolve_batch", None)), module.__name__
+
+
+def test_built_objects_carry_the_recorded_attributes():
+    prop = build_propagator(8, 4, 0.05, 0.01)
+    for name in ("_prop_cache", "eigvals", "eigvecs", "d2h", "n_orient", "n_pixels"):
+        assert hasattr(prop, name), name
+    bank = build_cake_bank(8, 4, 3)
+    assert hasattr(bank, "filters") and hasattr(bank, "pou_residual")

@@ -108,6 +108,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             quick_config(tmp_path, sweep_param="dt", sweep_values=(0.9,))
 
+    @pytest.mark.parametrize("param,values", [("n_orient", (8, 16)), ("model", ("wc",))])
+    def test_only_sweepable_fields_swept(self, tmp_path, param, values):
+        with pytest.raises(ValueError, match=f"cannot sweep '{param}'.*tau, alpha"):
+            quick_config(tmp_path, sweep_param=param, sweep_values=values)
+
     def test_sweep_values_sharing_a_directory_rejected(self, tmp_path):
         # f"{6.0000001:g}" == "6": both runs would write alpha=6/
         with pytest.raises(ValueError, match="6.0000001.*'alpha=6'"):
@@ -204,6 +209,12 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "share the output directory" in capsys.readouterr().err
+
+    def test_unsweepable_param_exit_code_one(self, tmp_path, capsys):
+        code = main(["--model", "lhe", "--sweep", "n_orient=8,16",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "cannot sweep 'n_orient'" in capsys.readouterr().err
 
     def test_divergence_exit_code_two(self, tmp_path, capsys, monkeypatch):
         # a stimulus far outside [0, 1] drives contrasts beyond the fit domain
