@@ -311,18 +311,24 @@ class _AndersonHistory:
     next iterate is ``G(x) - dg^T gamma``, with gamma solving the Gram
     system ``df df^T gamma = df f`` (least squares, so a singular Gram
     matrix gives the minimum-norm gamma).  The order of the pairs in the
-    ring does not matter to that solution.
+    ring does not matter to that solution.  The Gram matrix is kept and
+    only the new pair's row and column are computed.
     """
 
     def __init__(self, size: int):
         self.df = np.empty((ANDERSON_WINDOW, size))
         self.dg = np.empty((ANDERSON_WINDOW, size))
+        self.gram = np.empty((ANDERSON_WINDOW, ANDERSON_WINDOW))
         self.pairs = 0  # valid pairs, in slots 0 .. pairs-1 until the ring wraps
         self.slot = 0  # the slot the next pair overwrites
         self.f_prev = self.g_prev = None
 
     def clear(self):
-        """Forget every pair; the next two accepted iterates start a new one."""
+        """Forget every pair; the next two accepted iterates start a new one.
+
+        The Gram matrix needs no reset: its valid block is empty, and
+        each new pair writes its row and column over every valid slot.
+        """
         self.pairs = self.slot = 0
         self.f_prev = self.g_prev = None
 
@@ -336,13 +342,16 @@ class _AndersonHistory:
         if self.f_prev is not None:
             np.subtract(f, self.f_prev, out=self.df[self.slot])
             np.subtract(g_flat, self.g_prev, out=self.dg[self.slot])
-            self.slot = (self.slot + 1) % ANDERSON_WINDOW
             self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
+            row = self.df[: self.pairs] @ self.df[self.slot]
+            self.gram[self.slot, : self.pairs] = self.gram[: self.pairs, self.slot] = row
+            self.slot = (self.slot + 1) % ANDERSON_WINDOW
         self.f_prev, self.g_prev = f, g_flat
         if self.pairs == 0:
             return g
         df, dg = self.df[: self.pairs], self.dg[: self.pairs]
-        gamma = np.linalg.lstsq(df @ df.T, df @ f, rcond=None)[0]
+        gram = self.gram[: self.pairs, : self.pairs]
+        gamma = np.linalg.lstsq(gram, df @ f, rcond=None)[0]
         out = gamma @ dg
         np.subtract(g_flat, out, out=out)
         return out.reshape(g.shape)

@@ -13,9 +13,15 @@ of the directional central difference.  Each ``B_rs`` is real symmetric
 negative semidefinite, so the Crank-Nicolson step ``M- u' = M+ u`` is
 unconditionally stable and mass-conserving.
 
-Every ``B_rs`` is diagonalized once, and m Crank-Nicolson steps are
-applied in one pass as the propagator ``V diag(rho^m) V^T`` with
-``rho = (1 + dtau*w/2) / (1 - dtau*w/2)``.
+The symbol is ``d = cos(theta_k) S[r] + sin(theta_k) S[s]`` with
+``S[j] = sin(2 pi j / N)``; for even N, ``S[N/2 - j] = S[j]``, so
+``B_rs`` depends only on (S[r], S[s]).  Only these distinct generators
+(101 x 51 at N=200, not 200 x 101 modes) are diagonalized, once, and m
+Crank-Nicolson steps are applied in one pass as the propagator
+``V diag(rho^m) V^T`` with ``rho = (1 + dtau*w/2) / (1 - dtau*w/2)``.
+Along each axis a mode's index on the distinct grid runs in steps of +1
+or -1, so the half spectrum splits into a few blocks, each taking a
+strided block of the distinct propagators.
 """
 
 import math
@@ -31,11 +37,11 @@ _EIG_CHUNK = 4096  # modes factored per batch to bound temporary memory
 
 @dataclass
 class HeatPropagator:
-    """Precomputed per-mode factorization of the one-step evolution.
+    """Precomputed factorization of the one-step evolution.
 
     ``eigvals``/``eigvecs`` hold the spectral factorization of every
-    ``B_rs`` (eigenvalues clipped to <= 0; the operator is negative
-    semidefinite by construction, the clip removes roundoff).
+    distinct ``B_rs`` (eigenvalues clipped to <= 0; the operator is
+    negative semidefinite by construction, the clip removes roundoff).
     """
 
     n_pixels: int
@@ -44,8 +50,11 @@ class HeatPropagator:
     dtau: float
     h: float
     d2h: np.ndarray  # (N, N, K): d[r,s,k]^2 / h^2
-    eigvals: np.ndarray  # (N, N//2+1, K), real-transform half grid
-    eigvecs: np.ndarray  # (N, N//2+1, K, K), columns are eigenvectors
+    eigvals: np.ndarray  # (U, V, K): U, V distinct S[r], S[s] (r < N, s <= N//2)
+    eigvecs: np.ndarray  # (U, V, K, K), columns are eigenvectors
+    # (rows, cols, us, vs): half-spectrum modes [rows, cols] take the
+    # generators [us, vs] of the distinct grid (us, vs of step +1 or -1)
+    pieces: list
     _prop_cache: dict = field(default_factory=dict, repr=False)
 
     def step_count(self, tau: float) -> int:
@@ -57,7 +66,7 @@ class HeatPropagator:
         return ((1.0 + z) / (1.0 - z)) ** m
 
     def propagator(self, m: int) -> np.ndarray:
-        """Dense (N, N//2+1, K, K) m-step operator on the half-spectrum."""
+        """Dense (U, V, K, K) m-step operator on the distinct grid."""
         cached = self._prop_cache.get(m)
         if cached is None:
             rho = self.step_ratios(m)
@@ -89,7 +98,14 @@ def build_propagator(
     dtheta = math.pi / k
     ang_coeff = beta**2 / dtheta**2
 
-    sines = np.sin(2.0 * np.pi * np.arange(n) / n)
+    # angles 2 pi j / N in units of pi / N; for even N, sin(x) = sin(pi - x)
+    # folds them into [-N/2, N/2], so S[j] and S[N/2 - j] come from one
+    # angle (bitwise equal) and the sorted distinct angles run monotonically
+    idx = np.arange(n)
+    q = 2 * idx
+    if n % 2 == 0:
+        q = np.where(4 * idx <= n, q, np.where(4 * idx <= 3 * n, n - q, q - 2 * n))
+    sines = np.sin(np.pi * q / n)
     theta = np.arange(k) * dtheta
     d = (
         np.cos(theta)[None, None, :] * sines[:, None, None]
@@ -106,7 +122,9 @@ def build_propagator(
     # real inputs need only the non-negative frequencies along the second
     # spatial axis (the conjugate modes share the same generator)
     nh = n // 2 + 1
-    flat_d2h = d2h[:, :nh].reshape(-1, k)
+    _, r_first, r_grid = np.unique(q, return_index=True, return_inverse=True)
+    _, s_first, s_grid = np.unique(q[:nh], return_index=True, return_inverse=True)
+    flat_d2h = d2h[np.ix_(r_first, s_first)].reshape(-1, k)
     modes = flat_d2h.shape[0]
     eigvals = np.empty((modes, k))
     eigvecs = np.empty((modes, k, k))
@@ -127,9 +145,24 @@ def build_propagator(
         dtau=dtau,
         h=h,
         d2h=d2h,
-        eigvals=eigvals.reshape(n, nh, k),
-        eigvecs=eigvecs.reshape(n, nh, k, k),
+        eigvals=eigvals.reshape(len(r_first), len(s_first), k),
+        eigvecs=eigvecs.reshape(len(r_first), len(s_first), k, k),
+        pieces=[(rs, cs, us, vs) for rs, us in _runs(r_grid) for cs, vs in _runs(s_grid)],
     )
+
+
+def _runs(index):
+    """Split an index map into runs of step +1 or -1: (source, target) slices."""
+    runs, start = [], 0
+    while start < len(index):
+        stop, first = start + 1, int(index[start])
+        step = -1 if stop < len(index) and index[stop] == first - 1 else 1
+        while stop < len(index) and index[stop] - index[stop - 1] == step:
+            stop += 1
+        end = first + step * (stop - start)
+        runs.append((slice(start, stop), slice(first, end if end >= 0 else None, step)))
+        start = stop
+    return runs
 
 
 def heat_evolve(a, prop: HeatPropagator, tau: float):
@@ -160,13 +193,16 @@ def _evolve_batch(stacks, prop, m):
 
     Each mode's real propagator multiplies the complex spectrum viewed as
     interleaved (re, im) reals: one real (K, K) @ (K, 2B) product per
-    mode instead of one for each part.
+    mode instead of one for each part, one batched product per piece.
     """
     n = prop.n_pixels
-    hats = rfft2(stacks, axes=(0, 1), workers=-1)
-    # rebinding frees the forward spectrum before irfft2 allocates its output
-    hats = (prop.propagator(m) @ hats.view(np.float64)).view(np.complex128)
-    return irfft2(hats, s=(n, n), axes=(0, 1), workers=-1)
+    pm = prop.propagator(m)
+    spec = rfft2(stacks, axes=(0, 1), workers=-1).view(np.float64)
+    out = np.empty_like(spec)
+    for rows, cols, us, vs in prop.pieces:
+        np.matmul(pm[us, vs], spec[rows, cols], out=out[rows, cols])
+    del spec  # free the forward spectrum before irfft2 allocates its output
+    return irfft2(out.view(np.complex128), s=(n, n), axes=(0, 1), workers=-1)
 
 
 def kernel_column(prop: HeatPropagator, i: int, j: int, k: int, tau: float):

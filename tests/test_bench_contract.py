@@ -9,6 +9,7 @@ the test suite.  The recorder is imported, never installed.
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srcortex import build_cake_bank, build_propagator
@@ -39,6 +40,21 @@ def test_untraced_names_resolve(recorder):
 def test_evolve_sites_resolve(recorder):
     for module in recorder.EVOLVE_SITES:
         assert callable(getattr(module, "_evolve_batch", None)), module.__name__
+
+
+def test_counted_evolve_matches_the_unwrapped_call(recorder):
+    # the traced run's wrapper, built without installing the recorder
+    rec = recorder.Recorder(trace=True)
+    evolve = recorder.heat._evolve_batch
+    counted = rec._counted_evolve(evolve)
+    prop = build_propagator(16, 8, 0.05, 0.01)
+    batch = 3
+    stacks = np.random.default_rng(0).random((16, 16, 8, batch))
+    np.testing.assert_array_equal(
+        counted(stacks, prop, 30), evolve(stacks, prop, 30)
+    )
+    assert rec.counts["evolve_calls"] == 1
+    assert rec.counts["stacks_evolved"] == batch
 
 
 def test_built_objects_carry_the_recorded_attributes():

@@ -53,10 +53,30 @@ def cn_step_matrix(mat, dtau):
     return np.linalg.solve(eye - 0.5 * dtau * mat, eye + 0.5 * dtau * mat)
 
 
+def grid_entry(prop, r, s):
+    """Index of half-spectrum mode (r, s) on the propagator's distinct grid."""
+    for rows, cols, us, vs in prop.pieces:
+        if rows.start <= r < rows.stop and cols.start <= s < cols.stop:
+            return (
+                us.start + (r - rows.start) * us.step,
+                vs.start + (s - cols.start) * vs.step,
+            )
+    raise ValueError(f"mode ({r}, {s}) lies in no piece")
+
+
+def expanded(prop, table):
+    """A distinct-grid table expanded to every (N, N//2+1) half-spectrum mode."""
+    n = prop.n_pixels
+    return np.array(
+        [[table[grid_entry(prop, r, s)] for s in range(n // 2 + 1)] for r in range(n)]
+    )
+
+
 def factored_generator(prop, r, s):
-    """Mode (r, s) generator rebuilt from the propagator's eigenpairs."""
-    vecs = prop.eigvecs[r, s]
-    return (vecs * prop.eigvals[r, s]) @ vecs.T
+    """Mode (r, s) generator rebuilt from its distinct eigenpairs."""
+    entry = grid_entry(prop, r, s)
+    vecs = prop.eigvecs[entry]
+    return (vecs * prop.eigvals[entry]) @ vecs.T
 
 
 def assembled_generator(prop, r, s):
@@ -125,6 +145,15 @@ class TestSpectralSymbol:
                     ) * math.sin(2 * math.pi * s / n)
                     assert prop.d2h[r, s, kk] == pytest.approx((d / h) ** 2)
 
+    @pytest.mark.parametrize("n", [6, 8, 10, 100])
+    def test_bitwise_symmetric(self, n):
+        # S[N/2 - j] = S[j]: mode r and N/2 - r share one generator
+        d2h = build_propagator(n, 16, 0.5, 0.01).d2h
+        for r in range(n):
+            np.testing.assert_array_equal(d2h[(n // 2 - r) % n], d2h[r])
+        for s in range(n // 2 + 1):
+            np.testing.assert_array_equal(d2h[:, n // 2 - s], d2h[:, s])
+
 
 class TestPropagator:
     def test_mode_matrices_symmetric(self):
@@ -132,7 +161,7 @@ class TestPropagator:
         for r, s in [(0, 0), (1, 3), (2, 2), (5, 1)]:
             mat = assembled_generator(prop, r, s)
             assert np.abs(mat - mat.T).max() == 0.0
-            vecs = prop.eigvecs[r, s]
+            vecs = prop.eigvecs[grid_entry(prop, r, s)]
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(5), atol=1e-12)
             np.testing.assert_allclose(
                 factored_generator(prop, r, s), mat, atol=1e-12 * np.abs(mat).max()
@@ -158,13 +187,35 @@ class TestPropagator:
         vals = np.linalg.eigvalsh(0.5 * (step + step.T))
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
         assert np.all(vals > -1.0)
-        ratios = prop.step_ratios(1)
+        ratios = expanded(prop, prop.step_ratios(1))
         full = [
             ratios[r, s] if s <= n // 2 else ratios[-r % n, n - s]
             for r in range(n)
             for s in range(n)
         ]
         np.testing.assert_allclose(np.sort(vals), np.sort(np.ravel(full)), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [6, 8, 10, 7])
+    def test_every_mode_rebuilt_from_its_distinct_eigenpairs(self, n):
+        # N mod 4 = 2, 0, 2 and odd; the pieces tile the half spectrum once
+        prop = build_propagator(n, 5, 0.8, 0.02)
+        covered = np.zeros((n, n // 2 + 1), dtype=int)
+        for rows, cols, _, _ in prop.pieces:
+            covered[rows, cols] += 1
+        np.testing.assert_array_equal(covered, 1)
+        for r in range(n):
+            for s in range(n // 2 + 1):
+                mat = assembled_generator(prop, r, s)
+                np.testing.assert_allclose(
+                    factored_generator(prop, r, s), mat, rtol=0.0,
+                    atol=1e-12 * np.abs(mat).max(),
+                )
+
+    def test_paper_size_factors_distinct_generators_only(self):
+        prop = build_propagator(200, 16, 0.05, 0.01)
+        modes = prop.eigvals.shape[0] * prop.eigvals.shape[1]
+        assert modes <= 5202
+        assert prop.eigvecs.shape == prop.eigvals.shape + (16,)
 
 
 class TestHeatEvolve:
@@ -195,12 +246,15 @@ class TestHeatEvolve:
         rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
         assert rel < 1e-3
 
-    def test_spectral_equals_stepping(self):
+    @pytest.mark.parametrize("n", [8, 10, 7])
+    def test_spectral_equals_stepping(self, n):
         # 30 literal Crank-Nicolson steps of the dense generator
-        mat = dense_generator(8, 4, self.prop.beta, self.prop.h)
-        step = np.linalg.matrix_power(cn_step_matrix(mat, self.prop.dtau), 30)
-        expected = (step @ self.a.ravel()).reshape(8, 8, 4)
-        spec = heat_evolve(self.a, self.prop, 0.3)
+        prop = build_propagator(n, 4, 0.5, 0.01)
+        a = np.random.default_rng(42).standard_normal((n, n, 4))
+        mat = dense_generator(n, 4, prop.beta, prop.h)
+        step = np.linalg.matrix_power(cn_step_matrix(mat, prop.dtau), 30)
+        expected = (step @ a.ravel()).reshape(n, n, 4)
+        spec = heat_evolve(a, prop, 0.3)
         assert np.linalg.norm(spec - expected) < 1e-12 * np.linalg.norm(spec)
 
     def test_semigroup(self):
@@ -214,11 +268,11 @@ class TestHeatEvolve:
 
     @pytest.mark.parametrize("batch, rtol", [(9, 0.0), (1, 1e-12)])
     def test_interleaved_product_matches_split_product(self, batch, rtol):
-        # reference: the propagator applied to the real and imaginary parts
-        # of the spectrum as two separate products
+        # reference: the propagator, expanded to every mode, applied to the
+        # real and imaginary parts of the spectrum as two separate products
         prop = build_propagator(16, 8, 0.5, 0.01)
         stacks = np.random.default_rng(43).random((16, 16, 8, batch))
-        pm = prop.propagator(30)
+        pm = expanded(prop, prop.propagator(30))
         hats = rfft2(stacks, axes=(0, 1))
         split = irfft2(pm @ hats.real + 1j * (pm @ hats.imag), s=(16, 16), axes=(0, 1))
         got = _evolve_batch(stacks, prop, 30)
