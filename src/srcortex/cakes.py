@@ -52,15 +52,20 @@ def retained_mask(n_pixels: int) -> np.ndarray:
     return rho <= TAPER_START * (n_pixels / 2.0)
 
 
+def check_bank_sizes(n_pixels: int | None, n_orient: int, profile_order: int) -> None:
+    """The bank's rules on its sizes; ``n_pixels=None`` (not yet known) skips the grid rule."""
+    if n_pixels is not None and (n_pixels < 8 or n_pixels % 2 != 0):
+        raise ValueError(f"n_pixels must be even and >= 8, got {n_pixels}")
+    if n_orient < 2:
+        raise ValueError("n_orient must be >= 2")
+    if profile_order < 1:
+        raise ValueError("profile_order must be >= 1")
+
+
 def build_cake_bank(n_pixels: int, n_orient: int, profile_order: int) -> WaveletBank:
     """Construct the wavelet bank for an N x N grid and K orientations."""
+    check_bank_sizes(n_pixels, n_orient, profile_order)
     n, k, bw = n_pixels, n_orient, profile_order
-    if n < 8 or n % 2 != 0:
-        raise ValueError("n_pixels must be even and >= 8")
-    if k < 2:
-        raise ValueError("n_orient must be >= 2")
-    if bw < 1:
-        raise ValueError("profile_order must be >= 1")
 
     rho = _freq_radius(n)
     u = np.fft.fftfreq(n) * n

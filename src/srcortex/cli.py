@@ -59,14 +59,11 @@ def build_parser() -> _Parser:
 
 
 def _parse_sweep(text: str):
-    param, _, tail = text.partition("=")
-    param = param.strip()
-    if param not in SWEEPABLE:
-        raise ValueError(f"cannot sweep {param!r}; choose one of {SWEEPABLE}")
+    param, _, tail = text.partition("=")  # ExperimentConfig checks the param
     values = tuple(float(v) for v in tail.split(",") if v.strip())
     if not values:
         raise ValueError("sweep needs at least one value")
-    return param, values
+    return param.strip(), values
 
 
 def config_from_args(args) -> ExperimentConfig:

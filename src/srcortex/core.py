@@ -8,7 +8,7 @@ theta + pi).  All operations are pure functions of their arguments.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +86,6 @@ class ModelConfig:
     - ``lam``: fidelity weight (>= 0)
     - ``alpha``: sigmoid slope (> 1)
     - ``sigma_mu``: std in pixels of the Gaussian local-mean filter
-    - ``beta``: spatial/angular coherency of the diffusion; None derives
-      the default K / (N^2 sqrt(2)) once the grid is known
     - ``dt``: gradient-descent step, constrained to dt <= 1/(1 + lam)
     - ``dtau``: inner step of the heat solver
     - ``tau``: total diffusion time; must be an integer multiple of dtau
@@ -107,7 +105,6 @@ class ModelConfig:
     dt: float
     dtau: float
     tau: float
-    beta: float | None = None
     tol: float = 1e-4
     poly_degree: int = 9
     max_iters: int = 500
@@ -123,8 +120,6 @@ class ModelConfig:
             raise ValueError("alpha must be > 1")
         if self.sigma_mu <= 0:
             raise ValueError("sigma_mu must be > 0")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be > 0")
         if self.dt <= 0:
             raise ValueError("dt must be > 0")
         limit = 1.0 / (1.0 + self.lam)
@@ -154,9 +149,7 @@ class ModelConfig:
         return 0.5 if self.sigma_sign == "paper" else -0.5
 
     def beta_for(self, n_pixels: int, n_orient: int) -> float:
-        """Coherency actually used on an N x K grid (default K/(N^2 sqrt 2))."""
-        if self.beta is not None:
-            return self.beta
+        """Coherency used on an N x K grid: always K/(N^2 sqrt 2)."""
         return default_beta(n_pixels, n_orient)
 
 

@@ -28,17 +28,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .cakes import build_cake_bank
+from .cakes import build_cake_bank, check_bank_sizes
 from .core import ModelConfig, renormalize
 from .dynamics import RunResult, run_model
 from .heat import build_propagator
 from .imgio import read_image, write_pgm
 from .stimuli import StimulusSpec, poggendorff_classic, poggendorff_gratings
 
-CONTRAST_THRESHOLD = 0.05
-BAND_HALFWIDTH = 10.0
-EDGE_MARGIN = 2.0
+CONTRAST_THRESHOLD = 0.05  # normalized valley depth below which nothing completed
+BAND_HALFWIDTH = 10.0  # rows searched on each side of the continuation
+EDGE_MARGIN = 2.0  # columns skipped inside each bar edge
 SEED_HALFWIDTH = 3.0  # seed search radius around the center crossing
+TRACK_SLACK = 2.0  # rows the tracked valley may move between neighbouring columns
 # the ModelConfig fields a sweep may vary
 SWEEPABLE = ("tau", "alpha", "lam", "sigma_mu", "dt", "dtau", "tol")
 
@@ -49,7 +50,8 @@ logger = logging.getLogger(__name__)
 class ExperimentConfig:
     """One model run: dynamics parameters plus stimulus or input image.
 
-    Exactly one of ``stimulus``/``input_path`` must be set.
+    Exactly one of ``stimulus``/``input_path`` must be set.  A stimulus is
+    checked against the bank's sizes and the probe here; a file, once read.
     """
 
     model_cfg: ModelConfig
@@ -58,17 +60,16 @@ class ExperimentConfig:
     input_path: str | None = None
     n_orient: int = 16
     profile_order: int = 5
-    band_halfwidth: float = BAND_HALFWIDTH
     sweep_param: str | None = None
     sweep_values: tuple = ()
 
     def __post_init__(self):
         if (self.stimulus is None) == (self.input_path is None):
             raise ValueError("exactly one of stimulus/input_path must be given")
-        if self.n_orient < 2:
-            raise ValueError("n_orient must be >= 2")
-        if self.profile_order < 1:
-            raise ValueError("profile_order must be >= 1")
+        size = None if self.stimulus is None else self.stimulus.n_pixels
+        check_bank_sizes(size, self.n_orient, self.profile_order)
+        if self.stimulus is not None:
+            _probe_bands(self.stimulus)
         if self.sweep_param is not None:
             if self.sweep_param not in SWEEPABLE:
                 raise ValueError(
@@ -94,13 +95,26 @@ def _sweep_dir(param: str, value) -> str:
     return f"{param}={value:g}"
 
 
-def measure_offset(
-    output,
-    spec: StimulusSpec,
-    band_halfwidth: float = BAND_HALFWIDTH,
-    contrast_threshold: float = CONTRAST_THRESHOLD,
-    edge_margin: float = EDGE_MARGIN,
-):
+def _probe_bands(spec: StimulusSpec) -> list:
+    """(column, rows within ``BAND_HALFWIDTH`` of the continuation) per probed column.
+
+    Rejects a spec whose continuation leaves some column's band empty.
+    """
+    lo = int(math.ceil(spec.bar_left + EDGE_MARGIN))
+    hi = int(math.floor(spec.bar_right - EDGE_MARGIN))
+    bands = []
+    for col in range(lo, hi + 1):
+        center = float(spec.continuation_row(col))
+        rows = np.arange(max(0, math.floor(center - BAND_HALFWIDTH)),
+                         min(spec.n_pixels, math.ceil(center + BAND_HALFWIDTH) + 1))
+        if rows.size == 0:
+            raise ValueError(f"offset probe: at column {col} the continuation row {center:.1f} "
+                             f"lies over {BAND_HALFWIDTH:g} rows outside the image")
+        bands.append((col, rows))
+    return bands
+
+
+def measure_offset(output, spec: StimulusSpec):
     """Offset of the completed path from the exact continuation, or None.
 
     Tracks the connected intensity valley across the bar interior: the
@@ -114,31 +128,21 @@ def measure_offset(
     right edge.
     """
     img = np.asarray(output, dtype=float)
-    n = img.shape[0]
-    lo = int(math.ceil(spec.bar_left + edge_margin))
-    hi = int(math.floor(spec.bar_right - edge_margin))
-    cols = np.arange(lo, hi + 1)
-    if cols.size < 3:
+    bands = _probe_bands(spec)
+    if len(bands) < 3:
         raise ValueError("bar too narrow for the offset probe")
+    cols = np.array([col for col, _ in bands])
+    vals = [img[rows, col] for col, rows in bands]
 
-    bands = []
-    for col in cols:
-        center = spec.continuation_row(col)
-        rows = np.arange(
-            max(0, int(math.floor(center - band_halfwidth))),
-            min(n, int(math.ceil(center + band_halfwidth)) + 1),
-        )
-        bands.append((rows, img[rows, col]))
-
-    allvals = np.concatenate([v for _, v in bands])
+    allvals = np.concatenate(vals)
     vmin, vmax = float(allvals.min()), float(allvals.max())
     if vmax - vmin < 1e-12:
         return None  # flat band: nothing completed
-    norms = [(rows, (vals - vmin) / (vmax - vmin)) for rows, vals in bands]
+    norms = [(v - vmin) / (vmax - vmin) for v in vals]
 
     # detection: is there dark content in the band at all?
-    depths = [float(np.median(norm) - norm.min()) for _, norm in norms]
-    if float(np.median(depths)) < contrast_threshold:
+    depths = [float(np.median(norm) - norm.min()) for norm in norms]
+    if float(np.median(depths)) < CONTRAST_THRESHOLD:
         return None
 
     # The stimulus (and hence the steady state) is symmetric under a half
@@ -148,26 +152,24 @@ def measure_offset(
     # continuity window around the previous deviation (the path may bend,
     # not jump).  The window also keeps the track off the fans of
     # oriented rays that each stub end radiates into the bar.
-    slack = 2.0
-    mid = cols.size // 2
-    order = list(range(mid, cols.size)) + list(range(mid - 1, -1, -1))
     tracked = np.empty(cols.size)
-    prev_dev = {}
-    for idx in order:
-        rows, norm = norms[idx]
-        dev = rows - spec.continuation_row(cols[idx])
-        prev = prev_dev.get(idx, 0.0 if idx == mid else None)
-        window = np.abs(dev - prev) <= (SEED_HALFWIDTH if idx == mid else slack)
+
+    def track(idx, prev, halfwidth):  # tracks column idx, returns its deviation
+        rows, norm = bands[idx][1], norms[idx]
+        center = float(spec.continuation_row(cols[idx]))
+        window = np.abs(rows - center - prev) <= halfwidth
         if not np.any(window):
             window = np.ones_like(rows, dtype=bool)
         j = int(np.argmin(np.where(window, norm, np.inf)))
-        sub = _parabolic_min(rows, norm, j)
-        tracked[idx] = sub
-        sub_dev = sub - float(spec.continuation_row(cols[idx]))
-        if idx >= mid and idx + 1 < cols.size:
-            prev_dev[idx + 1] = sub_dev
-        if idx <= mid and idx - 1 >= 0:
-            prev_dev[idx - 1] = sub_dev
+        tracked[idx] = _parabolic_min(rows, norm, j)
+        return tracked[idx] - center
+
+    mid = cols.size // 2
+    seed_dev = track(mid, 0.0, SEED_HALFWIDTH)
+    for outward in (range(mid + 1, cols.size), range(mid - 1, -1, -1)):
+        prev = seed_dev
+        for idx in outward:
+            prev = track(idx, prev, TRACK_SLACK)
 
     fit = np.polyfit(cols.astype(float), tracked, 1)
     fitted_row = float(np.polyval(fit, spec.bar_right))
@@ -221,7 +223,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     offset = None
     if cfg.stimulus is not None:
-        offset = measure_offset(result.image, cfg.stimulus, cfg.band_halfwidth)
+        offset = measure_offset(result.image, cfg.stimulus)
 
     write_pgm(out / "input.pgm", f0)
     write_pgm(out / "output.pgm", renormalize(result.image))
@@ -262,23 +264,12 @@ def _write_trace(path, result: RunResult) -> None:
 def _build_report(cfg, stimulus_kind, n, result: RunResult, offset) -> dict:
     mc = cfg.model_cfg
     report = {
-        "model": mc.model,
         "stimulus": stimulus_kind,
         "n_pixels": n,
         "n_orient": cfg.n_orient,
         "profile_order": cfg.profile_order,
-        "lam": mc.lam,
-        "alpha": mc.alpha,
-        "sigma_mu": mc.sigma_mu,
+        **dataclasses.asdict(mc),
         "beta": mc.beta_for(n, cfg.n_orient),
-        "dt": mc.dt,
-        "dtau": mc.dtau,
-        "tau": mc.tau,
-        "tol": mc.tol,
-        "max_iters": mc.max_iters,
-        "poly_degree": mc.poly_degree,
-        "forcing": mc.forcing,
-        "sigma_sign": mc.sigma_sign,
         "iterations": result.iterations,
         "rejected_steps": result.rejected_steps,
         "converged": result.converged,

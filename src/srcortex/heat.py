@@ -32,8 +32,6 @@ from scipy.fft import irfft2, rfft2
 
 from .core import as_stack, steps_of
 
-_EIG_CHUNK = 4096  # modes factored per batch to bound temporary memory
-
 
 @dataclass
 class HeatPropagator:
@@ -77,24 +75,18 @@ class HeatPropagator:
         return cached
 
 
-def build_propagator(
-    n_pixels: int, n_orient: int, beta: float, dtau: float, h: float | None = None
-) -> HeatPropagator:
+def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> HeatPropagator:
     """Assemble and factor the per-mode generators.
 
-    ``h`` is the spatial grid spacing entering the symbol as 1/h^2; the
-    default 1/sqrt(N) makes the N x N pixel grid cover a sqrt(N)-wide
-    square domain.
+    The spatial grid spacing h = 1/sqrt(N) enters the symbol as 1/h^2: the
+    N x N pixel grid covers a sqrt(N)-wide square domain.
     """
     n, k = n_pixels, n_orient
     if n < 2 or k < 2:
         raise ValueError("need n_pixels >= 2 and n_orient >= 2")
     if beta <= 0 or dtau <= 0:
         raise ValueError("beta and dtau must be positive")
-    if h is None:
-        h = 1.0 / math.sqrt(n)
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1.0 / math.sqrt(n)
     dtheta = math.pi / k
     ang_coeff = beta**2 / dtheta**2
 
@@ -124,18 +116,10 @@ def build_propagator(
     nh = n // 2 + 1
     _, r_first, r_grid = np.unique(q, return_index=True, return_inverse=True)
     _, s_first, s_grid = np.unique(q[:nh], return_index=True, return_inverse=True)
-    flat_d2h = d2h[np.ix_(r_first, s_first)].reshape(-1, k)
-    modes = flat_d2h.shape[0]
-    eigvals = np.empty((modes, k))
-    eigvecs = np.empty((modes, k, k))
+    generators = np.broadcast_to(ang, (len(r_first), len(s_first), k, k)).copy()
     eye = np.arange(k)
-    for start in range(0, modes, _EIG_CHUNK):
-        stop = min(start + _EIG_CHUNK, modes)
-        block = np.broadcast_to(ang, (stop - start, k, k)).copy()
-        block[:, eye, eye] -= flat_d2h[start:stop]
-        w, v = np.linalg.eigh(block)
-        eigvals[start:stop] = w
-        eigvecs[start:stop] = v
+    generators[..., eye, eye] -= d2h[np.ix_(r_first, s_first)]
+    eigvals, eigvecs = np.linalg.eigh(generators)
     np.minimum(eigvals, 0.0, out=eigvals)
 
     return HeatPropagator(
@@ -145,8 +129,8 @@ def build_propagator(
         dtau=dtau,
         h=h,
         d2h=d2h,
-        eigvals=eigvals.reshape(len(r_first), len(s_first), k),
-        eigvecs=eigvecs.reshape(len(r_first), len(s_first), k, k),
+        eigvals=eigvals,
+        eigvecs=eigvecs,
         pieces=[(rs, cs, us, vs) for rs, us in _runs(r_grid) for cs, vs in _runs(s_grid)],
     )
 

@@ -1,9 +1,11 @@
-"""The package names the benchmark recorder wraps must keep resolving.
+"""The package names the benchmark uses must keep resolving.
 
 ``bench/recorder.py`` gets its per-layer split by replacing names in the
 package's module namespaces.  A refactor that renames or removes one of
 them breaks ``bench/run_bench.py --trace 1``; these checks catch that in
-the test suite.  The recorder is imported, never installed.
+the test suite.  The recorder is imported, never installed.  The
+workloads and checks also call the package untraced: the workload
+configs and the set-up timing are run here on the self-test grid.
 """
 
 import importlib.util
@@ -14,15 +16,24 @@ import pytest
 
 from srcortex import build_cake_bank, build_propagator
 
-RECORDER = Path(__file__).resolve().parent.parent / "bench" / "recorder.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def recorder():
-    spec = importlib.util.spec_from_file_location("bench_recorder", RECORDER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load("recorder")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load("workloads")
 
 
 def test_traced_names_resolve(recorder):
@@ -63,3 +74,14 @@ def test_built_objects_carry_the_recorded_attributes():
         assert hasattr(prop, name), name
     bank = build_cake_bank(8, 4, 3)
     assert hasattr(bank, "filters") and hasattr(bank, "pou_residual")
+
+
+def test_checks_imports_resolve():
+    load("checks")  # raises ImportError if a name it imports is gone
+
+
+@pytest.mark.parametrize("name", ["wc-gratings-n200", "lhe-gratings-n100", "lhe-tau-sweep-n100"])
+def test_workload_setup_runs(workloads, name, tmp_path):
+    small = workloads.tiny(workloads.WORKLOADS[name])
+    small.config(str(tmp_path))
+    assert workloads.time_setup(small) > 0.0

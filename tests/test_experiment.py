@@ -91,7 +91,6 @@ def quick_config(tmp_path, **overrides):
                               line_thickness=1.5),
         n_orient=8,
         profile_order=3,
-        band_halfwidth=4.0,
     )
     cfg_kw.update(overrides)
     return ExperimentConfig(**cfg_kw)
@@ -112,6 +111,19 @@ class TestExperimentConfig:
     def test_only_sweepable_fields_swept(self, tmp_path, param, values):
         with pytest.raises(ValueError, match=f"cannot sweep '{param}'.*tau, alpha"):
             quick_config(tmp_path, sweep_param=param, sweep_values=values)
+
+    def test_steep_transversal_rejected_before_running(self, tmp_path):
+        # at column 44 the continuation crosses row ~127, more than the
+        # band's half-width below the 100-row image
+        spec = StimulusSpec(n_pixels=100, bar_width=15, incidence_angle=1.5)
+        match = r"column 44 .*continuation row 127\.\d"
+        with pytest.raises(ValueError, match=match):
+            quick_config(tmp_path, stimulus=spec)
+        classic = dataclasses.replace(spec, grating_period=0.0)
+        for case, img in ((spec, poggendorff_gratings(spec)),
+                          (classic, poggendorff_classic(classic))):
+            with pytest.raises(ValueError, match=match):
+                measure_offset(img, case)
 
     def test_sweep_values_sharing_a_directory_rejected(self, tmp_path):
         # f"{6.0000001:g}" == "6": both runs would write alpha=6/
@@ -209,6 +221,13 @@ class TestCli:
                      "--out", str(tmp_path / "o")])
         assert code == 1
         assert "share the output directory" in capsys.readouterr().err
+
+    def test_odd_size_exit_code_one_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "P"
+        code = main(["--model", "wc", "--N", "51", "--out", str(out)])
+        assert code == 1
+        assert "n_pixels must be even" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unsweepable_param_exit_code_one(self, tmp_path, capsys):
         code = main(["--model", "lhe", "--sweep", "n_orient=8,16",

@@ -109,7 +109,8 @@ class TestAngularDifference:
 
 class TestSpectralSymbol:
     """``d2h[r, s, k] = (d / h)^2`` with the directional-difference symbol
-    ``d = cos(theta_k) sin(2 pi r / N) + sin(theta_k) sin(2 pi s / N)``."""
+    ``d = cos(theta_k) sin(2 pi r / N) + sin(theta_k) sin(2 pi s / N)``
+    and the grid spacing h = 1/sqrt(N)."""
 
     def test_dc_mode_is_zero(self):
         prop = build_propagator(8, 4, 0.5, 0.01)
@@ -117,25 +118,25 @@ class TestSpectralSymbol:
 
     def test_vertical_orientation_kills_first_axis(self):
         # theta = pi/2 (index K/2): the cos factor vanishes on first-axis modes
-        prop = build_propagator(8, 4, 0.5, 0.01, h=1.0)
+        prop = build_propagator(8, 4, 0.5, 0.01)
         assert np.abs(prop.d2h[:, 0, 2]).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
-        # N=4, h=1, mode (1, 0), theta=0 -> sin(pi/2)^2 = 1
-        prop = build_propagator(4, 4, 0.5, 0.01, h=1.0)
-        assert prop.d2h[1, 0, 0] == pytest.approx(1.0)
+        # N=4, h=1/2, mode (1, 0), theta=0 -> sin(pi/2)^2 / h^2 = 4
+        prop = build_propagator(4, 4, 0.5, 0.01)
+        assert prop.h == 0.5
+        assert prop.d2h[1, 0, 0] == pytest.approx(4.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             build_propagator(1, 4, 0.5, 0.01)
         with pytest.raises(ValueError):
             build_propagator(8, 1, 0.5, 0.01)
-        with pytest.raises(ValueError):
-            build_propagator(8, 4, 0.5, 0.01, h=0.0)
 
     def test_matches_propagator_grid(self):
-        n, k, h = 6, 4, 0.5
-        prop = build_propagator(n, k, 0.5, 0.01, h=h)
+        n, k = 6, 4
+        prop = build_propagator(n, k, 0.5, 0.01)
+        h = prop.h
         for r in (0, 1, 4):
             for s in (0, 2):
                 for kk in (0, 1, 3):
