@@ -10,15 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from srcortex import build_propagator, kernel_column, renormalize
-from srcortex.core import default_beta
+from srcortex import ModelConfig, build_propagator, kernel_column, renormalize
 from srcortex.imgio import write_pgm
 
 out = Path(__file__).parent / "out" / "02_kernel"
 out.mkdir(parents=True, exist_ok=True)
 
 n, k = 64, 16
-prop = build_propagator(n, k, default_beta(n, k), 0.01)
+prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
 k0 = 2  # orientation 22.5 degrees
 theta = k0 * math.pi / k
 

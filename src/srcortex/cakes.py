@@ -32,7 +32,7 @@ TAPER_START = 0.9  # fraction of the Nyquist radius where the roll-off begins
 
 @dataclass
 class WaveletBank:
-    """K complex filters stored in the Fourier domain plus their metadata.
+    """K real filters stored in the Fourier domain plus their metadata.
 
     ``pou_residual`` records the worst deviation of the filter sum from 1
     over the retained (un-tapered) frequencies; it is measured at build
@@ -42,7 +42,7 @@ class WaveletBank:
     n_pixels: int
     n_orient: int
     profile_order: int
-    filters: np.ndarray  # (K, N, N) complex, Fourier domain
+    filters: np.ndarray  # (K, N, N) float64, Fourier domain
     pou_residual: float
 
 
@@ -75,9 +75,9 @@ def build_cake_bank(n_pixels: int, n_orient: int, profile_order: int) -> Wavelet
     filters = _build_filters(n, k, bw, phi, taper)
     filters[:, 0, 0] = 1.0 / k  # split the DC bin equally
 
-    mask = retained_mask(n)
-    residual = float(np.abs(filters.sum(axis=0) - 1.0)[mask].max())
-    return WaveletBank(n, k, bw, filters, residual)
+    bank = WaveletBank(n, k, bw, filters, pou_residual=math.nan)
+    bank.pou_residual = pou_check(bank)
+    return bank
 
 
 def _build_filters(n, k, bw, phi, taper) -> np.ndarray:
@@ -85,7 +85,7 @@ def _build_filters(n, k, bw, phi, taper) -> np.ndarray:
     spline = _cardinal_bspline(bw)
     half_support = (bw + 1) / 2.0 * dtheta
     reach = int(np.ceil((half_support + np.pi / 2.0) / np.pi))
-    filters = np.empty((k, n, n), dtype=complex)
+    filters = np.empty((k, n, n))
     for j in range(k):
         center = j * dtheta + np.pi / 2.0
         # angular offset folded to [-pi/2, pi/2): distance modulo pi, which

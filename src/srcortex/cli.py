@@ -4,10 +4,10 @@ Exit codes: 0 success, 1 usage/config errors, 2 runtime failures.
 """
 
 import argparse
-import math
+import dataclasses
 import sys
 
-from .core import ModelConfig
+from .core import FORCINGS, MODELS, SIGMA_SIGNS, ModelConfig
 from .experiment import SWEEPABLE, ExperimentConfig, run_experiment, run_sweep
 from .stimuli import StimulusSpec
 
@@ -26,7 +26,7 @@ def build_parser() -> _Parser:
             "Poggendorff stimulus or an input image."
         ),
     )
-    p.add_argument("--model", choices=["wc", "lhe"], required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     src = p.add_mutually_exclusive_group()
     src.add_argument(
         "--stimulus",
@@ -45,16 +45,17 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=0.15, help="descent step")
     p.add_argument("--dtau", type=float, default=0.01, help="heat solver step")
     p.add_argument("--tau", type=float, default=5.0, help="kernel diffusion time")
-    p.add_argument("--tol", type=float, default=1e-4, help="stopping threshold")
-    p.add_argument("--max-iters", type=int, default=500)
-    p.add_argument("--poly-degree", type=int, default=9,
-                   help="odd degree of the LHE contrast fit")
+    p.add_argument("--tol", type=float, help="stopping threshold")
+    p.add_argument("--max-iters", type=int)
+    p.add_argument("--poly-degree", type=int, help="odd degree of the LHE contrast fit")
     p.add_argument("--sweep", metavar="PARAM=v1,v2,...",
                    help=f"run once per value of one of {', '.join(SWEEPABLE)}")
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    p.add_argument("--forcing", choices=["continuous", "discrete-paper"],
-                   default="continuous")
-    p.add_argument("--sigma-sign", choices=["paper", "flipped"], default="paper")
+    p.add_argument("--forcing", choices=FORCINGS)
+    p.add_argument("--sigma-sign", choices=SIGMA_SIGNS)
+    # the ModelConfig fields with a default take it from ModelConfig
+    p.set_defaults(**{f.name: f.default for f in dataclasses.fields(ModelConfig)
+                      if f.default is not dataclasses.MISSING})
     return p
 
 
@@ -67,20 +68,9 @@ def _parse_sweep(text: str):
 
 
 def config_from_args(args) -> ExperimentConfig:
-    model_cfg = ModelConfig(
-        model=args.model,
-        lam=args.lam,
-        alpha=args.alpha,
-        sigma_mu=args.sigma_mu,
-        dt=args.dt,
-        dtau=args.dtau,
-        tau=args.tau,
-        tol=args.tol,
-        poly_degree=args.poly_degree,
-        max_iters=args.max_iters,
-        forcing=args.forcing,
-        sigma_sign=args.sigma_sign,
-    )
+    # every ModelConfig field has a flag whose dest is the field's name
+    model_cfg = ModelConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(ModelConfig)})
     stimulus = None
     if args.input is None:
         kind = args.stimulus or "gratings"
@@ -88,7 +78,6 @@ def config_from_args(args) -> ExperimentConfig:
         stimulus = StimulusSpec(
             n_pixels=args.N,
             bar_width=30.0 * args.N / 200.0,
-            incidence_angle=math.pi / 3.0,
             grating_period=period,
         )
     sweep_param, sweep_values = (None, ())

@@ -14,6 +14,9 @@ import numpy as np
 
 WC = "wc"
 LHE = "lhe"
+MODELS = (WC, LHE)
+FORCINGS = ("continuous", "discrete-paper")
+SIGMA_SIGNS = ("paper", "flipped")
 MAX_POLY_DEGREE = 15  # contrast-sigmoid fit; above it the fit is ill-conditioned
 
 
@@ -112,12 +115,11 @@ class ModelConfig:
     sigma_sign: str = "paper"
 
     def __post_init__(self):
-        if self.model not in (WC, LHE):
+        if self.model not in MODELS:
             raise ValueError(f"model must be 'wc' or 'lhe', got {self.model!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
-        if self.alpha <= 1:
-            raise ValueError("alpha must be > 1")
+        check_fit(self.alpha, self.poly_degree)
         if self.sigma_mu <= 0:
             raise ValueError("sigma_mu must be > 0")
         if self.dt <= 0:
@@ -132,15 +134,11 @@ class ModelConfig:
         steps_of(self.tau, self.dtau)  # raises if tau is not a multiple
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        if self.poly_degree < 1 or self.poly_degree % 2 == 0:
-            raise ValueError("poly_degree must be odd and >= 1")
-        if self.poly_degree > MAX_POLY_DEGREE:
-            raise ValueError(f"poly_degree capped at {MAX_POLY_DEGREE}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.forcing not in ("continuous", "discrete-paper"):
+        if self.forcing not in FORCINGS:
             raise ValueError(f"unknown forcing {self.forcing!r}")
-        if self.sigma_sign not in ("paper", "flipped"):
+        if self.sigma_sign not in SIGMA_SIGNS:
             raise ValueError(f"unknown sigma_sign {self.sigma_sign!r}")
 
     @property
@@ -148,14 +146,25 @@ class ModelConfig:
         """s/2M, the interaction's weight in the drift (M = 1, s from sigma_sign)."""
         return 0.5 if self.sigma_sign == "paper" else -0.5
 
-    def beta_for(self, n_pixels: int, n_orient: int) -> float:
-        """Coherency used on an N x K grid: always K/(N^2 sqrt 2)."""
-        return default_beta(n_pixels, n_orient)
+    @property
+    def fidelity_weights(self) -> tuple[float, float]:
+        """Weights of the stimulus a0 and of its local mean mu in the forcing."""
+        if self.forcing == "continuous":
+            return self.lam, 1.0
+        return 1.0, self.lam  # the discrete-compatibility role swap
+
+    @staticmethod
+    def beta_for(n_pixels: int, n_orient: int) -> float:
+        """Coherency K/(N^2 sqrt 2) on an N x K grid; ``heat``'s docstring states its strength."""
+        return n_orient / (n_pixels**2 * math.sqrt(2.0))
 
 
-def default_beta(n_pixels: int, n_orient: int) -> float:
-    """Default coherency between spatial and angular sampling units."""
-    return n_orient / (n_pixels**2 * math.sqrt(2.0))
+def check_fit(alpha: float, degree: int) -> None:
+    """The contrast fit's rules: slope alpha > 1, odd degree in [1, MAX_POLY_DEGREE]."""
+    if alpha <= 1:
+        raise ValueError("alpha must be > 1")
+    if degree < 1 or degree % 2 == 0 or degree > MAX_POLY_DEGREE:
+        raise ValueError(f"poly_degree must be odd and in [1, {MAX_POLY_DEGREE}], got {degree}")
 
 
 def steps_of(tau: float, dtau: float) -> int:

@@ -60,7 +60,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .cakes import lift
-from .core import LHE, MAX_POLY_DEGREE, WC, ModelConfig, as_stack
+from .core import LHE, WC, ModelConfig, as_stack, check_fit
 from .core import project, relative_change
 from .heat import HeatPropagator, _evolve_batch, heat_evolve
 
@@ -100,12 +100,7 @@ class PolyCoeffs:
 
 def fit_polynomial(alpha: float, degree: int) -> PolyCoeffs:
     """Least-squares odd-monomial fit of ``sigmoid_hat`` over [-1, 1]."""
-    if alpha <= 1:
-        raise ValueError("alpha must be > 1")
-    if degree < 1 or degree % 2 == 0:
-        raise ValueError("degree must be odd and >= 1")
-    if degree > MAX_POLY_DEGREE:
-        raise ValueError(f"degree capped at {MAX_POLY_DEGREE}")
+    check_fit(alpha, degree)
     r = np.linspace(-1.0, 1.0, FIT_SAMPLES)
     target = sigmoid_hat(r, alpha)
     exponents = np.arange(1, degree + 1, 2)
@@ -162,11 +157,7 @@ def _evolved_powers(a, prop, tau, nmax):
     powers[0] = a
     for i in range(1, nmax):
         np.multiply(powers[i - 1], a, out=powers[i])
-    stacks = np.moveaxis(powers, 0, -1)
-    m = prop.step_count(tau)
-    if m == 0:
-        return powers, stacks
-    return powers, _evolve_batch(stacks, prop, m)
+    return powers, _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau))
 
 
 def _combine(a, weights, evolved):
@@ -186,15 +177,8 @@ def local_mean(a0, sigma_mu: float):
     )
 
 
-def _fidelity_weights(cfg: ModelConfig) -> tuple[float, float]:
-    """Weights of the stimulus a0 and of its local mean mu in the forcing."""
-    if cfg.forcing == "continuous":
-        return cfg.lam, 1.0
-    return 1.0, cfg.lam  # the discrete-compatibility role swap
-
-
 def _forcing(cfg: ModelConfig, a0, mu):
-    w_a0, w_mu = _fidelity_weights(cfg)
+    w_a0, w_mu = cfg.fidelity_weights
     return w_a0 * a0 + w_mu * mu
 
 
@@ -261,7 +245,7 @@ def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
     with p = 0 or i = 0 it is ``sum a^j`` because K conserves mass.  It
     enters with half the interaction's scale, negated.
     """
-    w_a0, w_mu = _fidelity_weights(cfg)
+    w_a0, w_mu = cfg.fidelity_weights
     fidelity = 0.5 * w_a0 * float(((a - a0) ** 2).sum())
     mean_term = 0.5 * w_mu * float(((a - mu) ** 2).sum())
     nmax = len(powers)

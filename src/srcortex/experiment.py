@@ -4,7 +4,8 @@
 bank and the heat propagator, runs the model loop, writes the artifacts
 (input/output/crop images, per-iteration trace, flat-text and JSON
 reports) and measures the completion offset.  ``run_sweep`` repeats an
-experiment over a parameter list in parallel worker processes.
+experiment over a parameter list in parallel worker processes, one per
+value up to four.
 
 The completion offset is the signed perpendicular displacement, in
 pixels at the bar's right edge, of the completed dark path inside the
@@ -78,32 +79,43 @@ class ExperimentConfig:
                 )
             if not self.sweep_values:
                 raise ValueError("sweep_param given without sweep_values")
-            dirs = {}
-            for v in self.sweep_values:
-                dataclasses.replace(self.model_cfg, **{self.sweep_param: v})
-                name = _sweep_dir(self.sweep_param, v)
-                if name in dirs:
-                    raise ValueError(
-                        f"sweep values {dirs[name]!r} and {v!r} share the "
-                        f"output directory {name!r}"
-                    )
-                dirs[name] = v
+            _sweep_configs(self)
 
 
-def _sweep_dir(param: str, value) -> str:
-    """Output subdirectory of one sweep value."""
-    return f"{param}={value:g}"
+def _sweep_configs(cfg: ExperimentConfig) -> list:
+    """Each value's validated single-run config; it writes ``<out_dir>/<param>=<value:g>/``."""
+    subcfgs, dirs = [], {}
+    for value in cfg.sweep_values:
+        name = f"{cfg.sweep_param}={value:g}"
+        if name in dirs:
+            raise ValueError(
+                f"sweep values {dirs[name]!r} and {value!r} share the "
+                f"output directory {name!r}"
+            )
+        dirs[name] = value
+        subcfgs.append(dataclasses.replace(
+            cfg,
+            model_cfg=dataclasses.replace(cfg.model_cfg, **{cfg.sweep_param: value}),
+            out_dir=str(Path(cfg.out_dir) / name),
+            sweep_param=None,
+            sweep_values=(),
+        ))
+    return subcfgs
 
 
 def _probe_bands(spec: StimulusSpec) -> list:
     """(column, rows within ``BAND_HALFWIDTH`` of the continuation) per probed column.
 
-    Rejects a spec whose continuation leaves some column's band empty.
+    Rejects a spec that leaves fewer than 3 columns to probe, or whose
+    continuation leaves some column's band empty.
     """
-    lo = int(math.ceil(spec.bar_left + EDGE_MARGIN))
-    hi = int(math.floor(spec.bar_right - EDGE_MARGIN))
+    cols = range(int(math.ceil(spec.bar_left + EDGE_MARGIN)),
+                 int(math.floor(spec.bar_right - EDGE_MARGIN)) + 1)
+    if len(cols) < 3:
+        raise ValueError(f"offset probe: a {spec.bar_width:g} px bar leaves {len(cols)} "
+                         f"probed columns, fewer than 3")
     bands = []
-    for col in range(lo, hi + 1):
+    for col in cols:
         center = float(spec.continuation_row(col))
         rows = np.arange(max(0, math.floor(center - BAND_HALFWIDTH)),
                          min(spec.n_pixels, math.ceil(center + BAND_HALFWIDTH) + 1))
@@ -129,8 +141,6 @@ def measure_offset(output, spec: StimulusSpec):
     """
     img = np.asarray(output, dtype=float)
     bands = _probe_bands(spec)
-    if len(bands) < 3:
-        raise ValueError("bar too narrow for the offset probe")
     cols = np.array([col for col, _ in bands])
     vals = [img[rows, col] for col, rows in bands]
 
@@ -302,34 +312,17 @@ def _write_report(out: Path, report: dict) -> None:
         fh.write("\n")
 
 
-def run_sweep(cfg: ExperimentConfig, max_workers: int | None = None) -> list[dict]:
-    """Run the configured parameter sweep over a pool of worker processes.
+def run_sweep(cfg: ExperimentConfig) -> list[dict]:
+    """Run the configured parameter sweep in worker processes, one per value up to four.
 
-    The pool has ``max_workers`` processes, by default one per value up
-    to four; ``max_workers=1`` runs the values in turn in this process.
-
-    Each value gets ``<out_dir>/<param>=<value>/``; a summary of the
+    Each value gets ``<out_dir>/<param>=<value:g>/``; a summary of the
     offsets lands in ``<out_dir>/sweep_summary.txt``.
     """
     if cfg.sweep_param is None:
         raise ValueError("config has no sweep specification")
-    subcfgs = []
-    for value in cfg.sweep_values:
-        subcfgs.append(
-            dataclasses.replace(
-                cfg,
-                model_cfg=dataclasses.replace(cfg.model_cfg, **{cfg.sweep_param: value}),
-                out_dir=str(Path(cfg.out_dir) / _sweep_dir(cfg.sweep_param, value)),
-                sweep_param=None,
-                sweep_values=(),
-            )
-        )
-    workers = max_workers or min(len(subcfgs), 4)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_experiment, subcfgs))
-    else:
-        reports = [run_experiment(sub) for sub in subcfgs]
+    subcfgs = _sweep_configs(cfg)
+    with ProcessPoolExecutor(max_workers=min(len(subcfgs), 4)) as pool:
+        reports = list(pool.map(run_experiment, subcfgs))
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,23 @@
 """Anisotropic heat semigroup on the orientation stack.
 
-The generator couples a directional second difference in space (the
-direction rotating with the orientation index) with a periodic second
-difference in the angle, weighted by the coherency ``beta``.  A 2D DFT
-over the spatial axes decouples the evolution into one independent K x K
-linear ODE system per spatial mode:
+The continuum generator is the sub-Riemannian Laplacian
+
+    du/dtau = X_theta^2 u + beta^2 d^2u/dtheta^2,   X_theta = cos(theta) d_x + sin(theta) d_y,
+
+discretized as a directional second difference in space plus a periodic
+second difference in the angle.  With spatial step h = 1/sqrt(N) and
+angular step dtheta = pi/K, the angular coefficient is beta^2/dtheta^2,
+against a per-mode spatial symbol d^2/h^2 of up to 2N (|d| <= sqrt 2).
+The coherency ``ModelConfig.beta_for`` = K/(N^2 sqrt 2) makes it
+K^4/(2 pi^2 N^4), 3.3e-5 at N=100, K=16 against up to 200: over tau a
+voxel loses about 2 tau beta^2/dtheta^2 of its mass to other
+orientations (3.3e-4 at tau = 5), so the kernel is nearly K uncoupled
+directional diffusions.  Where K/(N^2 sqrt 2) comes from is not
+recorded, and PAPER.md holds only the paper's abstract, so the paper's
+own value cannot be checked here.
+
+A 2D DFT over the spatial axes decouples the evolution into one
+independent K x K linear ODE system per spatial mode:
 
     d/dt u = B_rs u,   B_rs = Lambda_K - diag_k( d[r,s,k]^2 / h^2 )
 
@@ -153,15 +166,11 @@ def heat_evolve(a, prop: HeatPropagator, tau: float):
     """Evolve a stack by the heat semigroup for time tau = m * dtau.
 
     Rejects tau that is not an integer multiple of dtau (no silent
-    rounding); tau = 0 returns the input unchanged.
+    rounding); tau = 0 returns a copy of the input.
     """
     a = as_stack(a)
     _check_shape(a, prop)
-    m = prop.step_count(tau)
-    if m == 0:
-        return a.copy()
-    out = _evolve_batch(a[..., None], prop, m)
-    return out[..., 0]
+    return _evolve_batch(a[..., None], prop, prop.step_count(tau))[..., 0]
 
 
 def _check_shape(a, prop):
@@ -173,12 +182,15 @@ def _check_shape(a, prop):
 
 
 def _evolve_batch(stacks, prop, m):
-    """Evolve (N, N, K, B) real stacks by m steps; returns the same shape.
+    """Evolve (N, N, K, B) real stacks by m steps into a new array of the same shape.
 
-    Each mode's real propagator multiplies the complex spectrum viewed as
-    interleaved (re, im) reals: one real (K, K) @ (K, 2B) product per
-    mode instead of one for each part, one batched product per piece.
+    m = 0 is the identity and returns a copy.  Each mode's real
+    propagator multiplies the complex spectrum viewed as interleaved
+    (re, im) reals: one real (K, K) @ (K, 2B) product per mode instead
+    of one for each part, one batched product per piece.
     """
+    if m == 0:
+        return stacks.copy()
     n = prop.n_pixels
     pm = prop.propagator(m)
     spec = rfft2(stacks, axes=(0, 1), workers=-1).view(np.float64)

@@ -30,7 +30,6 @@ from srcortex import (
     run_model,
     lhe_energy,
 )
-from srcortex.core import default_beta
 
 from test_dynamics import expand_coefficients, lhe_interaction
 from test_heat import dense_generator
@@ -54,7 +53,7 @@ def paper_bank():
 
 @pytest.fixture(scope="module")
 def paper_prop():
-    return build_propagator(200, 16, default_beta(200, 16), 0.01)
+    return build_propagator(200, 16, ModelConfig.beta_for(200, 16), 0.01)
 
 
 def test_criterion_1_heat_solver_oracle():
@@ -106,7 +105,7 @@ def test_criterion_2_conservation_symmetry_suite():
 
 def test_criterion_3_anisotropy():
     n, k = 32, 8
-    prop = build_propagator(n, k, default_beta(n, k), 0.01)
+    prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
     k0 = 1
     tau = 0.14  # along-line spread of about 3 px
     img = kernel_column(prop, n // 2, n // 2, k0, tau).sum(axis=2)

@@ -35,6 +35,17 @@ def test_paper_configuration_residual():
     assert bank.pou_residual < 1e-3
 
 
+def test_real_filters_give_the_complex_bank_bits():
+    # the filters are real; storing them as complex changes no bit of
+    # the residual or of a lifted stack
+    bank = build_cake_bank(48, 8, 5)
+    assert bank.filters.dtype == np.float64
+    as_complex = WaveletBank(48, 8, 5, bank.filters.astype(complex), math.nan)
+    assert pou_check(as_complex) == bank.pou_residual
+    img = np.random.default_rng(3).random((48, 48))
+    np.testing.assert_array_equal(lift(img, as_complex), lift(img, bank))
+
+
 def test_two_wedges_sum_to_one():
     bank = build_cake_bank(32, 2, 1)
     mask = retained_mask(32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srcortex import ModelConfig, project, relative_change, renormalize
-from srcortex.core import default_beta, steps_of
+from srcortex.core import steps_of
 from srcortex.imgio import read_pgm, to_bytes_image, write_pgm
 
 
@@ -109,8 +109,8 @@ def test_config_rejects_bad_values():
         ModelConfig(**good, poly_degree=17)
 
 
-def test_default_beta_matches_grid_formula():
-    assert default_beta(200, 16) == pytest.approx(16 / (200**2 * math.sqrt(2)))
+def test_beta_for_matches_grid_formula():
+    assert ModelConfig.beta_for(200, 16) == pytest.approx(16 / (200**2 * math.sqrt(2)))
 
 
 def test_pgm_roundtrip(tmp_path):

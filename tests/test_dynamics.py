@@ -137,6 +137,15 @@ class TestPolynomialFit:
         with pytest.raises(ValueError):
             fit_polynomial(5.0, 17)
 
+    @pytest.mark.parametrize("alpha,degree", [(1.0, 9), (6.0, 4), (6.0, 17), (6.0, -1)])
+    def test_config_and_fit_reject_alike(self, alpha, degree):
+        with pytest.raises(ValueError) as from_fit:
+            fit_polynomial(alpha, degree)
+        with pytest.raises(ValueError) as from_config:
+            ModelConfig(model="lhe", lam=2.0, alpha=alpha, sigma_mu=1.0, dt=0.15,
+                        dtau=0.01, tau=0.1, poly_degree=degree)
+        assert str(from_config.value) == str(from_fit.value)
+
 
 class TestExpandCoefficients:
     def test_degree_one_identity(self):

@@ -15,7 +15,7 @@ from srcortex import (
     run_experiment,
     run_sweep,
 )
-from srcortex.cli import main
+from srcortex.cli import build_parser, main
 from srcortex.imgio import write_pgm
 
 
@@ -125,6 +125,12 @@ class TestExperimentConfig:
             with pytest.raises(ValueError, match=match):
                 measure_offset(img, case)
 
+    def test_bar_too_narrow_to_probe_rejected_before_running(self, tmp_path):
+        # a 4.8 px bar less the 2 px edge margins leaves no column to probe
+        spec = StimulusSpec(n_pixels=32, bar_width=4.8)
+        with pytest.raises(ValueError, match=r"4\.8 px bar leaves 0 probed columns"):
+            quick_config(tmp_path, stimulus=spec)
+
     def test_sweep_values_sharing_a_directory_rejected(self, tmp_path):
         # f"{6.0000001:g}" == "6": both runs would write alpha=6/
         with pytest.raises(ValueError, match="6.0000001.*'alpha=6'"):
@@ -181,7 +187,7 @@ class TestSweep:
             sweep_param="tau",
             sweep_values=(0.05, 0.25),
         )
-        reports = run_sweep(cfg, max_workers=1)
+        reports = run_sweep(cfg)
         assert len(reports) == 2
         assert (tmp_path / "sweep" / "tau=0.05" / "report.txt").exists()
         assert (tmp_path / "sweep" / "tau=0.25" / "report.txt").exists()
@@ -189,13 +195,15 @@ class TestSweep:
         assert "tau=0.05" in summary and "tau=0.25" in summary
 
     def test_pooled_sweep_matches_serial(self, tmp_path):
-        for workers in (1, 2):
-            cfg = quick_config(tmp_path, out_dir=str(tmp_path / f"workers{workers}"),
-                               sweep_param="tau", sweep_values=(0.05, 0.25))
-            run_sweep(cfg, max_workers=workers)
-        for name in ("tau=0.05/report.json", "tau=0.25/report.json", "sweep_summary.txt"):
-            assert (tmp_path / "workers1" / name).read_bytes() == (
-                tmp_path / "workers2" / name
+        # each worker process writes what a run in this process writes
+        run_sweep(quick_config(tmp_path, out_dir=str(tmp_path / "sweep"),
+                               sweep_param="tau", sweep_values=(0.05, 0.25)))
+        for tau in (0.05, 0.25):
+            direct = tmp_path / f"direct{tau:g}"
+            run_experiment(quick_config(tmp_path, out_dir=str(direct),
+                                        model_kw={"tau": tau}))
+            assert (tmp_path / "sweep" / f"tau={tau:g}" / "report.json").read_bytes() == (
+                direct / "report.json"
             ).read_bytes()
 
 
@@ -229,6 +237,13 @@ class TestCli:
         assert "n_pixels must be even" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_narrow_bar_exit_code_one_before_running(self, tmp_path, capsys):
+        out = tmp_path / "P"
+        code = main(["--model", "wc", "--N", "32", "--K", "8", "--out", str(out)])
+        assert code == 1
+        assert "probed columns" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unsweepable_param_exit_code_one(self, tmp_path, capsys):
         code = main(["--model", "lhe", "--sweep", "n_orient=8,16",
                      "--out", str(tmp_path / "o")])
@@ -240,7 +255,7 @@ class TestCli:
         monkeypatch.setattr("srcortex.experiment.make_stimulus",
                             lambda spec: 50.0 * poggendorff_gratings(spec))
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["--model", "lhe", "--N", "32", "--K", "8",
+            code = main(["--model", "lhe", "--N", "48", "--K", "8",
                          "--alpha", "8", "--dt", "0.15", "--tau", "0.1",
                          "--forcing", "discrete-paper", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -258,3 +273,11 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cli" / "report.txt").exists()
         assert "done:" in capsys.readouterr().out
+
+    def test_every_model_field_has_a_flag_with_its_default(self):
+        parser = build_parser()
+        dests = {action.dest for action in parser._actions}
+        for f in dataclasses.fields(ModelConfig):
+            assert f.name in dests, f.name
+            if f.default is not dataclasses.MISSING:
+                assert parser.get_default(f.name) == f.default, f.name

@@ -5,7 +5,7 @@ import pytest
 from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
-from srcortex import build_propagator, heat_evolve, kernel_column
+from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
 from srcortex.heat import _evolve_batch
 
 
@@ -325,3 +325,15 @@ class TestKernelColumn:
         m_across = (w * across**2).sum() / w.sum()
         assert 2.0 < math.sqrt(m_along) < 4.0  # spread near the 3 px target
         assert m_along / m_across > 2.0
+
+
+@pytest.mark.parametrize("n,tau", [(64, 1.25), (64, 5.0), (100, 1.25), (100, 5.0)])
+def test_default_coupling_strength(n, tau):
+    # at the default beta the angular term is weak: over tau the source
+    # orientation loses 2 tau beta^2/dtheta^2 of its mass (about 8e-5 to
+    # 2e-3 here), as the heat module docstring states
+    k, k0 = 16, 3
+    beta = ModelConfig.beta_for(n, k)
+    col = kernel_column(build_propagator(n, k, beta, 0.01), n // 2, n // 2, k0, tau)
+    left = 1.0 - col[:, :, k0].sum()
+    assert left == pytest.approx(2.0 * tau * beta**2 / (math.pi / k) ** 2, rel=0.02)
