@@ -9,7 +9,7 @@ import sys
 
 from .core import FORCINGS, MODELS, SIGMA_SIGNS, ModelConfig
 from .experiment import SWEEPABLE, ExperimentConfig, run_experiment, run_sweep
-from .stimuli import StimulusSpec
+from .stimuli import GRATINGS, STIMULUS_KINDS, StimulusSpec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -30,7 +30,7 @@ def build_parser() -> _Parser:
     src = p.add_mutually_exclusive_group()
     src.add_argument(
         "--stimulus",
-        choices=["classic", "gratings"],
+        choices=STIMULUS_KINDS,
         help="generated test figure (default: gratings unless --input is given)",
     )
     src.add_argument("--input", metavar="PATH", help="PGM/PNG image to process")
@@ -73,8 +73,8 @@ def config_from_args(args) -> ExperimentConfig:
                                for f in dataclasses.fields(ModelConfig)})
     stimulus = None
     if args.input is None:
-        kind = args.stimulus or "gratings"
-        period = 25.0 * args.N / 200.0 if kind == "gratings" else 0.0
+        kind = args.stimulus or GRATINGS
+        period = 25.0 * args.N / 200.0 if kind == GRATINGS else 0.0
         stimulus = StimulusSpec(
             n_pixels=args.N,
             bar_width=30.0 * args.N / 200.0,

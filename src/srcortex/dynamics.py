@@ -20,22 +20,36 @@ so with K the heat kernel and E_i = K[a^i] (E_0 = 1) the interaction is
 
     S[a](xi) = sum_p a(xi)^p * sum_i W[p, i] E_i(xi):
 
-one small matmul of the table with the evolved powers, then a Horner
-pass in ``a``.  ``_interaction`` is the one place a model is evaluated:
-it builds the fit and both weight tables once, and each call evolves
-the powers a^1 .. a^n once, for the interaction and the energy alike.
+one small matmul of the table with the evolved powers, giving one row
+R_p = sum_i W[p, i] E_i per degree, then a Horner pass in ``a``.
+``_interaction`` is the one place a model is evaluated: it builds the
+fit and its weight table once, and each call evolves the powers a^1 ..
+a^n once, for the interaction and the energy alike.
 
 The LHE flow is the gradient descent of an explicit energy: the two
 fidelity terms whose gradient is ``(1 + lam) a`` minus the forcing
 (``lam/2 |a - a0|^2 + 1/2 |a - mu|^2``, or ``1/2 |a - a0|^2 +
 lam/2 |a - mu|^2`` under the discrete-paper forcing), minus s/(4M) times
-the kernel double sum of the even primitive Sigma of the polynomial.
-That double sum is ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``: a Gram
-product of the powers with their evolutions, plus the terms with p = 0
-or i = 0.  Those are sums of a^j alone, because the kernel conserves
-mass (``sum K[f] = sum f``); in particular the degree-(n+1) term needs
-no evolved a^(n+1).  The finite-difference gradient of this energy
-matches the implemented drift.
+the kernel double sum of the even primitive Sigma of the polynomial,
+``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``.  Sigma's weight table is the
+polynomial's shifted by one degree, ``W_Sigma[p, i] = W[p - 1, i] / p``
+for p >= 1, so the terms with p >= 1 are ``sum_x a H(a)`` with
+``H = sum_q a^q R_q / (q + 1)``: the combine's rows again.  The terms
+with p = 0 are ``sum_i W_Sigma[0, i] sum_x K[a^i] = sum_x Sigma(-a)``,
+because the kernel conserves mass (``sum K[f] = sum f``), and
+Sigma(-a) = Sigma(a).  So the double sum is ``sum_x (a H(a) +
+Sigma(a))`` and costs no evolution or product beyond the interaction's;
+in particular the degree-(n+1) term needs no evolved a^(n+1).  The
+finite-difference gradient of this energy matches the implemented
+drift.
+
+Precision: ``run_model`` evaluates the LHE kernel terms (the powers,
+their evolutions, the rows, the interaction and H) in float32, where
+the FFTs of the nine powers cost half as much, and adds the interaction
+to its float64 state.  The state, the descent step, the Anderson
+history, the stopping rule and the energy's fidelity terms, Sigma, the
+product a H and the sums stay float64.  ``model_drift`` and
+``lhe_energy`` evaluate wholly in float64.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -66,6 +80,7 @@ from .heat import HeatPropagator, _evolve_batch, heat_evolve
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
+LHE_DTYPE = np.float32  # run_model's dtype for the LHE kernel terms
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -147,25 +162,31 @@ def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float):
 
 
 def _evolved_powers(a, prop, tau, nmax):
-    """Monomials a^1 .. a^nmax and their heat evolutions.
+    """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in a's dtype.
 
-    The powers lie on a leading axis, ``(nmax, N, N, K)``; the evolved
-    stacks come back with the batch on the trailing axis,
+    The powers are built on a leading axis, ``(nmax, N, N, K)``; the
+    evolved stacks come back with the batch on the trailing axis,
     ``(N, N, K, nmax)``, as ``_evolve_batch`` returns them.
     """
-    powers = np.empty((nmax,) + a.shape)
+    powers = np.empty((nmax,) + a.shape, dtype=a.dtype)
     powers[0] = a
     for i in range(1, nmax):
         np.multiply(powers[i - 1], a, out=powers[i])
-    return powers, _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau))
+    return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau))
 
 
 def _combine(a, weights, evolved):
-    """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a."""
+    """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a.
+
+    Computes in a's dtype.  Returns the interaction and its rows
+    ``R_p = sum_i W[p, i] E_i``, one stack per p, which the energy reuses.
+    """
     nmax = evolved.shape[-1]
+    weights = weights.astype(a.dtype, copy=False)
     rows = weights[:, 1:] @ evolved.reshape(-1, nmax).T
     rows += weights[:, :1]
-    return _horner(a, rows.reshape((len(weights),) + a.shape))
+    rows = rows.reshape((len(weights),) + a.shape)
+    return _horner(a, rows), rows
 
 
 def local_mean(a0, sigma_mu: float):
@@ -182,24 +203,29 @@ def _forcing(cfg: ModelConfig, a0, mu):
     return w_a0 * a0 + w_mu * mu
 
 
-def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu):
+def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float64):
     """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
     is the energy of ``a`` for LHE and None for WC.  The LHE fit and
-    its two weight tables are built here, once.
+    its weight table are built here, once.  The LHE kernel terms (the
+    powers, their evolutions and the combine) are computed from a copy
+    of ``a`` in ``dtype``, and ``term`` comes back in it; the energy's
+    fidelity terms, primitive and sums take ``a`` itself.  WC always
+    evaluates in float64.
     """
     if cfg.model == WC:
         return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha), None)
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
-    prim_weights = _weights(_primitive_coeffs(coeffs))
+    prim = _primitive_coeffs(coeffs)
 
     def lhe(a):
-        powers, evolved = _evolved_powers(a, prop, cfg.tau, cfg.poly_degree)
-        # combine before the energy: that order has the lower peak memory
-        term = _combine(a, weights, evolved)
-        return term, _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved)
+        work = a.astype(dtype, copy=False)
+        evolved = _evolved_powers(work, prop, cfg.tau, cfg.poly_degree)
+        term, rows = _combine(work, weights, evolved)
+        del evolved  # the energy needs only the rows
+        return term, _energy_from_terms(a, a0, mu, cfg, prim, rows)
 
     return lhe
 
@@ -228,39 +254,39 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     The primitive is integrated termwise (so Sigma(0) = 0); the
     interaction term enters with coefficient -s/(4M), half the drift's
     scale with the opposite sign, which is what makes the printed flow
-    its exact gradient descent.  It is the energy ``run_model`` records
-    for an evaluated state, from the same ``_interaction`` call.
+    its exact gradient descent.  ``run_model`` records this energy for
+    each evaluated state, from the same ``_interaction`` call, with the
+    kernel terms in float32.
     """
     if cfg.model != LHE:
         raise ValueError("energy is defined for the LHE model")
     return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
 
 
-def _energy_from_terms(a, a0, mu, cfg, prim_weights, powers, evolved) -> float:
-    """Energy from the powers a^1 .. a^n and their evolutions E_1 .. E_n.
+def _energy_from_terms(a, a0, mu, cfg, prim, rows) -> float:
+    """Energy of ``a`` from the combine's rows R_0 .. R_n.
 
-    ``prim_weights`` is the (n+2, n+2) weight table of the primitive.
-    The double sum is ``sum_{p,i} W[p, i] <a^p, K a^i>``; with p, i >= 1
-    that is the Gram product of the powers with the evolved stacks, and
-    with p = 0 or i = 0 it is ``sum a^j`` because K conserves mass.  It
-    enters with half the interaction's scale, negated.
+    ``prim`` holds the coefficients of the even primitive Sigma.  Its
+    weight table is the combine's shifted by one degree,
+    ``W_Sigma[p, i] = W[p - 1, i] / p`` for p >= 1, so the terms with
+    p >= 1 of the double sum ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>`` are
+    ``sum_x a H(a)`` with ``H = sum_q a^q R_q / (q + 1)``.  The terms
+    with p = 0 are ``sum_i W_Sigma[0, i] sum_x K[a^i] = sum_x Sigma(-a)``
+    because K conserves mass, and Sigma is even.  The double sum enters
+    with half the interaction's scale, negated.  H is evaluated in the
+    rows' dtype; the product with ``a``, Sigma and the sums in ``a``'s.
     """
     w_a0, w_mu = cfg.fidelity_weights
     fidelity = 0.5 * w_a0 * float(((a - a0) ** 2).sum())
     mean_term = 0.5 * w_mu * float(((a - mu) ** 2).sum())
-    nmax = len(powers)
-    flat = powers.reshape(nmax, -1)
-    gram = flat @ evolved.reshape(-1, nmax)
-    sums = np.empty(nmax + 2)  # sum a^j, j = 0 .. n+1
-    sums[0] = a.size
-    sums[1:-1] = flat.sum(axis=1)
-    sums[-1] = flat[-1] @ a.ravel()
-    double_sum = (
-        float((prim_weights[1:-1, 1:-1] * gram).sum())
-        + float(prim_weights[:, 0] @ sums)
-        + float(prim_weights[0, 1:] @ sums[1:])
-    )
-    inter = -0.5 * cfg.interaction_scale * double_sum
+    x = a.astype(rows.dtype, copy=False)
+    h = rows[-1] / len(rows)
+    for q in range(len(rows) - 2, -1, -1):
+        h *= x
+        h += rows[q] / (q + 1)
+    double_sum = a * h
+    double_sum += _horner(a, prim)
+    inter = -0.5 * cfg.interaction_scale * float(double_sum.sum())
     return fidelity + mean_term + inter
 
 
@@ -284,6 +310,7 @@ class RunResult:
     rel_history: list
     energies: list | None = None
     rejected_steps: int = 0
+    interaction_dtype: str = "float64"
 
 
 class _AndersonHistory:
@@ -409,13 +436,16 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     is reported through the ``converged`` flag, not an exception; a
     non-finite relative change raises ``FloatingPointError`` naming the
     evaluation.  numpy's BLAS runs on one thread for the whole call, so
-    the result does not depend on the machine's core count.
+    the result does not depend on the machine's core count.  The LHE
+    kernel terms are evaluated in ``LHE_DTYPE`` (float32), everything
+    else in float64.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
-    interaction = _interaction(cfg, prop, a0, mu)
     lhe = cfg.model == LHE
+    dtype = LHE_DTYPE if lhe else np.float64
+    interaction = _interaction(cfg, prop, a0, mu, dtype)
     if lhe:
         history = _AndersonHistory(a0.size)
 
@@ -462,4 +492,5 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
         rel_history=rel_history,
         energies=energies,
         rejected_steps=rejected,
+        interaction_dtype=np.dtype(dtype).name,
     )

@@ -31,10 +31,10 @@ import numpy as np
 
 from .cakes import build_cake_bank, check_bank_sizes
 from .core import ModelConfig, renormalize
-from .dynamics import RunResult, run_model
+from .dynamics import RunResult, fit_polynomial, run_model
 from .heat import build_propagator
 from .imgio import read_image, write_pgm
-from .stimuli import StimulusSpec, poggendorff_classic, poggendorff_gratings
+from .stimuli import GRATINGS, StimulusSpec, poggendorff_classic, poggendorff_gratings
 
 CONTRAST_THRESHOLD = 0.05  # normalized valley depth below which nothing completed
 BAND_HALFWIDTH = 10.0  # rows searched on each side of the continuation
@@ -202,7 +202,7 @@ def _parabolic_min(rows, vals, j) -> float:
 
 
 def make_stimulus(spec: StimulusSpec) -> np.ndarray:
-    if spec.grating_period > 0:
+    if spec.kind == GRATINGS:
         return poggendorff_gratings(spec)
     return poggendorff_classic(spec)
 
@@ -220,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     if cfg.stimulus is not None:
         f0 = make_stimulus(cfg.stimulus)
-        stimulus_kind = "gratings" if cfg.stimulus.grating_period > 0 else "classic"
+        stimulus_kind = cfg.stimulus.kind
     else:
         f0 = read_image(cfg.input_path)
         stimulus_kind = "file"
@@ -239,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     write_pgm(out / "output.pgm", renormalize(result.image))
     write_pgm(out / "crop.pgm", renormalize(_central_crop(result.image, cfg)))
     _write_trace(out / "trace.csv", result)
-    report = _build_report(cfg, stimulus_kind, n, result, offset)
+    report = _build_report(cfg, stimulus_kind, n, bank.pou_residual, result, offset)
     _write_report(out, report)
     elapsed = time.perf_counter() - t0
     logger.info("%s: %d iterations (%d rejected) in %.1fs", cfg.out_dir,
@@ -271,7 +271,8 @@ def _write_trace(path, result: RunResult) -> None:
                 fh.write(f"{p},{rel!r}\n")
 
 
-def _build_report(cfg, stimulus_kind, n, result: RunResult, offset) -> dict:
+def _build_report(cfg, stimulus_kind, n, pou_residual, result: RunResult, offset) -> dict:
+    """The run's settings, outcome and numerics health, all a pure function of the config."""
     mc = cfg.model_cfg
     report = {
         "stimulus": stimulus_kind,
@@ -286,10 +287,13 @@ def _build_report(cfg, stimulus_kind, n, result: RunResult, offset) -> dict:
         "final_relative_change": result.last_change,
         "offset_detected": offset is not None,
         "offset_px": offset,
+        "pou_residual": pou_residual,
+        "interaction_dtype": result.interaction_dtype,
     }
-    if result.energies is not None:
+    if result.energies is not None:  # LHE
         report["energy_initial"] = result.energies[0]
         report["energy_final"] = result.energies[-1]
+        report["poly_sup_error"] = fit_polynomial(mc.alpha, mc.poly_degree).sup_error
     if cfg.stimulus is not None:
         report["stimulus_spec"] = cfg.stimulus.to_text().strip().replace("\n", ";")
     return report

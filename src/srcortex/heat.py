@@ -35,6 +35,16 @@ Crank-Nicolson steps are applied in one pass as the propagator
 Along each axis a mode's index on the distinct grid runs in steps of +1
 or -1, so the half spectrum splits into a few blocks, each taking a
 strided block of the distinct propagators.
+
+The evolution computes in the dtype of the stacks it is handed: float64
+stacks use ``propagator(m)`` as it is, float32 stacks (the LHE
+evaluation's) its single-precision copy.  That copy sets every entry
+below float32 eps^2 (about 1.4e-14) to zero.  Without the flush, 13% of
+the cast entries at N=100 (17% at N=200) are subnormal, and products of
+small entries with small spectral coefficients go subnormal too.  At
+N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
+2.1 ms flushed and 3.9 ms in float64 (one thread of a 2-vCPU machine).
+The dropped entries lie far below float32's resolution of the results.
 """
 
 import math
@@ -44,6 +54,9 @@ import numpy as np
 from scipy.fft import irfft2, rfft2
 
 from .core import as_stack, steps_of
+
+# single-precision propagator entries below this are set to zero
+SINGLE_FLUSH = float(np.finfo(np.float32).eps) ** 2
 
 
 @dataclass
@@ -85,6 +98,19 @@ class HeatPropagator:
                 self.eigvecs, -1, -2
             )
             self._prop_cache[m] = cached
+        return cached
+
+    def single_propagator(self, m: int) -> np.ndarray:
+        """``propagator(m)`` in float32, entries below ``SINGLE_FLUSH`` set to 0.
+
+        Built on first use and cached beside the float64 operator.
+        """
+        key = ("float32", m)
+        cached = self._prop_cache.get(key)
+        if cached is None:
+            cached = self.propagator(m).astype(np.float32)
+            cached[np.abs(cached) < SINGLE_FLUSH] = 0.0
+            self._prop_cache[key] = cached
         return cached
 
 
@@ -184,21 +210,24 @@ def _check_shape(a, prop):
 def _evolve_batch(stacks, prop, m):
     """Evolve (N, N, K, B) real stacks by m steps into a new array of the same shape.
 
-    m = 0 is the identity and returns a copy.  Each mode's real
-    propagator multiplies the complex spectrum viewed as interleaved
-    (re, im) reals: one real (K, K) @ (K, 2B) product per mode instead
-    of one for each part, one batched product per piece.
+    The result has the stacks' dtype, float64 or float32.  m = 0 is the
+    identity and returns a copy.  Each mode's real propagator multiplies
+    the complex spectrum viewed as interleaved (re, im) reals: one real
+    (K, K) @ (K, 2B) product per mode instead of one for each part, one
+    batched product per piece.
     """
     if m == 0:
         return stacks.copy()
     n = prop.n_pixels
-    pm = prop.propagator(m)
-    spec = rfft2(stacks, axes=(0, 1), workers=-1).view(np.float64)
+    pm = prop.single_propagator(m) if stacks.dtype == np.float32 else prop.propagator(m)
+    spec = rfft2(stacks, axes=(0, 1), workers=-1)
+    complex_dtype = spec.dtype
+    spec = spec.view(stacks.dtype)
     out = np.empty_like(spec)
     for rows, cols, us, vs in prop.pieces:
         np.matmul(pm[us, vs], spec[rows, cols], out=out[rows, cols])
     del spec  # free the forward spectrum before irfft2 allocates its output
-    return irfft2(out.view(np.complex128), s=(n, n), axes=(0, 1), workers=-1)
+    return irfft2(out.view(complex_dtype), s=(n, n), axes=(0, 1), workers=-1)
 
 
 def kernel_column(prop: HeatPropagator, i: int, j: int, k: int, tau: float):

@@ -22,6 +22,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 SUBGRID = 4  # anti-aliasing subsamples per axis
+CLASSIC, GRATINGS = "classic", "gratings"
+STIMULUS_KINDS = (CLASSIC, GRATINGS)
 
 
 @dataclass
@@ -57,6 +59,11 @@ class StimulusSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+
+    @property
+    def kind(self) -> str:
+        """``GRATINGS`` for a positive ``grating_period``, else ``CLASSIC``."""
+        return GRATINGS if self.grating_period > 0 else CLASSIC
 
     @property
     def center(self) -> float:

@@ -9,6 +9,7 @@ configs and the set-up timing are run here on the self-test grid.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,20 @@ def test_untraced_names_resolve(recorder):
 def test_evolve_sites_resolve(recorder):
     for module in recorder.EVOLVE_SITES:
         assert callable(getattr(module, "_evolve_batch", None)), module.__name__
+
+
+def test_wrapped_signatures(recorder):
+    # the recorder's own wrappers call these with fixed arguments:
+    # _assembly_span as propagator(prop, m), _counted_evolve as
+    # _evolve_batch(stacks, prop, m, *rest), reading the batch from stacks.shape[-1]
+    params = inspect.signature(recorder.heat.HeatPropagator.propagator).parameters
+    assert list(params) == ["self", "m"]
+    for module in recorder.EVOLVE_SITES:
+        params = list(inspect.signature(module._evolve_batch).parameters)
+        assert params[:3] == ["stacks", "prop", "m"], module.__name__
+    prop = build_propagator(8, 4, 0.05, 0.01)
+    stacks = np.zeros((8, 8, 4, 5), dtype=np.float32)
+    assert recorder.heat._evolve_batch(stacks, prop, 3).shape == stacks.shape
 
 
 def test_counted_evolve_matches_the_unwrapped_call(recorder):

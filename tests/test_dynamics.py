@@ -62,8 +62,8 @@ def lhe_interaction(a, prop, tau, poly):
     evolves to the constant 1 and is folded in directly.
     """
     a = as_stack(a)
-    _, evolved = _evolved_powers(a, prop, tau, poly.degree)
-    return _combine(a, _weights(poly.coeffs), evolved)
+    evolved = _evolved_powers(a, prop, tau, poly.degree)
+    return _combine(a, _weights(poly.coeffs), evolved)[0]
 
 
 def gd_reference(f0, cfg, bank, prop):
@@ -166,6 +166,14 @@ class TestExpandCoefficients:
             lhs = sum(fields[i] * b**i for i in range(len(fields)))
             rhs = np.polyval(poly.coeffs[::-1], a - b)
             assert np.abs(lhs - rhs).max() < 1e-12
+
+    def test_primitive_table_is_the_combine_table_shifted(self):
+        # W_Sigma[p, i] = W[p - 1, i] / p: the energy reuses the combine's rows
+        for coeffs in (fit_polynomial(6.0, 5).coeffs, fit_polynomial(8.0, 9).coeffs):
+            w = _weights(coeffs)
+            p = np.arange(1, len(w) + 1)[:, None]
+            np.testing.assert_allclose(_weights(_primitive_coeffs(coeffs))[1:, :-1],
+                                       w / p, rtol=1e-14, atol=0.0)
 
     def test_zero_stack(self):
         poly = fit_polynomial(3.0, 5)
@@ -472,6 +480,17 @@ class TestAnderson:
             return np.linalg.norm(stack - fixed) / np.linalg.norm(fixed)
 
         assert dist(res.stack) <= 1.1 * dist(gd_stack)
+
+    def test_single_precision_run_reaches_the_float64_fixed_point(self):
+        f0, cfg, bank, prop = _tiny_lhe()
+        res = run_model(f0, cfg, bank, prop)
+        assert res.interaction_dtype == "float32" and res.stack.dtype == np.float64
+        assert res.converged
+        a0 = lift(f0, bank)
+        drift = model_drift(res.stack, a0, local_mean(a0, cfg.sigma_mu), cfg, prop)
+        assert drift.dtype == np.float64
+        assert cfg.dt * np.linalg.norm(drift) <= cfg.tol * np.linalg.norm(res.stack)
+        assert np.all(np.diff(res.energies) <= 0.0)
 
     def test_wc_is_the_plain_loop(self):
         f0, cfg, bank, prop = _tiny_run(20.0, 0.5, model="wc")

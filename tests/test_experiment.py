@@ -9,6 +9,7 @@ from srcortex import (
     ExperimentConfig,
     ModelConfig,
     StimulusSpec,
+    fit_polynomial,
     measure_offset,
     poggendorff_classic,
     poggendorff_gratings,
@@ -146,8 +147,13 @@ class TestRunExperiment:
                      "report.txt", "report.json"):
             assert (out / name).exists()
         assert report["model"] == "lhe"
+        assert report["stimulus"] == "gratings"
         assert report["iterations"] >= 1
         assert "energy_final" in report
+        # numerics health: the bank's partition of unity, the fit, the dtype
+        assert 0.0 <= report["pou_residual"] < 1e-10
+        assert report["poly_sup_error"] == fit_polynomial(6.0, 5).sup_error
+        assert report["interaction_dtype"] == "float32"
         text = (out / "report.txt").read_text()
         assert f"iterations={report['iterations']}" in text
         parsed = json.loads((out / "report.json").read_text())
@@ -155,6 +161,15 @@ class TestRunExperiment:
         trace = (out / "trace.csv").read_text().splitlines()
         assert trace[0] == "p,relative_change,energy"
         assert len(trace) == report["iterations"] - report["rejected_steps"] + 1
+
+    def test_wc_report_has_no_fit_and_float64_interaction(self, tmp_path):
+        stimulus = StimulusSpec(n_pixels=48, bar_width=8, grating_period=0.0,
+                                line_thickness=1.5)
+        report = run_experiment(quick_config(tmp_path, stimulus=stimulus,
+                                             model_kw={"model": "wc"}))
+        assert report["stimulus"] == "classic"
+        assert report["interaction_dtype"] == "float64"
+        assert "poly_sup_error" not in report and "pou_residual" in report
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg1 = quick_config(tmp_path, out_dir=str(tmp_path / "a"))

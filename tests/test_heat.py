@@ -6,7 +6,7 @@ from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
 from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
-from srcortex.heat import _evolve_batch
+from srcortex.heat import SINGLE_FLUSH, _evolve_batch
 
 
 def angular_second_difference(g, beta: float, dtheta: float) -> np.ndarray:
@@ -278,6 +278,35 @@ class TestHeatEvolve:
         split = irfft2(pm @ hats.real + 1j * (pm @ hats.imag), s=(16, 16), axes=(0, 1))
         got = _evolve_batch(stacks, prop, 30)
         assert np.abs(got - split).max() <= rtol * np.abs(split).max()
+
+
+class TestSinglePrecision:
+    @pytest.fixture(scope="class")
+    def prop(self):
+        n, k = 32, 16
+        return build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
+
+    def test_propagator_has_no_subnormal_entries(self, prop):
+        single = prop.single_propagator(125)
+        assert single.dtype == np.float32
+        nonzero = np.abs(single[single != 0.0])
+        assert SINGLE_FLUSH == np.finfo(np.float32).eps ** 2
+        assert nonzero.min() >= SINGLE_FLUSH > np.finfo(np.float32).tiny
+        # flushed entries only; the rest is the float64 operator, rounded
+        kept = single != 0.0
+        np.testing.assert_array_equal(
+            single[kept], prop.propagator(125).astype(np.float32)[kept])
+
+    def test_propagator_cached_beside_the_float64_one(self, prop):
+        assert prop.single_propagator(60) is prop.single_propagator(60)
+        assert 60 in prop._prop_cache and prop._prop_cache[60].dtype == np.float64
+
+    def test_evolution_keeps_the_dtype(self, prop):
+        stacks = np.random.default_rng(44).random((32, 32, 16, 3))
+        exact = _evolve_batch(stacks, prop, 125)
+        single = _evolve_batch(stacks.astype(np.float32), prop, 125)
+        assert exact.dtype == np.float64 and single.dtype == np.float32
+        assert np.abs(single - exact).max() <= 1e-5 * np.abs(exact).max()
 
 
 class TestKernelColumn:

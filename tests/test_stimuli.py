@@ -49,6 +49,11 @@ class TestSpec:
         back = spec_from_text(spec.to_text())
         assert back == spec
 
+    def test_kind_follows_the_period(self):
+        assert classic_spec().kind == "classic"
+        assert StimulusSpec(grating_period=25).kind == "gratings"
+        assert poggendorff_classic(classic_spec()).shape == (200, 200)
+
     def test_continuation_through_center(self):
         spec = classic_spec()
         assert spec.continuation_row(spec.center) == pytest.approx(spec.center)
