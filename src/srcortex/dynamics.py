@@ -49,7 +49,11 @@ the FFTs of the nine powers cost half as much, and adds the interaction
 to its float64 state.  The state, the descent step, the Anderson
 history, the stopping rule and the energy's fidelity terms, Sigma, the
 product a H and the sums stay float64.  ``model_drift`` and
-``lhe_energy`` evaluate wholly in float64.
+``lhe_energy`` evaluate wholly in float64.  An LHE evaluation keeps
+three arrays for as long as it lives (a whole run in ``run_model``):
+the n powers, the evolution's complex mode-product buffer and the
+combine's rows.  The evolved powers are the one large array a call
+allocates besides the forward spectrum, whose memory they take over.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -161,29 +165,32 @@ def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float):
     return heat_evolve(sigmoid(as_stack(a), alpha), prop, tau)
 
 
-def _evolved_powers(a, prop, tau, nmax):
+def _evolved_powers(a, prop, tau, powers, product=None):
     """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in a's dtype.
 
-    The powers are built on a leading axis, ``(nmax, N, N, K)``; the
-    evolved stacks come back with the batch on the trailing axis,
-    ``(N, N, K, nmax)``, as ``_evolve_batch`` returns them.
+    The powers are built in ``powers``, an ``(nmax, N, N, K)`` array, and
+    reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view; ``product``
+    is the evolution's mode-product buffer (None: allocated per call).
+    The evolved stacks come back as a new array with the batch on the
+    trailing axis, ``(N, N, K, nmax)``.
     """
-    powers = np.empty((nmax,) + a.shape, dtype=a.dtype)
     powers[0] = a
-    for i in range(1, nmax):
+    for i in range(1, len(powers)):
         np.multiply(powers[i - 1], a, out=powers[i])
-    return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau))
+    return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _combine(a, weights, evolved):
+def _combine(a, weights, evolved, rows=None):
     """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a.
 
-    Computes in a's dtype.  Returns the interaction and its rows
-    ``R_p = sum_i W[p, i] E_i``, one stack per p, which the energy reuses.
+    Computes in a's dtype.  Returns the interaction (a new array) and
+    its rows ``R_p = sum_i W[p, i] E_i``, one stack per p, which the
+    energy reuses; they are written into ``rows``, an ``(n + 1, a.size)``
+    array, when one is given.
     """
     nmax = evolved.shape[-1]
     weights = weights.astype(a.dtype, copy=False)
-    rows = weights[:, 1:] @ evolved.reshape(-1, nmax).T
+    rows = np.matmul(weights[:, 1:], evolved.reshape(-1, nmax).T, out=rows)
     rows += weights[:, :1]
     rows = rows.reshape((len(weights),) + a.shape)
     return _horner(a, rows), rows
@@ -213,19 +220,28 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     of ``a`` in ``dtype``, and ``term`` comes back in it; the energy's
     fidelity terms, primitive and sums take ``a`` itself.  WC always
     evaluates in float64.
+
+    The LHE evaluation allocates its powers, mode-product buffer and
+    rows once, here.  Each call returns a new ``term``; the rows it
+    hands the energy are overwritten by the next call.
     """
     if cfg.model == WC:
         return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha), None)
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
+    n_px, _, k = a0.shape
+    n = cfg.poly_degree
+    powers = np.empty((n,) + a0.shape, dtype)
+    product = np.empty((n_px, n_px // 2 + 1, k, n), np.result_type(dtype, np.complex64))
+    rows = np.empty((n + 1, a0.size), dtype)
 
     def lhe(a):
         work = a.astype(dtype, copy=False)
-        evolved = _evolved_powers(work, prop, cfg.tau, cfg.poly_degree)
-        term, rows = _combine(work, weights, evolved)
+        evolved = _evolved_powers(work, prop, cfg.tau, powers, product)
+        term, stacked_rows = _combine(work, weights, evolved, rows)
         del evolved  # the energy needs only the rows
-        return term, _energy_from_terms(a, a0, mu, cfg, prim, rows)
+        return term, _energy_from_terms(a, a0, mu, cfg, prim, stacked_rows, work)
 
     return lhe
 
@@ -263,8 +279,8 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
 
 
-def _energy_from_terms(a, a0, mu, cfg, prim, rows) -> float:
-    """Energy of ``a`` from the combine's rows R_0 .. R_n.
+def _energy_from_terms(a, a0, mu, cfg, prim, rows, x) -> float:
+    """Energy of ``a`` from the combine's rows R_0 .. R_n; ``x`` is ``a`` in their dtype.
 
     ``prim`` holds the coefficients of the even primitive Sigma.  Its
     weight table is the combine's shifted by one degree,
@@ -272,20 +288,28 @@ def _energy_from_terms(a, a0, mu, cfg, prim, rows) -> float:
     p >= 1 of the double sum ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>`` are
     ``sum_x a H(a)`` with ``H = sum_q a^q R_q / (q + 1)``.  The terms
     with p = 0 are ``sum_i W_Sigma[0, i] sum_x K[a^i] = sum_x Sigma(-a)``
-    because K conserves mass, and Sigma is even.  The double sum enters
-    with half the interaction's scale, negated.  H is evaluated in the
-    rows' dtype; the product with ``a``, Sigma and the sums in ``a``'s.
+    because K conserves mass, and Sigma is even (``prim``'s odd entries
+    are zero), so it is evaluated as a polynomial in ``a * a``.  The
+    double sum enters with half the interaction's scale, negated.  H is
+    evaluated in the rows' dtype; the product with ``a``, Sigma and the
+    sums in ``a``'s.  The two fidelity sums are dot products of one
+    difference array, which then holds ``a * a`` and ``a * H``.
     """
     w_a0, w_mu = cfg.fidelity_weights
-    fidelity = 0.5 * w_a0 * float(((a - a0) ** 2).sum())
-    mean_term = 0.5 * w_mu * float(((a - mu) ** 2).sum())
-    x = a.astype(rows.dtype, copy=False)
+    diff = a - a0
+    flat = diff.ravel()
+    fidelity = 0.5 * w_a0 * float(flat @ flat)
+    np.subtract(a, mu, out=diff)
+    mean_term = 0.5 * w_mu * float(flat @ flat)
     h = rows[-1] / len(rows)
+    scaled = np.empty_like(h)
     for q in range(len(rows) - 2, -1, -1):
         h *= x
-        h += rows[q] / (q + 1)
-    double_sum = a * h
-    double_sum += _horner(a, prim)
+        h += np.divide(rows[q], q + 1, out=scaled)
+    np.multiply(a, a, out=diff)
+    double_sum = _horner(diff, prim[::2])
+    np.multiply(a, h, out=diff)
+    double_sum += diff
     inter = -0.5 * cfg.interaction_scale * float(double_sum.sum())
     return fidelity + mean_term + inter
 

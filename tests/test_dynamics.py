@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +63,7 @@ def lhe_interaction(a, prop, tau, poly):
     evolves to the constant 1 and is folded in directly.
     """
     a = as_stack(a)
-    evolved = _evolved_powers(a, prop, tau, poly.degree)
+    evolved = _evolved_powers(a, prop, tau, np.empty((poly.degree,) + a.shape))
     return _combine(a, _weights(poly.coeffs), evolved)[0]
 
 
@@ -654,3 +655,46 @@ class TestEnergy:
         with pytest.raises(ValueError):
             lhe_energy(np.zeros((6, 6, 3)), np.zeros((6, 6, 3)),
                        np.zeros((6, 6, 3)), cfg, small_prop)
+
+
+class TestKeptArrays:
+    """The LHE evaluation keeps its powers, product buffer and rows between calls."""
+
+    def _case(self):
+        n, k = 32, 8
+        prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
+        rng = np.random.default_rng(21)
+        a0, mu, a, b = (0.2 + 0.6 * rng.random((n, n, k)) for _ in range(4))
+        cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
+                          dt=0.15, dtau=0.01, tau=0.5, poly_degree=9)
+        return cfg, prop, a0, mu, a, b
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_successive_calls_do_not_alias(self, dtype):
+        cfg, prop, a0, mu, a, b = self._case()
+        evaluate = _interaction(cfg, prop, a0, mu, dtype)
+        term, energy = evaluate(a)
+        first = term.copy()
+        term_b, energy_b = evaluate(b)
+        np.testing.assert_array_equal(term, first)
+        for state, got in ((a, (term, energy)), (b, (term_b, energy_b))):
+            fresh_term, fresh_energy = _interaction(cfg, prop, a0, mu, dtype)(state)
+            np.testing.assert_array_equal(got[0], fresh_term)
+            assert got[1] == fresh_energy
+
+    def test_warm_evaluation_allocation_budget(self):
+        # numpy reports its arrays to tracemalloc.  A warm float32 evaluation
+        # allocates the forward spectrum (about nine stacks), then in its
+        # place the nine evolved stacks, and a few single stacks; the powers,
+        # the mode product and the rows live in the closure
+        cfg, prop, a0, mu, a, _ = self._case()
+        evaluate = _interaction(cfg, prop, a0, mu, np.float32)
+        evaluate(a)  # builds the single-precision propagator
+        tracemalloc.start()
+        try:
+            evaluate(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = a0.size * np.dtype(np.float32).itemsize
+        assert peak <= 12 * stack, peak / stack

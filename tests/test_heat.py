@@ -280,6 +280,25 @@ class TestHeatEvolve:
         assert np.abs(got - split).max() <= rtol * np.abs(split).max()
 
 
+class TestProductBuffer:
+    @pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    @pytest.mark.parametrize("m", [0, 30])
+    def test_held_buffer_matches_a_new_one(self, dtype, rtol, m):
+        # the LHE layout: the batch on the leading axis of the memory, evolved
+        # through the trailing-axis view, with a mode-product buffer held by
+        # the caller and reused from call to call
+        prop = build_propagator(12, 8, 0.5, 0.01)
+        powers = np.random.default_rng(45).random((5, 12, 12, 8)).astype(dtype)
+        stacks = np.moveaxis(powers, 0, -1)
+        expected = _evolve_batch(stacks, prop, m)
+        product = np.full((12, 7, 8, 5), np.nan, np.result_type(dtype, np.complex64))
+        for _ in range(2):
+            got = _evolve_batch(stacks, prop, m, product)
+            assert got.dtype == expected.dtype == dtype
+            assert not np.shares_memory(got, product) and not np.shares_memory(got, stacks)
+            assert np.abs(got - expected).max() <= rtol * np.abs(expected).max()
+
+
 class TestSinglePrecision:
     @pytest.fixture(scope="class")
     def prop(self):
