@@ -22,10 +22,7 @@ cfg = ExperimentConfig(
         dt=0.15, dtau=0.01, tau=5.0 * scale**2, forcing="discrete-paper",
     ),
     out_dir=str(out),
-    stimulus=StimulusSpec(
-        n_pixels=n, bar_width=30 * scale, grating_period=25 * scale,
-        line_thickness=max(1.5, 2 * scale),
-    ),
+    stimulus=StimulusSpec.paper(n),
 )
 t0 = time.perf_counter()
 report = run_experiment(cfg)

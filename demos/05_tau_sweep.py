@@ -19,7 +19,6 @@ from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, run_sweep
 
 quick = "--quick" in sys.argv
 n = 100 if quick else 200
-scale = n / 200.0
 out = Path(__file__).parent / "out" / f"05_sweep_n{n}"
 
 cfg = ExperimentConfig(
@@ -28,10 +27,7 @@ cfg = ExperimentConfig(
         dt=0.15, dtau=0.01, tau=0.1, forcing="discrete-paper",
     ),
     out_dir=str(out),
-    stimulus=StimulusSpec(
-        n_pixels=n, bar_width=30 * scale, grating_period=25 * scale,
-        line_thickness=max(1.5, 2 * scale),
-    ),
+    stimulus=StimulusSpec.paper(n),
     sweep_param="tau",
     sweep_values=(0.1, 0.5, 2.5),
 )

@@ -59,30 +59,18 @@ def build_parser() -> _Parser:
     return p
 
 
-def _parse_sweep(text: str):
-    param, _, tail = text.partition("=")  # ExperimentConfig checks the param
-    values = tuple(float(v) for v in tail.split(",") if v.strip())
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    return param.strip(), values
-
-
 def config_from_args(args) -> ExperimentConfig:
     # every ModelConfig field has a flag whose dest is the field's name
     model_cfg = ModelConfig(**{f.name: getattr(args, f.name)
                                for f in dataclasses.fields(ModelConfig)})
     stimulus = None
     if args.input is None:
-        kind = args.stimulus or GRATINGS
-        period = 25.0 * args.N / 200.0 if kind == GRATINGS else 0.0
-        stimulus = StimulusSpec(
-            n_pixels=args.N,
-            bar_width=30.0 * args.N / 200.0,
-            grating_period=period,
-        )
+        stimulus = StimulusSpec.paper(args.N, args.stimulus or GRATINGS)
     sweep_param, sweep_values = (None, ())
-    if args.sweep:
-        sweep_param, sweep_values = _parse_sweep(args.sweep)
+    if args.sweep:  # ExperimentConfig checks the param and that values are given
+        param, _, tail = args.sweep.partition("=")
+        sweep_param = param.strip()
+        sweep_values = tuple(float(v) for v in tail.split(",") if v.strip())
     return ExperimentConfig(
         model_cfg=model_cfg,
         out_dir=args.out,

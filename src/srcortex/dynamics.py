@@ -80,7 +80,7 @@ from scipy.ndimage import gaussian_filter
 from .cakes import lift
 from .core import LHE, WC, ModelConfig, as_stack, check_fit
 from .core import project, relative_change
-from .heat import HeatPropagator, _evolve_batch, heat_evolve
+from .heat import HeatPropagator, _evolve_batch, heat_evolve, mode_product_buffer
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
@@ -162,7 +162,7 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
 
 def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float):
     """Heat evolution of the voxelwise activity sigmoid."""
-    return heat_evolve(sigmoid(as_stack(a), alpha), prop, tau)
+    return heat_evolve(sigmoid(a, alpha), prop, tau)
 
 
 def _evolved_powers(a, prop, tau, powers, product=None):
@@ -230,10 +230,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
-    n_px, _, k = a0.shape
     n = cfg.poly_degree
     powers = np.empty((n,) + a0.shape, dtype)
-    product = np.empty((n_px, n_px // 2 + 1, k, n), np.result_type(dtype, np.complex64))
+    product = mode_product_buffer(prop, n, dtype)
     rows = np.empty((n + 1, a0.size), dtype)
 
     def lhe(a):
@@ -397,13 +396,9 @@ def _blas_thread_functions():
     """numpy's OpenBLAS thread-count getter and setter, or None.
 
     Looked up through the handle of numpy's core extension, whose symbol
-    search covers the BLAS it links.  None for a BLAS of another vendor
-    (or numpy 1.x, which keeps the extension elsewhere).
+    search covers the BLAS it links.  None for a BLAS of another vendor.
     """
-    try:
-        from numpy._core import _multiarray_umath
-    except ImportError:
-        return None
+    from numpy._core import _multiarray_umath
     lib = ctypes.CDLL(_multiarray_umath.__file__)
     for get_name, set_name in _BLAS_THREAD_SYMBOLS:
         try:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .cakes import build_cake_bank, check_bank_sizes
-from .core import ModelConfig, renormalize
+from .core import ModelConfig, as_image, renormalize
 from .dynamics import RunResult, fit_polynomial, run_model
 from .heat import build_propagator
 from .imgio import read_image, write_pgm
@@ -214,17 +214,17 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Report contents are a pure function of the config, so repeated runs
     produce identical files.
     """
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-
     if cfg.stimulus is not None:
         f0 = make_stimulus(cfg.stimulus)
         stimulus_kind = cfg.stimulus.kind
-    else:
-        f0 = read_image(cfg.input_path)
+    else:  # a file is checked before anything is built or written
+        f0 = as_image(read_image(cfg.input_path))
+        check_bank_sizes(f0.shape[0], cfg.n_orient, cfg.profile_order)
         stimulus_kind = "file"
     n = f0.shape[0]
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     mc = cfg.model_cfg
     bank = build_cake_bank(n, cfg.n_orient, cfg.profile_order)
@@ -239,7 +239,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     write_pgm(out / "output.pgm", renormalize(result.image))
     write_pgm(out / "crop.pgm", renormalize(_central_crop(result.image, cfg)))
     _write_trace(out / "trace.csv", result)
-    report = _build_report(cfg, stimulus_kind, n, bank.pou_residual, result, offset)
+    report = _build_report(cfg, stimulus_kind, bank, prop, result, offset)
     _write_report(out, report)
     elapsed = time.perf_counter() - t0
     logger.info("%s: %d iterations (%d rejected) in %.1fs", cfg.out_dir,
@@ -259,35 +259,31 @@ def _central_crop(img: np.ndarray, cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _write_trace(path, result: RunResult) -> None:
+    columns = {"relative_change": result.rel_history, "energy": result.energies}
+    columns = {name: values for name, values in columns.items() if values is not None}
     with open(path, "w") as fh:
-        if result.energies is not None:
-            fh.write("p,relative_change,energy\n")
-            pairs = zip(result.rel_history, result.energies, strict=True)
-            for p, (rel, energy) in enumerate(pairs, start=1):
-                fh.write(f"{p},{rel!r},{energy!r}\n")
-        else:
-            fh.write("p,relative_change\n")
-            for p, rel in enumerate(result.rel_history, start=1):
-                fh.write(f"{p},{rel!r}\n")
+        fh.write(",".join(["p", *columns]) + "\n")
+        for p, row in enumerate(zip(*columns.values(), strict=True), start=1):
+            fh.write(",".join([str(p), *map(repr, row)]) + "\n")
 
 
-def _build_report(cfg, stimulus_kind, n, pou_residual, result: RunResult, offset) -> dict:
+def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> dict:
     """The run's settings, outcome and numerics health, all a pure function of the config."""
     mc = cfg.model_cfg
     report = {
         "stimulus": stimulus_kind,
-        "n_pixels": n,
+        "n_pixels": prop.n_pixels,
         "n_orient": cfg.n_orient,
         "profile_order": cfg.profile_order,
         **dataclasses.asdict(mc),
-        "beta": mc.beta_for(n, cfg.n_orient),
+        "beta": prop.beta,
         "iterations": result.iterations,
         "rejected_steps": result.rejected_steps,
         "converged": result.converged,
         "final_relative_change": result.last_change,
         "offset_detected": offset is not None,
         "offset_px": offset,
-        "pou_residual": pou_residual,
+        "pou_residual": bank.pou_residual,
         "interaction_dtype": result.interaction_dtype,
     }
     if result.energies is not None:  # LHE

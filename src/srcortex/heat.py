@@ -217,6 +217,12 @@ def _check_shape(a, prop):
         )
 
 
+def mode_product_buffer(prop: HeatPropagator, batch: int, dtype) -> np.ndarray:
+    """The complex half spectrum ``(N, N//2 + 1, K, batch)`` of real stacks of ``dtype``."""
+    n = prop.n_pixels
+    return np.empty((n, n // 2 + 1, prop.n_orient, batch), np.result_type(dtype, np.complex64))
+
+
 def _evolve_batch(stacks, prop, m, product=None):
     """Evolve (N, N, K, B) real stacks by m steps into a new array of the same shape.
 
@@ -224,16 +230,16 @@ def _evolve_batch(stacks, prop, m, product=None):
     identity and returns a copy.  Each mode's real propagator multiplies
     the complex spectrum viewed as interleaved (re, im) reals: one real
     (K, K) @ (K, 2B) product per mode instead of one for each part, one
-    batched product per piece.  ``product``, a C-contiguous complex
-    ``(N, N//2 + 1, K, B)`` array, receives the mode product and is
-    overwritten by the inverse; None allocates it.
+    batched product per piece.  ``product``, a ``mode_product_buffer``,
+    receives the mode product and is overwritten by the inverse; None
+    allocates it.
     """
     if m == 0:
         return stacks.copy()
     pm = prop.single_propagator(m) if stacks.dtype == np.float32 else prop.propagator(m)
     spec = rfft2(stacks, axes=(0, 1), workers=-1)
     if product is None:
-        product = np.empty_like(spec)
+        product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)
     spec, real = spec.view(stacks.dtype), product.view(stacks.dtype)
     for rows, cols, us, vs in prop.pieces:
         np.matmul(pm[us, vs], spec[rows, cols], out=real[rows, cols])

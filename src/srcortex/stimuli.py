@@ -24,15 +24,17 @@ import numpy as np
 SUBGRID = 4  # anti-aliasing subsamples per axis
 CLASSIC, GRATINGS = "classic", "gratings"
 STIMULUS_KINDS = (CLASSIC, GRATINGS)
+BACKGROUND = 1.0  # gray of the background
+LINE_VALUE = 0.0  # gray of the lines
 
 
 @dataclass
 class StimulusSpec:
-    """Geometry and gray levels of one Poggendorff image.
+    """Geometry of one Poggendorff image and the gray of its bar.
 
     ``grating_period`` = 0 selects the classic single-transversal figure.
-    Gray defaults (bar 0.5 on background 1.0, black 2 px lines, 25 px
-    grating spacing) are fixed here for reproducibility.
+    The defaults are the paper's figure at N = 200; its lines are
+    ``LINE_VALUE`` on ``BACKGROUND``.
     """
 
     n_pixels: int = 200
@@ -41,8 +43,6 @@ class StimulusSpec:
     line_thickness: float = 2.0
     grating_period: float = 25.0
     bar_gray: float = 0.5
-    background: float = 1.0
-    line_value: float = 0.0
 
     def __post_init__(self):
         if self.n_pixels < 8:
@@ -55,10 +55,21 @@ class StimulusSpec:
             raise ValueError("line_thickness must be > 0")
         if self.grating_period < 0:
             raise ValueError("grating_period must be >= 0")
-        for name in ("bar_gray", "background", "line_value"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.bar_gray <= 1.0:
+            raise ValueError("bar_gray must lie in [0, 1]")
+
+    @classmethod
+    def paper(cls, n_pixels: int, kind: str = GRATINGS) -> "StimulusSpec":
+        """The paper's figure at N pixels: the defaults' lengths times N/200, lines >= 1.5 px."""
+        if kind not in STIMULUS_KINDS:
+            raise ValueError(f"unknown stimulus kind {kind!r}")
+        scale = n_pixels / cls.n_pixels
+        return cls(
+            n_pixels=n_pixels,
+            bar_width=cls.bar_width * scale,
+            grating_period=cls.grating_period * scale if kind == GRATINGS else 0.0,
+            line_thickness=max(1.5, cls.line_thickness * scale),
+        )
 
     @property
     def kind(self) -> str:
@@ -128,10 +139,10 @@ def _line_coverage(spec: StimulusSpec, periodic: bool) -> np.ndarray:
 
 
 def _compose(spec: StimulusSpec, coverage: np.ndarray) -> np.ndarray:
-    img = spec.background * (1.0 - coverage) + spec.line_value * coverage
+    img = BACKGROUND * (1.0 - coverage) + LINE_VALUE * coverage
     # a background-colored bar is treated as transparent, so collinearity
     # can be inspected with the occluder disabled
-    if spec.bar_gray != spec.background:
+    if spec.bar_gray != BACKGROUND:
         cols = np.arange(spec.n_pixels, dtype=float)
         in_bar = np.abs(cols - spec.center) < spec.bar_width / 2.0
         img[:, in_bar] = spec.bar_gray

@@ -222,6 +222,12 @@ class TestInteractions:
             wc_interaction(a, small_prop, 0.1, 20.0), -1.0, atol=1e-12
         )
 
+    def test_wc_rejects_non_finite_stack(self, small_prop):
+        a = np.full((6, 6, 3), 0.5)
+        a[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            wc_interaction(a, small_prop, 0.1, 20.0)
+
     def test_wc_matches_kernel_sum(self, small_prop, small_kernel):
         rng = np.random.default_rng(2)
         a = rng.random((6, 6, 3))

@@ -16,8 +16,9 @@ from srcortex import (
     run_experiment,
     run_sweep,
 )
-from srcortex.cli import build_parser, main
+from srcortex.cli import build_parser, config_from_args, main
 from srcortex.imgio import write_pgm
+from srcortex.stimuli import BACKGROUND
 
 
 def paper_spec():
@@ -73,7 +74,7 @@ class TestMeasureOffset:
         # the continuation inside a see-through bar, translated by ``roll``
         # rows, lies roll * cos(angle) px off perpendicular to the lines
         spec = paper_spec()
-        img = poggendorff_gratings(dataclasses.replace(spec, bar_gray=spec.background))
+        img = poggendorff_gratings(dataclasses.replace(spec, bar_gray=BACKGROUND))
         in_bar = np.abs(np.arange(spec.n_pixels) - spec.center) < spec.bar_width / 2.0
         img[:, in_bar] = np.roll(img[:, in_bar], roll, axis=0)
         off = measure_offset(img, spec)
@@ -170,6 +171,10 @@ class TestRunExperiment:
         assert report["stimulus"] == "classic"
         assert report["interaction_dtype"] == "float64"
         assert "poly_sup_error" not in report and "pou_residual" in report
+        assert report["beta"] == ModelConfig.beta_for(48, 8)
+        trace = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+        assert trace[0] == "p,relative_change"
+        assert trace[-1] == f"{report['iterations']},{report['final_relative_change']!r}"
 
     def test_deterministic_artifacts(self, tmp_path):
         cfg1 = quick_config(tmp_path, out_dir=str(tmp_path / "a"))
@@ -229,6 +234,34 @@ class TestCli:
                      "--dt", "0.5"])
         assert code == 2
         assert "error" in capsys.readouterr().err.lower()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("shape, message", [
+        ((51, 51), "n_pixels must be even and >= 8, got 51"),
+        ((48, 64), "image must be square 2D, got shape (48, 64)"),
+    ])
+    def test_bad_input_file_exit_code_two_before_building(
+            self, tmp_path, capsys, monkeypatch, shape, message):
+        path, out = tmp_path / "bad.pgm", tmp_path / "P"
+        write_pgm(path, np.full(shape, 0.5))
+        built = []
+        monkeypatch.setattr("srcortex.experiment.build_propagator",
+                            lambda *args: built.append(args))
+        code = main(["--model", "wc", "--input", str(path), "--out", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists() and built == []
+
+    @pytest.mark.parametrize("model", ["wc", "lhe"])
+    def test_figure_scales_with_n(self, model):
+        # the half-size figure the demos' --quick runs and the benchmark draw
+        def stimulus(*flags):
+            args = build_parser().parse_args(["--model", model, *flags])
+            return config_from_args(args).stimulus
+
+        assert stimulus("--N", "100") == StimulusSpec(
+            n_pixels=100, bar_width=15, grating_period=12.5, line_thickness=1.5)
+        assert stimulus() == StimulusSpec()
 
     def test_usage_error_exit_code_one(self):
         assert main(["--model", "nope"]) == 1
@@ -258,6 +291,11 @@ class TestCli:
         assert code == 1
         assert "probed columns" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_sweep_exit_code_one(self, tmp_path, capsys):
+        code = main(["--model", "lhe", "--sweep", "tau=", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "sweep_param given without sweep_values" in capsys.readouterr().err
 
     def test_unsweepable_param_exit_code_one(self, tmp_path, capsys):
         code = main(["--model", "lhe", "--sweep", "n_orient=8,16",

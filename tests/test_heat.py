@@ -6,7 +6,7 @@ from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
 from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
-from srcortex.heat import SINGLE_FLUSH, _evolve_batch
+from srcortex.heat import SINGLE_FLUSH, _evolve_batch, mode_product_buffer
 
 
 def angular_second_difference(g, beta: float, dtheta: float) -> np.ndarray:
@@ -291,7 +291,9 @@ class TestProductBuffer:
         powers = np.random.default_rng(45).random((5, 12, 12, 8)).astype(dtype)
         stacks = np.moveaxis(powers, 0, -1)
         expected = _evolve_batch(stacks, prop, m)
-        product = np.full((12, 7, 8, 5), np.nan, np.result_type(dtype, np.complex64))
+        product = mode_product_buffer(prop, 5, dtype)
+        assert product.shape == (12, 7, 8, 5) and product.flags.c_contiguous
+        product.fill(np.nan)
         for _ in range(2):
             got = _evolve_batch(stacks, prop, m, product)
             assert got.dtype == expected.dtype == dtype

@@ -6,6 +6,7 @@ import pytest
 
 from srcortex import StimulusSpec, poggendorff_classic, poggendorff_gratings
 from srcortex.imgio import to_bytes_image
+from srcortex.stimuli import BACKGROUND, CLASSIC
 
 
 def spec_from_text(text):
@@ -48,6 +49,13 @@ class TestSpec:
                             incidence_angle=1.0)
         back = spec_from_text(spec.to_text())
         assert back == spec
+
+    def test_paper_figure(self):
+        assert StimulusSpec.paper(200) == StimulusSpec()
+        classic = StimulusSpec.paper(200, CLASSIC)
+        assert classic == classic_spec() and classic.kind == CLASSIC
+        with pytest.raises(ValueError, match="unknown stimulus kind 'grating'"):
+            StimulusSpec.paper(200, "grating")
 
     def test_kind_follows_the_period(self):
         assert classic_spec().kind == "classic"
@@ -128,7 +136,7 @@ class TestGratings:
         assert 7 <= runs <= 9
 
     def test_invisible_bar_leaves_lines_continuous(self):
-        spec = StimulusSpec(bar_gray=1.0, background=1.0)
+        spec = StimulusSpec(bar_gray=BACKGROUND)
         img = poggendorff_gratings(spec)
         for col in range(90, 110):
             center = spec.continuation_row(col)

@@ -1,11 +1,19 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses or defines one nothing calls.
+
+Helpers that only tests need live in ``tests/``: a definition counts as
+used only when ``src/``, ``demos/`` or ``bench/`` refers to it.
+"""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srcortex"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "srcortex"
+USERS = ("src", "demos", "bench")
+# definitions a library calls by name, unseen here
+CALLED_BY_LIBRARY = {"cli._Parser.error"}  # argparse, on a usage error
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -28,3 +36,41 @@ def _unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _definitions(path: Path) -> dict[str, str]:
+    """``module.name`` of each top-level function and class, and of each
+    method other than dunders, mapped to the name a use would spell."""
+    defs = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs[f"{path.stem}.{node.name}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    defs[f"{path.stem}.{node.name}.{item.name}"] = item.name
+    return defs
+
+
+def _references() -> set[str]:
+    """Every name, attribute and string constant (``__all__``, getattr) in the users."""
+    names = set()
+    for folder in USERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_no_definition_only_tests_use():
+    referenced = _references()
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        defs.update(_definitions(path))
+    unused = {qual for qual, name in defs.items() if name not in referenced}
+    assert unused == CALLED_BY_LIBRARY
