@@ -43,17 +43,20 @@ in particular the degree-(n+1) term needs no evolved a^(n+1).  The
 finite-difference gradient of this energy matches the implemented
 drift.
 
-Precision: ``run_model`` evaluates the LHE kernel terms (the powers,
-their evolutions, the rows, the interaction and H) in float32, where
-the FFTs of the nine powers cost half as much, and adds the interaction
-to its float64 state.  The state, the descent step, the Anderson
-history, the stopping rule and the energy's fidelity terms, Sigma, the
-product a H and the sums stay float64.  ``model_drift`` and
-``lhe_energy`` evaluate wholly in float64.  An LHE evaluation keeps
-three arrays for as long as it lives (a whole run in ``run_model``):
-the n powers, the evolution's complex mode-product buffer and the
-combine's rows.  The evolved powers are the one large array a call
-allocates besides the forward spectrum, whose memory they take over.
+Precision: ``run_model`` evaluates the kernel terms of both models in
+float32 (``RUN_DTYPE``), where the FFTs and the mode product are
+cheaper, and adds the interaction to its float64 state.  For WC
+these are the sigmoid and its evolution; for LHE the powers, their
+evolutions, the rows, the interaction and H.  The state, the descent
+step, the Anderson history, the stopping rule and the energy's fidelity
+terms, Sigma, the product a H and the sums stay float64.
+``model_drift`` and ``lhe_energy`` evaluate wholly in float64.  An
+evaluation keeps the arrays it hands the heat layer for as long as it
+lives (a whole run in ``run_model``): the evolution's complex
+mode-product buffer, and the sigmoid stack (WC) or the n powers and the
+combine's rows (LHE).  The evolved stacks are the one large array a
+call allocates besides the forward spectrum, whose memory they take
+over.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -80,11 +83,11 @@ from scipy.ndimage import gaussian_filter
 from .cakes import lift
 from .core import LHE, WC, ModelConfig, as_stack, check_fit
 from .core import project, relative_change
-from .heat import HeatPropagator, _evolve_batch, heat_evolve, mode_product_buffer
+from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
-LHE_DTYPE = np.float32  # run_model's dtype for the LHE kernel terms
+RUN_DTYPE = np.float32  # run_model's dtype for the kernel terms of both models
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -94,8 +97,16 @@ _BLAS_THREAD_SYMBOLS = (
 
 
 def sigmoid(r, alpha: float):
-    """Decreasing saturation of activity: -clamp(alpha * (r - 1/2), -1, 1)."""
-    return -np.clip(alpha * (np.asarray(r, dtype=float) - 0.5), -1.0, 1.0)
+    """Decreasing saturation of activity: -clamp(alpha * (r - 1/2), -1, 1).
+
+    Computes in float32 for a float32 ``r``, in float64 otherwise.
+    """
+    r = np.asarray(r)
+    x = r.astype(np.float32 if r.dtype == np.float32 else float)
+    x -= 0.5
+    x *= alpha
+    np.clip(x, -1.0, 1.0, out=x)
+    return np.negative(x, out=x)
 
 
 def sigmoid_hat(r, alpha: float):
@@ -160,19 +171,14 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
     return prim
 
 
-def wc_interaction(a, prop: HeatPropagator, tau: float, alpha: float):
-    """Heat evolution of the voxelwise activity sigmoid."""
-    return heat_evolve(sigmoid(a, alpha), prop, tau)
-
-
-def _evolved_powers(a, prop, tau, powers, product=None):
+def _evolved_powers(a, prop, tau, powers, product):
     """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in a's dtype.
 
     The powers are built in ``powers``, an ``(nmax, N, N, K)`` array, and
     reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view; ``product``
-    is the evolution's mode-product buffer (None: allocated per call).
-    The evolved stacks come back as a new array with the batch on the
-    trailing axis, ``(N, N, K, nmax)``.
+    is the evolution's mode-product buffer.  The evolved stacks come
+    back as a new array with the batch on the trailing axis,
+    ``(N, N, K, nmax)``.
     """
     powers[0] = a
     for i in range(1, len(powers)):
@@ -180,13 +186,13 @@ def _evolved_powers(a, prop, tau, powers, product=None):
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _combine(a, weights, evolved, rows=None):
+def _combine(a, weights, evolved, rows):
     """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a.
 
     Computes in a's dtype.  Returns the interaction (a new array) and
     its rows ``R_p = sum_i W[p, i] E_i``, one stack per p, which the
     energy reuses; they are written into ``rows``, an ``(n + 1, a.size)``
-    array, when one is given.
+    array.
     """
     nmax = evolved.shape[-1]
     weights = weights.astype(a.dtype, copy=False)
@@ -214,19 +220,29 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
-    is the energy of ``a`` for LHE and None for WC.  The LHE fit and
-    its weight table are built here, once.  The LHE kernel terms (the
-    powers, their evolutions and the combine) are computed from a copy
-    of ``a`` in ``dtype``, and ``term`` comes back in it; the energy's
-    fidelity terms, primitive and sums take ``a`` itself.  WC always
-    evaluates in float64.
+    is the energy of ``a`` for LHE and None for WC.  The kernel terms
+    are computed from a copy of ``a`` in ``dtype``, and ``term`` comes
+    back in it: the WC sigmoid and its evolution, or the LHE powers,
+    their evolutions and the combine.  The LHE energy's fidelity terms,
+    primitive and sums take ``a`` itself.  The LHE fit and its weight
+    table are built here, once.
 
-    The LHE evaluation allocates its powers, mode-product buffer and
-    rows once, here.  Each call returns a new ``term``; the rows it
-    hands the energy are overwritten by the next call.
+    The evaluation allocates the arrays it hands the heat layer once,
+    here: the mode-product buffer, and the sigmoid stack (WC) or the
+    powers and rows (LHE).  Each call returns a new ``term``; the rows
+    an LHE call hands the energy are overwritten by the next call.  A
+    WC call first checks that ``a`` is a finite stack.
     """
     if cfg.model == WC:
-        return lambda a: (wc_interaction(a, prop, cfg.tau, cfg.alpha), None)
+        m = prop.step_count(cfg.tau)
+        stack = np.empty(a0.shape + (1,), dtype)
+        product = mode_product_buffer(prop, 1, dtype)
+
+        def wc(a):
+            stack[..., 0] = sigmoid(as_stack(a).astype(dtype, copy=False), cfg.alpha)
+            return _evolve_batch(stack, prop, m, product)[..., 0], None
+
+        return wc
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
@@ -455,16 +471,16 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     is reported through the ``converged`` flag, not an exception; a
     non-finite relative change raises ``FloatingPointError`` naming the
     evaluation.  numpy's BLAS runs on one thread for the whole call, so
-    the result does not depend on the machine's core count.  The LHE
-    kernel terms are evaluated in ``LHE_DTYPE`` (float32), everything
-    else in float64.
+    the result does not depend on the machine's core count.  The kernel
+    terms of both models (the WC sigmoid and its evolution, the LHE
+    powers, evolutions and combine) are evaluated in ``RUN_DTYPE``
+    (float32), everything else in float64.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
     lhe = cfg.model == LHE
-    dtype = LHE_DTYPE if lhe else np.float64
-    interaction = _interaction(cfg, prop, a0, mu, dtype)
+    interaction = _interaction(cfg, prop, a0, mu, RUN_DTYPE)
     if lhe:
         history = _AndersonHistory(a0.size)
 
@@ -511,5 +527,5 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
         rel_history=rel_history,
         energies=energies,
         rejected_steps=rejected,
-        interaction_dtype=np.dtype(dtype).name,
+        interaction_dtype=np.dtype(RUN_DTYPE).name,
     )

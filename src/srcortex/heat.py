@@ -37,8 +37,8 @@ or -1, so the half spectrum splits into a few blocks, each taking a
 strided block of the distinct propagators.
 
 The evolution computes in the dtype of the stacks it is handed: float64
-stacks use ``propagator(m)`` as it is, float32 stacks (the LHE
-evaluation's) its single-precision copy.  That copy sets every entry
+stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
+evaluations') its single-precision copy.  That copy sets every entry
 below float32 eps^2 (about 1.4e-14) to zero.  Without the flush, 13% of
 the cast entries at N=100 (17% at N=200) are subnormal, and products of
 small entries with small spectral coefficients go subnormal too.  At
@@ -48,9 +48,9 @@ The dropped entries lie far below float32's resolution of the results.
 
 The inverse transform, ``irfft2`` here, inverts the complex axis in
 place in the mode-product buffer, then the real axis into a new array.
-A caller that evolves the same shapes on every iteration (the LHE
-evaluation) holds the mode-product buffer for the whole run; then the
-forward spectrum and the real result are the only arrays a call
+A caller that evolves the same shapes on every iteration (the WC and
+LHE evaluations) holds the mode-product buffer for the whole run; then
+the forward spectrum and the real result are the only arrays a call
 allocates, and the result takes the memory the spectrum has just
 released.  Measured at N=100 and N=200 (float32, nine stacks), no call
 after the first faults in fresh pages; an LHE run at N=100 takes about
@@ -113,12 +113,17 @@ class HeatPropagator:
     def single_propagator(self, m: int) -> np.ndarray:
         """``propagator(m)`` in float32, entries below ``SINGLE_FLUSH`` set to 0.
 
-        Built on first use and cached beside the float64 operator.
+        Built on first use from ``propagator(m)`` and cached.  A float64
+        operator that this build added to the cache is dropped, so a
+        float32 run holds one operator; one already cached stays.
         """
         key = ("float32", m)
         cached = self._prop_cache.get(key)
         if cached is None:
+            added = m not in self._prop_cache
             cached = self.propagator(m).astype(np.float32)
+            if added:
+                del self._prop_cache[m]
             cached[np.abs(cached) < SINGLE_FLUSH] = 0.0
             self._prop_cache[key] = cached
         return cached

@@ -39,9 +39,9 @@ from srcortex.dynamics import (
     gd_step,
     sigmoid,
     sigmoid_hat,
-    wc_interaction,
 )
 from srcortex.experiment import _write_trace
+from srcortex.heat import mode_product_buffer
 from srcortex.stimuli import StimulusSpec, poggendorff_gratings
 
 
@@ -56,26 +56,34 @@ def expand_coefficients(a, poly):
     return [_horner(a, weights[:, i]) for i in range(len(weights))]
 
 
+def wc_interaction(a, prop, tau, alpha):
+    """Heat evolution of the voxelwise activity sigmoid, in float64."""
+    return heat_evolve(sigmoid(a, alpha), prop, tau)
+
+
 def lhe_interaction(a, prop, tau, poly):
-    """Kernel average of the polynomial contrast sigmoid.
+    """Kernel average of the polynomial contrast sigmoid, in float64.
 
     Computes ``sum_i C_i(xi) * exp(tau L)[a^i](xi)``; the zeroth power
     evolves to the constant 1 and is folded in directly.
     """
     a = as_stack(a)
-    evolved = _evolved_powers(a, prop, tau, np.empty((poly.degree,) + a.shape))
-    return _combine(a, _weights(poly.coeffs), evolved)[0]
+    n = poly.degree
+    evolved = _evolved_powers(a, prop, tau, np.empty((n,) + a.shape),
+                              mode_product_buffer(prop, n, a.dtype))
+    return _combine(a, _weights(poly.coeffs), evolved, np.empty((n + 1, a.size)))[0]
 
 
 def gd_reference(f0, cfg, bank, prop):
     """The plain descent loop: a <- G(a) until |G(a) - a| / |G(a)| < tol.
 
-    Returns the final stack, the number of steps and the relative changes.
+    Evaluates the kernel terms in ``run_model``'s dtype.  Returns the
+    final stack, the number of steps and the relative changes.
     """
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
-    interaction = _interaction(cfg, prop, a0, mu)
+    interaction = _interaction(cfg, prop, a0, mu, dynamics.RUN_DTYPE)
     a, rel_history = a0, []
     for _ in range(cfg.max_iters):
         inter, _ = interaction(a)
@@ -109,6 +117,17 @@ class TestSigmoids:
     def test_hat_is_shifted_negated_sigmoid(self):
         r = np.linspace(-3, 3, 10001)
         np.testing.assert_array_equal(sigmoid_hat(r, 7.0), -sigmoid(r + 0.5, 7.0))
+
+    @pytest.mark.parametrize("alpha", [6.0, 20.0])
+    def test_sigmoid_keeps_float32(self, alpha):
+        # unclamped inputs lie within 1/alpha of 1/2, where r - 1/2 is exact
+        # (Sterbenz), and alpha (r - 1/2) is exact in float64 for these
+        # slopes: the float32 result is the float64 one, rounded
+        r = 0.5 + np.random.default_rng(15).uniform(-1.5, 1.5, 10001) / alpha
+        single, double = r.astype(np.float32), r.astype(np.float32).astype(np.float64)
+        got, exact = sigmoid(single, alpha), sigmoid(double, alpha)
+        assert (got.dtype, exact.dtype) == (np.float32, np.float64)
+        np.testing.assert_array_equal(got, exact.astype(np.float32))
 
 
 class TestPolynomialFit:
@@ -387,6 +406,21 @@ class TestRunModel:
             with pytest.raises(FloatingPointError, match=r"iteration [1-5]$"):
                 run_model(f0, cfg, bank, prop)
 
+    def test_wc_non_finite_interaction_raises_at_its_iteration(self, monkeypatch):
+        evolve, calls = dynamics._evolve_batch, []
+
+        def poisoned(*args):
+            calls.append(args)
+            out = evolve(*args)
+            if len(calls) == 3:
+                out[0, 0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(dynamics, "_evolve_batch", poisoned)
+        with pytest.raises(FloatingPointError, match=r"^WC run diverged: .* at iteration 3$"):
+            run_model(*_tiny_wc())
+        assert len(calls) == 3
+
     def test_blas_held_at_one_thread_and_restored(self, monkeypatch):
         functions = dynamics._blas_thread_functions()
         if functions is None:
@@ -465,6 +499,16 @@ def _tiny_run(alpha, tau, model="lhe"):
     return f0, dataclasses.replace(cfg, model=model, alpha=alpha, tau=tau), bank, prop
 
 
+def _tiny_wc():
+    """WC at the paper's lam, alpha and dt on the tiny grid.
+
+    The sigmoid is unclamped in about three quarters of the voxels of
+    its fixed point (at lam = 2 the state stays below 1/2 - 1/alpha).
+    """
+    f0, cfg, bank, prop = _tiny_run(20.0, 0.5, model="wc")
+    return f0, dataclasses.replace(cfg, lam=0.01, dt=0.1, sigma_mu=2.0), bank, prop
+
+
 class TestAnderson:
     @pytest.mark.parametrize("alpha", [6.0, 8.0])
     def test_fewer_evaluations_to_the_same_stopping_rule(self, alpha):
@@ -499,8 +543,26 @@ class TestAnderson:
         assert cfg.dt * np.linalg.norm(drift) <= cfg.tol * np.linalg.norm(res.stack)
         assert np.all(np.diff(res.energies) <= 0.0)
 
+    def test_wc_single_precision_run_reaches_the_float64_fixed_point(self, monkeypatch):
+        f0, cfg, bank, prop = _tiny_wc()
+        res = run_model(f0, cfg, bank, prop)
+        assert res.interaction_dtype == "float32" and res.stack.dtype == np.float64
+        assert res.converged
+        a0 = lift(f0, bank)
+        drift = model_drift(res.stack, a0, local_mean(a0, cfg.sigma_mu), cfg, prop)
+        assert drift.dtype == np.float64
+        assert cfg.dt * np.linalg.norm(drift) <= cfg.tol * np.linalg.norm(res.stack)
+        # the same run with float64 kernel terms: same steps, and stacks
+        # 1.9e-8 apart (relative) where the sigmoid is unclamped in 74% of
+        # the voxels
+        monkeypatch.setattr(dynamics, "RUN_DTYPE", np.float64)
+        double = run_model(f0, cfg, bank, prop)
+        assert double.interaction_dtype == "float64"
+        assert res.iterations == double.iterations
+        assert np.linalg.norm(res.stack - double.stack) <= 1e-7 * np.linalg.norm(double.stack)
+
     def test_wc_is_the_plain_loop(self):
-        f0, cfg, bank, prop = _tiny_run(20.0, 0.5, model="wc")
+        f0, cfg, bank, prop = _tiny_wc()
         res = run_model(f0, cfg, bank, prop)
         with dynamics._single_blas_thread():
             stack, steps, rel_history = gd_reference(f0, cfg, bank, prop)
@@ -664,43 +726,58 @@ class TestEnergy:
 
 
 class TestKeptArrays:
-    """The LHE evaluation keeps its powers, product buffer and rows between calls."""
+    """Each evaluation keeps the arrays it hands the heat layer between calls.
 
-    def _case(self):
+    WC keeps its sigmoid stack and product buffer; LHE its powers,
+    product buffer and rows.  Each test runs both models.
+    """
+
+    def _case(self, model):
         n, k = 32, 8
         prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
         rng = np.random.default_rng(21)
         a0, mu, a, b = (0.2 + 0.6 * rng.random((n, n, k)) for _ in range(4))
-        cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
+        cfg = ModelConfig(model=model, lam=2.0, alpha=6.0, sigma_mu=1.0,
                           dt=0.15, dtau=0.01, tau=0.5, poly_degree=9)
         return cfg, prop, a0, mu, a, b
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_successive_calls_do_not_alias(self, dtype):
-        cfg, prop, a0, mu, a, b = self._case()
-        evaluate = _interaction(cfg, prop, a0, mu, dtype)
-        term, energy = evaluate(a)
-        first = term.copy()
-        term_b, energy_b = evaluate(b)
-        np.testing.assert_array_equal(term, first)
-        for state, got in ((a, (term, energy)), (b, (term_b, energy_b))):
-            fresh_term, fresh_energy = _interaction(cfg, prop, a0, mu, dtype)(state)
-            np.testing.assert_array_equal(got[0], fresh_term)
-            assert got[1] == fresh_energy
+        for model in ("lhe", "wc"):
+            cfg, prop, a0, mu, a, b = self._case(model)
+            evaluate = _interaction(cfg, prop, a0, mu, dtype)
+            term, energy = evaluate(a)
+            first = term.copy()
+            term_b, energy_b = evaluate(b)
+            assert term.dtype == term_b.dtype == dtype
+            np.testing.assert_array_equal(term, first)
+            for state, got in ((a, (term, energy)), (b, (term_b, energy_b))):
+                fresh_term, fresh_energy = _interaction(cfg, prop, a0, mu, dtype)(state)
+                np.testing.assert_array_equal(got[0], fresh_term)
+                assert got[1] == fresh_energy
 
     def test_warm_evaluation_allocation_budget(self):
-        # numpy reports its arrays to tracemalloc.  A warm float32 evaluation
-        # allocates the forward spectrum (about nine stacks), then in its
-        # place the nine evolved stacks, and a few single stacks; the powers,
-        # the mode product and the rows live in the closure
-        cfg, prop, a0, mu, a, _ = self._case()
-        evaluate = _interaction(cfg, prop, a0, mu, np.float32)
-        evaluate(a)  # builds the single-precision propagator
-        tracemalloc.start()
-        try:
-            evaluate(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        stack = a0.size * np.dtype(np.float32).itemsize
-        assert peak <= 12 * stack, peak / stack
+        # numpy reports its arrays to tracemalloc.  A warm float32 LHE
+        # evaluation allocates the forward spectrum (about nine stacks),
+        # then in its place the nine evolved stacks, and a few single
+        # stacks.  A WC one holds about two stacks at a time: the float32
+        # state and its sigmoid, then the forward spectrum and the evolved
+        # stack (measured peak 2.02).  The kept arrays live in the closure
+        for model, budget in (("lhe", 12), ("wc", 3)):
+            cfg, prop, a0, mu, a, _ = self._case(model)
+            evaluate = _interaction(cfg, prop, a0, mu, np.float32)
+            evaluate(a)  # builds the single-precision propagator
+            tracemalloc.start()
+            try:
+                evaluate(a)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            stack = a0.size * np.dtype(np.float32).itemsize
+            assert peak <= budget * stack, (model, peak / stack)
+
+    def test_wc_evaluation_rejects_a_non_finite_state(self):
+        cfg, prop, a0, mu, a, _ = self._case("wc")
+        a[1, 2, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            _interaction(cfg, prop, a0, mu, np.float32)(a)

@@ -163,13 +163,13 @@ class TestRunExperiment:
         assert trace[0] == "p,relative_change,energy"
         assert len(trace) == report["iterations"] - report["rejected_steps"] + 1
 
-    def test_wc_report_has_no_fit_and_float64_interaction(self, tmp_path):
+    def test_wc_report_has_no_fit_and_float32_interaction(self, tmp_path):
         stimulus = StimulusSpec(n_pixels=48, bar_width=8, grating_period=0.0,
                                 line_thickness=1.5)
         report = run_experiment(quick_config(tmp_path, stimulus=stimulus,
                                              model_kw={"model": "wc"}))
         assert report["stimulus"] == "classic"
-        assert report["interaction_dtype"] == "float64"
+        assert report["interaction_dtype"] == "float32"
         assert "poly_sup_error" not in report and "pou_residual" in report
         assert report["beta"] == ModelConfig.beta_for(48, 8)
         trace = (tmp_path / "run" / "trace.csv").read_text().splitlines()

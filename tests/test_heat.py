@@ -318,9 +318,13 @@ class TestSinglePrecision:
         np.testing.assert_array_equal(
             single[kept], prop.propagator(125).astype(np.float32)[kept])
 
-    def test_propagator_cached_beside_the_float64_one(self, prop):
+    def test_propagator_cached_without_the_float64_one_it_built(self, prop):
+        # a float32 run holds one operator; a float64 one cached before stays
         assert prop.single_propagator(60) is prop.single_propagator(60)
-        assert 60 in prop._prop_cache and prop._prop_cache[60].dtype == np.float64
+        assert 60 not in prop._prop_cache
+        exact = prop.propagator(90)
+        assert prop.single_propagator(90) is prop.single_propagator(90)
+        assert prop._prop_cache[90] is exact
 
     def test_evolution_keeps_the_dtype(self, prop):
         stacks = np.random.default_rng(44).random((32, 32, 16, 3))
