@@ -96,14 +96,16 @@ _BLAS_THREAD_SYMBOLS = (
 )
 
 
-def sigmoid(r, alpha: float):
+def sigmoid(r, alpha: float, out=None):
     """Decreasing saturation of activity: -clamp(alpha * (r - 1/2), -1, 1).
 
-    Computes in float32 for a float32 ``r``, in float64 otherwise.
+    Computes in float32 for a float32 ``r``, in float64 otherwise, into
+    ``out`` if given (which may be ``r`` itself) or a new array.
     """
     r = np.asarray(r)
-    x = r.astype(np.float32 if r.dtype == np.float32 else float)
-    x -= 0.5
+    dtype = np.float32 if r.dtype == np.float32 else np.float64
+    x = np.empty(r.shape, dtype) if out is None else out
+    np.subtract(r, 0.5, out=x, dtype=dtype)
     x *= alpha
     np.clip(x, -1.0, 1.0, out=x)
     return np.negative(x, out=x)
@@ -171,16 +173,17 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
     return prim
 
 
-def _evolved_powers(a, prop, tau, powers, product):
+def _evolved_powers(powers, prop, tau, product):
     """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in a's dtype.
 
-    The powers are built in ``powers``, an ``(nmax, N, N, K)`` array, and
-    reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view; ``product``
-    is the evolution's mode-product buffer.  The evolved stacks come
-    back as a new array with the batch on the trailing axis,
-    ``(N, N, K, nmax)``.
+    ``powers`` is an ``(nmax, N, N, K)`` array holding ``a`` in
+    ``powers[0]``; the higher powers are built in the rest of it, and
+    reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
+    ``product`` is the evolution's mode-product buffer.  The evolved
+    stacks come back as a new array with the batch on the trailing
+    axis, ``(N, N, K, nmax)``.
     """
-    powers[0] = a
+    a = powers[0]
     for i in range(1, len(powers)):
         np.multiply(powers[i - 1], a, out=powers[i])
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
@@ -221,9 +224,11 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
     is the energy of ``a`` for LHE and None for WC.  The kernel terms
-    are computed from a copy of ``a`` in ``dtype``, and ``term`` comes
-    back in it: the WC sigmoid and its evolution, or the LHE powers,
-    their evolutions and the combine.  The LHE energy's fidelity terms,
+    are computed from ``a`` cast to ``dtype`` in a kept array (the WC
+    sigmoid stack, which the sigmoid then overwrites in place, or the
+    first LHE power), and ``term`` comes back in ``dtype``: the WC
+    sigmoid and its evolution, or the LHE powers, their evolutions and
+    the combine.  The LHE energy's fidelity terms,
     primitive and sums take ``a`` itself.  The LHE fit and its weight
     table are built here, once.
 
@@ -239,7 +244,8 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
         product = mode_product_buffer(prop, 1, dtype)
 
         def wc(a):
-            stack[..., 0] = sigmoid(as_stack(a).astype(dtype, copy=False), cfg.alpha)
+            np.copyto(stack[..., 0], as_stack(a), casting="same_kind")
+            sigmoid(stack, cfg.alpha, out=stack)
             return _evolve_batch(stack, prop, m, product)[..., 0], None
 
         return wc
@@ -252,8 +258,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     rows = np.empty((n + 1, a0.size), dtype)
 
     def lhe(a):
-        work = a.astype(dtype, copy=False)
-        evolved = _evolved_powers(work, prop, cfg.tau, powers, product)
+        np.copyto(powers[0], a, casting="same_kind")
+        work = powers[0]
+        evolved = _evolved_powers(powers, prop, cfg.tau, product)
         term, stacked_rows = _combine(work, weights, evolved, rows)
         del evolved  # the energy needs only the rows
         return term, _energy_from_terms(a, a0, mu, cfg, prim, stacked_rows, work)
@@ -262,12 +269,22 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
 
 
 def _drift(a, forcing, inter, cfg: ModelConfig):
-    return -(1.0 + cfg.lam) * a + forcing + cfg.interaction_scale * inter
+    """``-(1 + lam) a + forcing + s * inter``, summed in that order into one new array."""
+    g = a * -(1.0 + cfg.lam)
+    g += forcing
+    g += cfg.interaction_scale * inter
+    return g
 
 
 def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
-    """One explicit descent update from precomputed forcing and interaction."""
-    return a + cfg.dt * _drift(a, forcing, inter, cfg)
+    """One explicit descent update from precomputed forcing and interaction.
+
+    ``a + dt * drift``, computed in the drift's array.
+    """
+    g = _drift(a, forcing, inter, cfg)
+    g *= cfg.dt
+    g += a
+    return g
 
 
 def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray:

@@ -28,13 +28,24 @@ unconditionally stable and mass-conserving.
 
 The symbol is ``d = cos(theta_k) S[r] + sin(theta_k) S[s]`` with
 ``S[j] = sin(2 pi j / N)``; for even N, ``S[N/2 - j] = S[j]``, so
-``B_rs`` depends only on (S[r], S[s]).  Only these distinct generators
-(101 x 51 at N=200, not 200 x 101 modes) are diagonalized, once, and m
-Crank-Nicolson steps are applied in one pass as the propagator
-``V diag(rho^m) V^T`` with ``rho = (1 + dtau*w/2) / (1 - dtau*w/2)``.
-Along each axis a mode's index on the distinct grid runs in steps of +1
-or -1, so the half spectrum splits into a few blocks, each taking a
-strided block of the distinct propagators.
+``B_rs`` depends only on (S[r], S[s]): 101 x 51 distinct generators at
+N=200, not 200 x 101 modes.  Two reflections of the orientation grid
+relate these further (Citti & Sarti, JMIV 2006, for the continuum
+group).  The mirror ``S[-j] = -S[j]`` gives the generator at (-a, b)
+from the one at (a, b) with orientation k -> -k, since theta_{-k} =
+pi - theta_k; for even K, the axis swap gives the one at (b, a) with
+k -> K/2 - k, since theta_{K/2-k} = pi/2 - theta_k.  The angular
+stencil is invariant under both, so the generators are the same
+matrices with rows and columns permuted, and their eigenvectors are
+the canonical ones with the orientations permuted.  Only the canonical
+generators, a >= 0 and for even K a <= b, are diagonalized, once: 1,326
+of the 5,151 at N=200, K=16 (351 of 1,326 at N=100; 2,601 at N=200,
+K=15, which has no axis swap).  m Crank-Nicolson steps are applied in
+one pass as the propagator ``V diag(rho^m) V^T`` with ``rho = (1 +
+dtau*w/2) / (1 - dtau*w/2)``.  Along each axis a mode's index on the
+distinct grid runs in steps of +1 or -1, so the half spectrum splits
+into a few blocks, each taking a strided block of the distinct
+propagators.
 
 The evolution computes in the dtype of the stacks it is handed: float64
 stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
@@ -76,6 +87,9 @@ class HeatPropagator:
     ``eigvals``/``eigvecs`` hold the spectral factorization of every
     distinct ``B_rs`` (eigenvalues clipped to <= 0; the operator is
     negative semidefinite by construction, the clip removes roundoff).
+    Only the canonical generators under the mirror and axis swap are
+    factored; every other entry holds its canonical generator's
+    eigenvalues and, orientations permuted, eigenvectors.
     """
 
     n_pixels: int
@@ -130,7 +144,7 @@ class HeatPropagator:
 
 
 def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> HeatPropagator:
-    """Assemble and factor the per-mode generators.
+    """Assemble the per-mode generators and factor one per symmetry class.
 
     The spatial grid spacing h = 1/sqrt(N) enters the symbol as 1/h^2: the
     N x N pixel grid covers a sqrt(N)-wide square domain.
@@ -144,14 +158,7 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
     dtheta = math.pi / k
     ang_coeff = beta**2 / dtheta**2
 
-    # angles 2 pi j / N in units of pi / N; for even N, sin(x) = sin(pi - x)
-    # folds them into [-N/2, N/2], so S[j] and S[N/2 - j] come from one
-    # angle (bitwise equal) and the sorted distinct angles run monotonically
-    idx = np.arange(n)
-    q = 2 * idx
-    if n % 2 == 0:
-        q = np.where(4 * idx <= n, q, np.where(4 * idx <= 3 * n, n - q, q - 2 * n))
-    sines = np.sin(np.pi * q / n)
+    q, sines = _sines(n)
     theta = np.arange(k) * dtheta
     d = (
         np.cos(theta)[None, None, :] * sines[:, None, None]
@@ -166,15 +173,18 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         ang[j, (j - 1) % k] += ang_coeff
 
     # real inputs need only the non-negative frequencies along the second
-    # spatial axis (the conjugate modes share the same generator)
+    # spatial axis (the conjugate modes share the same generator); its
+    # distinct angles are the non-negative half of the first axis's
     nh = n // 2 + 1
-    _, r_first, r_grid = np.unique(q, return_index=True, return_inverse=True)
-    _, s_first, s_grid = np.unique(q[:nh], return_index=True, return_inverse=True)
-    generators = np.broadcast_to(ang, (len(r_first), len(s_first), k, k)).copy()
+    rows, r_grid = np.unique(q, return_inverse=True)
+    cols, s_first, s_grid = np.unique(q[:nh], return_index=True, return_inverse=True)
+    pairs, canon, perm = _symmetry_classes(rows, cols, k)
+    generators = np.broadcast_to(ang, (len(pairs[0]), k, k)).copy()
     eye = np.arange(k)
-    generators[..., eye, eye] -= d2h[np.ix_(r_first, s_first)]
-    eigvals, eigvecs = np.linalg.eigh(generators)
-    np.minimum(eigvals, 0.0, out=eigvals)
+    # row s_first[i] of d2h has the first-axis angle cols[i]
+    generators[:, eye, eye] -= d2h[s_first[pairs[0]], s_first[pairs[1]]]
+    vals, vecs = np.linalg.eigh(generators)
+    np.minimum(vals, 0.0, out=vals)
 
     return HeatPropagator(
         n_pixels=n,
@@ -183,10 +193,63 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         dtau=dtau,
         h=h,
         d2h=d2h,
-        eigvals=eigvals,
-        eigvecs=eigvecs,
+        eigvals=vals[canon],
+        eigvecs=vecs[canon[..., None], perm],
         pieces=[(rs, cs, us, vs) for rs, us in _runs(r_grid) for cs, vs in _runs(s_grid)],
     )
+
+
+def _sines(n):
+    """Angles 2 pi j / N in units of pi / N, folded, and their sines S[j].
+
+    The fold keeps each angle's sine while making the angles of mirrored
+    modes exact negatives, so that ``S[(N - j) % N] = -S[j]`` bitwise and
+    the first axis's distinct angles are symmetric about 0.  Even N
+    folds into [-N/2, N/2] by sin(x) = sin(pi - x), which also makes
+    ``S[N/2 - j] = S[j]`` bitwise; odd N folds into (-N, N).  Along
+    each axis the angles run in steps of 2 or -2, so a mode's index on
+    the sorted distinct angles runs in steps of +1 or -1 (``_runs``).
+    """
+    idx = np.arange(n)
+    q = 2 * idx
+    if n % 2 == 0:
+        q = np.where(4 * idx <= n, q, np.where(4 * idx <= 3 * n, n - q, q - 2 * n))
+    else:
+        q = np.where(2 * idx < n, q, q - 2 * n)
+    return q, np.sin(np.pi * q / n)
+
+
+def _symmetry_classes(rows, cols, k):
+    """The canonical generators, and how every distinct generator maps onto one.
+
+    ``rows`` and ``cols`` are the sorted distinct angles of the two
+    axes; ``rows`` is symmetric about 0 and ``cols`` is its non-negative
+    half.  The generator at angles (a, b) is the one at (-a, b) with the
+    orientations mapped k -> -k (mirror) and, for even K, the one at
+    (b, a) with k -> K/2 - k (axis swap); both together map k -> K/2 + k.
+    The canonical generators are those with a >= 0, and for even K only
+    a <= b.  Returns ``pairs``, their (a, b) as indices into ``cols``
+    (sorted, so a <= b holds for the indices too); ``canon``, the index
+    into ``pairs`` of the canonical generator of each distinct one
+    (U, V); and ``perm`` (U, V, K): an eigenvector of distinct generator
+    (u, v) has at orientation k the entry its canonical generator's
+    eigenvector has at ``perm[u, v, k]``.
+    """
+    nc = len(cols)
+    keep = np.ones((nc, nc), dtype=bool)
+    if k % 2 == 0:
+        keep = np.triu(keep)
+    pairs = np.nonzero(keep)
+    slot = np.cumsum(keep).reshape(nc, nc) - 1
+    a = np.searchsorted(cols, np.abs(rows))[:, None]
+    b = np.arange(nc)
+    swap = (a > b) & (k % 2 == 0)
+    canon = slot[np.where(swap, b, a), np.where(swap, a, b)]
+    orient = np.arange(k)
+    # indexed by mirror + 2 * swap; odd K never takes the last two
+    maps = np.stack([orient, -orient % k, (k // 2 - orient) % k, (k // 2 + orient) % k])
+    perm = maps[(rows < 0)[:, None] + 2 * swap]
+    return pairs, canon, perm
 
 
 def _runs(index):

@@ -69,8 +69,9 @@ def lhe_interaction(a, prop, tau, poly):
     """
     a = as_stack(a)
     n = poly.degree
-    evolved = _evolved_powers(a, prop, tau, np.empty((n,) + a.shape),
-                              mode_product_buffer(prop, n, a.dtype))
+    powers = np.empty((n,) + a.shape)
+    powers[0] = a
+    evolved = _evolved_powers(powers, prop, tau, mode_product_buffer(prop, n, a.dtype))
     return _combine(a, _weights(poly.coeffs), evolved, np.empty((n + 1, a.size)))[0]
 
 
@@ -128,6 +129,17 @@ class TestSigmoids:
         got, exact = sigmoid(single, alpha), sigmoid(double, alpha)
         assert (got.dtype, exact.dtype) == (np.float32, np.float64)
         np.testing.assert_array_equal(got, exact.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_into_out_matches_a_new_array(self, dtype):
+        # the WC evaluation clamps its kept stack in place
+        r = np.random.default_rng(16).uniform(-1.0, 2.0, (8, 8, 4)).astype(dtype)
+        expected = sigmoid(r, 6.0)
+        out = np.full_like(r, np.nan)
+        assert sigmoid(r, 6.0, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        assert sigmoid(r, 6.0, out=r) is r
+        np.testing.assert_array_equal(r, expected)
 
 
 class TestPolynomialFit:
@@ -309,6 +321,18 @@ class TestLocalMean:
 
 
 class TestGdStep:
+    @pytest.mark.parametrize("inter_dtype", [np.float32, np.float64])
+    def test_matches_the_reference_formula_bitwise(self, inter_dtype):
+        cfg = ModelConfig(model="wc", lam=0.7, alpha=2.0, sigma_mu=1.0,
+                          dt=0.3, dtau=0.01, tau=0.1, sigma_sign="flipped")
+        rng = np.random.default_rng(9)
+        a, forcing = rng.standard_normal((2, 6, 6, 3))
+        inter = rng.standard_normal((6, 6, 3)).astype(inter_dtype)
+        expected = a + cfg.dt * (
+            -(1.0 + cfg.lam) * a + forcing + cfg.interaction_scale * inter
+        )
+        np.testing.assert_array_equal(gd_step(a, forcing, inter, cfg), expected)
+
     def test_fixed_point(self):
         cfg = ModelConfig(model="wc", lam=1.5, alpha=2.0, sigma_mu=1.0,
                           dt=0.2, dtau=0.01, tau=0.1)

@@ -6,7 +6,10 @@ from scipy.fft import irfft2, rfft2
 from scipy.linalg import expm
 
 from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
-from srcortex.heat import SINGLE_FLUSH, _evolve_batch, mode_product_buffer
+from srcortex.heat import SINGLE_FLUSH, _evolve_batch, _sines, mode_product_buffer
+
+# (N, K): odd and even K, odd N and N mod 4 = 0 and 2
+GRIDS = [(4, 2), (3, 3), (7, 5), (6, 6), (10, 4), (8, 16)]
 
 
 def angular_second_difference(g, beta: float, dtheta: float) -> np.ndarray:
@@ -77,6 +80,16 @@ def factored_generator(prop, r, s):
     entry = grid_entry(prop, r, s)
     vecs = prop.eigvecs[entry]
     return (vecs * prop.eigvals[entry]) @ vecs.T
+
+
+def distinct_generators(prop):
+    """Every distinct generator of the grid, assembled from a mode it serves."""
+    k = prop.n_orient
+    ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
+    d2h = np.empty(prop.eigvals.shape)
+    for rows, cols, us, vs in prop.pieces:
+        d2h[us, vs] = prop.d2h[rows, cols]
+    return ang - d2h[..., None] * np.eye(k)
 
 
 def assembled_generator(prop, r, s):
@@ -196,10 +209,11 @@ class TestPropagator:
         ]
         np.testing.assert_allclose(np.sort(vals), np.sort(np.ravel(full)), atol=1e-12)
 
-    @pytest.mark.parametrize("n", [6, 8, 10, 7])
-    def test_every_mode_rebuilt_from_its_distinct_eigenpairs(self, n):
-        # N mod 4 = 2, 0, 2 and odd; the pieces tile the half spectrum once
-        prop = build_propagator(n, 5, 0.8, 0.02)
+    @pytest.mark.parametrize("n, k", GRIDS, ids=[str(n) for n, _ in GRIDS])
+    def test_every_mode_rebuilt_from_its_distinct_eigenpairs(self, n, k):
+        # the pieces tile the half spectrum once, and each mode's generator
+        # comes back from the eigenpairs its canonical generator lends it
+        prop = build_propagator(n, k, 0.8, 0.02)
         covered = np.zeros((n, n // 2 + 1), dtype=int)
         for rows, cols, _, _ in prop.pieces:
             covered[rows, cols] += 1
@@ -211,6 +225,49 @@ class TestPropagator:
                     factored_generator(prop, r, s), mat, rtol=0.0,
                     atol=1e-12 * np.abs(mat).max(),
                 )
+
+    @pytest.mark.parametrize("n, k", GRIDS + [(100, 16)])
+    def test_every_distinct_eigenbasis_orthonormal(self, n, k):
+        vecs = build_propagator(n, k, 0.8, 0.02).eigvecs
+        gram = np.swapaxes(vecs, -1, -2) @ vecs
+        assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("beta", [ModelConfig.beta_for(100, 16), 0.05])
+    def test_matches_factoring_every_distinct_generator(self, beta):
+        # oracle: eigh on each distinct generator, no symmetry used
+        prop = build_propagator(100, 16, beta, 0.01)
+        vals, vecs = np.linalg.eigh(distinct_generators(prop))
+        z = 0.5 * prop.dtau * np.minimum(vals, 0.0)
+        for m in (1, 500):
+            rho = ((1.0 + z) / (1.0 - z)) ** m
+            expected = (vecs * rho[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+            assert np.abs(prop.propagator(m) - expected).max() <= 1e-11
+
+    @pytest.mark.parametrize("n, k, factored", [
+        (200, 16, 1326),  # 51 angles a per axis: a <= b under the axis swap
+        (200, 15, 2601),  # odd K: no axis swap, 51 x 51
+        (100, 16, 351),
+        (7, 5, 16),
+    ])
+    def test_factors_one_generator_per_symmetry_class(self, monkeypatch, n, k, factored):
+        eigh, sizes = np.linalg.eigh, []
+
+        def counted(mats):
+            sizes.append(math.prod(mats.shape[:-2]))
+            return eigh(mats)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        build_propagator(n, k, 0.05, 0.01)
+        assert sizes == [factored]
+
+    @pytest.mark.parametrize("n", [3, 7, 101, 199, 8, 10, 200])
+    def test_mirrored_modes_have_negated_sines_bitwise(self, n):
+        q, sines = _sines(n)
+        j = np.arange(n)
+        np.testing.assert_array_equal(q[(n - j) % n], -q[j])
+        np.testing.assert_array_equal(sines[(n - j) % n], -sines[j])
+        d2h = build_propagator(n, 4, 0.5, 0.01).d2h
+        np.testing.assert_array_equal(d2h[(n - j) % n][:, (n - j) % n], d2h)
 
     def test_paper_size_factors_distinct_generators_only(self):
         prop = build_propagator(200, 16, 0.05, 0.01)
