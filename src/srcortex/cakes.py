@@ -84,7 +84,9 @@ def _build_filters(n, k, bw, phi, taper) -> np.ndarray:
     dtheta = np.pi / k
     spline = _cardinal_bspline(bw)
     half_support = (bw + 1) / 2.0 * dtheta
-    reach = int(np.ceil((half_support + np.pi / 2.0) / np.pi))
+    # the shift by q pi lies at least |q| pi - pi/2 from the folded offset,
+    # so only |q| pi - pi/2 < half_support can reach the support
+    reach = math.ceil(half_support / np.pi + 0.5) - 1
     filters = np.empty((k, n, n))
     for j in range(k):
         center = j * dtheta + np.pi / 2.0

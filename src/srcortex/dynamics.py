@@ -53,10 +53,11 @@ terms, Sigma, the product a H and the sums stay float64.
 ``model_drift`` and ``lhe_energy`` evaluate wholly in float64.  An
 evaluation keeps the arrays it hands the heat layer for as long as it
 lives (a whole run in ``run_model``): the evolution's complex
-mode-product buffer, and the sigmoid stack (WC) or the n powers and the
-combine's rows (LHE).  The evolved stacks are the one large array a
-call allocates besides the forward spectrum, whose memory they take
-over.
+mode-product buffer (for WC, the modes gathered by generator and their
+product), and the sigmoid stack (WC) or the n powers and the combine's
+rows (LHE).  The evolved stacks are the one large array a call
+allocates besides the forward spectrum; the LHE ones take over its
+memory.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -81,7 +82,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .cakes import lift
-from .core import LHE, WC, ModelConfig, as_stack, check_fit
+from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
 from .core import project, relative_change
 from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
 
@@ -99,16 +100,18 @@ _BLAS_THREAD_SYMBOLS = (
 def sigmoid(r, alpha: float, out=None):
     """Decreasing saturation of activity: -clamp(alpha * (r - 1/2), -1, 1).
 
-    Computes in float32 for a float32 ``r``, in float64 otherwise, into
-    ``out`` if given (which may be ``r`` itself) or a new array.
+    Computes in ``out``'s dtype into ``out`` if given (which may be ``r``
+    itself), else in float32 for a float32 ``r`` and float64 otherwise
+    into a new array.  The cast and the shift are one pass, and the
+    negation rides on the slope: clamping is odd, so ``clip(-alpha x)``
+    is the negated clamp bit for bit.
     """
     r = np.asarray(r)
-    dtype = np.float32 if r.dtype == np.float32 else np.float64
-    x = np.empty(r.shape, dtype) if out is None else out
-    np.subtract(r, 0.5, out=x, dtype=dtype)
-    x *= alpha
-    np.clip(x, -1.0, 1.0, out=x)
-    return np.negative(x, out=x)
+    if out is None:
+        out = np.empty(r.shape, np.float32 if r.dtype == np.float32 else np.float64)
+    np.subtract(r, 0.5, out=out, dtype=out.dtype)
+    out *= -alpha
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def sigmoid_hat(r, alpha: float):
@@ -225,8 +228,8 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
     is the energy of ``a`` for LHE and None for WC.  The kernel terms
     are computed from ``a`` cast to ``dtype`` in a kept array (the WC
-    sigmoid stack, which the sigmoid then overwrites in place, or the
-    first LHE power), and ``term`` comes back in ``dtype``: the WC
+    sigmoid stack, which the sigmoid writes from ``a`` in the same pass,
+    or the first LHE power), and ``term`` comes back in ``dtype``: the WC
     sigmoid and its evolution, or the LHE powers, their evolutions and
     the combine.  The LHE energy's fidelity terms,
     primitive and sums take ``a`` itself.  The LHE fit and its weight
@@ -244,8 +247,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
         product = mode_product_buffer(prop, 1, dtype)
 
         def wc(a):
-            np.copyto(stack[..., 0], as_stack(a), casting="same_kind")
-            sigmoid(stack, cfg.alpha, out=stack)
+            sigmoid(as_stack(a), cfg.alpha, out=stack[..., 0])
             return _evolve_batch(stack, prop, m, product)[..., 0], None
 
         return wc
@@ -268,9 +270,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     return lhe
 
 
-def _drift(a, forcing, inter, cfg: ModelConfig):
-    """``-(1 + lam) a + forcing + s * inter``, summed in that order into one new array."""
-    g = a * -(1.0 + cfg.lam)
+def _drift(a, forcing, inter, cfg: ModelConfig, out=None):
+    """``-(1 + lam) a + forcing + s * inter``, summed in that order into ``out`` or a new array."""
+    g = np.multiply(a, -(1.0 + cfg.lam), out=out)
     g += forcing
     g += cfg.interaction_scale * inter
     return g
@@ -279,11 +281,17 @@ def _drift(a, forcing, inter, cfg: ModelConfig):
 def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
     """One explicit descent update from precomputed forcing and interaction.
 
-    ``a + dt * drift``, computed in the drift's array.
+    ``a + dt * drift`` into a new float64 array, a block of ``BLOCK``
+    entries at a time: each block's drift and update are done while it
+    is in cache, so every array is read from memory once.
     """
-    g = _drift(a, forcing, inter, cfg)
-    g *= cfg.dt
-    g += a
+    g = np.empty(a.shape)
+    flat = [x.ravel() for x in (g, a, forcing, inter)]
+    for start in range(0, g.size, BLOCK):
+        out, a_b, f_b, i_b = (x[start : start + BLOCK] for x in flat)
+        _drift(a_b, f_b, i_b, cfg, out)
+        out *= cfg.dt
+        out += a_b
     return g
 
 

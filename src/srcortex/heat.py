@@ -47,6 +47,26 @@ distinct grid runs in steps of +1 or -1, so the half spectrum splits
 into a few blocks, each taking a strided block of the distinct
 propagators.
 
+Each block also keeps one partner slot.  For even N the rows r and
+N/2 - r share a generator, and so do the columns s and N/2 - s, so a
+generator serves up to four modes; the slot says which of them a mode
+is (S = 4 slots, 8 blocks at N=100 and N=200).  For odd N every
+generator serves one mode (S = 1).  A batch of stacks, the LHE powers,
+takes one (K, K) @ (K, 2B) product per mode, one batched matmul per
+block.  One stack would make that 20,200 (K, K) @ (K, 2) BLAS calls at
+N=200, whose call overhead dominates, so it is gathered instead: each
+block copies its modes into its slot of a ``(U, V, K, S)`` complex
+array, one matmul applies each distinct generator to its (K, 2S)
+right-hand side (5,151 products at N=200), and the blocks are
+scattered back.  Measured on one thread of a 2-vCPU machine (float32,
+K=16), per-block then gathered: one stack 1.17 -> 0.58 ms at N=100
+and 4.5 -> 2.3 ms at N=200; two stacks 1.2 -> 2.2 ms at N=100; nine
+2.3 -> 4.0 ms at N=100 and 11 -> 25 ms at N=200, where copying the
+wider chunks costs more than the calls it saves.  So only a batch of
+one is gathered.  In float32 the two products are equal bit for bit;
+in float64 OpenBLAS may sum a (K, 2S) right-hand side in another order
+than a (K, 2) one (seen at K >= 16), which moves results by an ulp.
+
 The evolution computes in the dtype of the stacks it is handed: float64
 stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
 evaluations') its single-precision copy.  That copy sets every entry
@@ -58,14 +78,16 @@ N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
 The dropped entries lie far below float32's resolution of the results.
 
 The inverse transform, ``irfft2`` here, inverts the complex axis in
-place in the mode-product buffer, then the real axis into a new array.
-A caller that evolves the same shapes on every iteration (the WC and
-LHE evaluations) holds the mode-product buffer for the whole run; then
-the forward spectrum and the real result are the only arrays a call
-allocates, and the result takes the memory the spectrum has just
-released.  Measured at N=100 and N=200 (float32, nine stacks), no call
-after the first faults in fresh pages; an LHE run at N=100 takes about
-10k minor page faults in all, most of them in set-up.
+place in the mode-product buffer (for one stack, in the forward
+spectrum the products were scattered into), then the real axis into a
+new array.  A caller that evolves the same shapes on every iteration
+(the WC and LHE evaluations) holds the mode-product buffer for the
+whole run; then the forward spectrum and the real result are the only
+arrays a call allocates, and for a batch the result takes the memory
+the spectrum has just released.  Measured at N=100 and N=200 (float32,
+nine stacks), no call after the first faults in fresh pages; an LHE run
+at N=100 takes about 10k minor page faults in all, most of them in
+set-up.
 """
 
 import math
@@ -100,8 +122,9 @@ class HeatPropagator:
     d2h: np.ndarray  # (N, N, K): d[r,s,k]^2 / h^2
     eigvals: np.ndarray  # (U, V, K): U, V distinct S[r], S[s] (r < N, s <= N//2)
     eigvecs: np.ndarray  # (U, V, K, K), columns are eigenvectors
-    # (rows, cols, us, vs): half-spectrum modes [rows, cols] take the
-    # generators [us, vs] of the distinct grid (us, vs of step +1 or -1)
+    # (rows, cols, us, vs, slot): half-spectrum modes [rows, cols] take the
+    # generators [us, vs] of the distinct grid (us, vs of step +1 or -1),
+    # as partner ``slot`` of those that share a generator (``_pieces``)
     pieces: list
     _prop_cache: dict = field(default_factory=dict, repr=False)
 
@@ -195,7 +218,7 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         d2h=d2h,
         eigvals=vals[canon],
         eigvecs=vecs[canon[..., None], perm],
-        pieces=[(rs, cs, us, vs) for rs, us in _runs(r_grid) for cs, vs in _runs(s_grid)],
+        pieces=_pieces(r_grid, s_grid),
     )
 
 
@@ -252,16 +275,48 @@ def _symmetry_classes(rows, cols, k):
     return pairs, canon, perm
 
 
+def _pieces(r_grid, s_grid):
+    """The half spectrum as blocks ``(rows, cols, us, vs, slot)``.
+
+    Modes ``[rows, cols]`` take the generators ``[us, vs]`` of the
+    distinct grid, and each block keeps one partner slot: which of the
+    up to four modes sharing a generator (two rows times two columns,
+    for even N) it is.  No two modes share a generator and a slot.
+    """
+    row_runs, col_runs = _runs(r_grid), _runs(s_grid)
+    col_slots = 1 + max(slot for _, _, slot in col_runs)
+    return [
+        (rs, cs, us, vs, r_slot * col_slots + c_slot)
+        for rs, us, r_slot in row_runs
+        for cs, vs, c_slot in col_runs
+    ]
+
+
 def _runs(index):
-    """Split an index map into runs of step +1 or -1: (source, target) slices."""
+    """Split an index map into runs of step +1 or -1 that keep one partner slot.
+
+    The slot of a source is how many earlier sources share its target:
+    0, or 1 for the second of two partners.  Returns (source slice,
+    target slice, slot) per run.
+    """
+    index = index.tolist()
+    slot, seen = [], {}
+    for target in index:
+        slot.append(seen.get(target, 0))
+        seen[target] = slot[-1] + 1
+
+    def extends(i, step):
+        return i < len(index) and slot[i] == slot[i - 1] and index[i] - index[i - 1] == step
+
     runs, start = [], 0
     while start < len(index):
-        stop, first = start + 1, int(index[start])
-        step = -1 if stop < len(index) and index[stop] == first - 1 else 1
-        while stop < len(index) and index[stop] - index[stop - 1] == step:
+        step = -1 if extends(start + 1, -1) else 1
+        stop = start + 1
+        while extends(stop, step):
             stop += 1
-        end = first + step * (stop - start)
-        runs.append((slice(start, stop), slice(first, end if end >= 0 else None, step)))
+        end = index[start] + step * (stop - start)
+        target = slice(index[start], end if end >= 0 else None, step)
+        runs.append((slice(start, stop), target, slot[start]))
         start = stop
     return runs
 
@@ -286,9 +341,19 @@ def _check_shape(a, prop):
 
 
 def mode_product_buffer(prop: HeatPropagator, batch: int, dtype) -> np.ndarray:
-    """The complex half spectrum ``(N, N//2 + 1, K, batch)`` of real stacks of ``dtype``."""
+    """The complex buffer ``_evolve_batch`` takes for ``batch`` real stacks of ``dtype``.
+
+    For a batch, the half spectrum ``(N, N//2 + 1, K, batch)``.  For one
+    stack, ``(2, U, V, K, S)``: the half-spectrum modes gathered by
+    generator into S partner slots, and their product.  It is
+    zero-filled, so the slots that no mode takes only ever hold zeros.
+    """
+    ctype = np.result_type(dtype, np.complex64)
+    if batch == 1:
+        slots = 1 + max(piece[-1] for piece in prop.pieces)
+        return np.zeros((2,) + prop.eigvals.shape + (slots,), ctype)
     n = prop.n_pixels
-    return np.empty((n, n // 2 + 1, prop.n_orient, batch), np.result_type(dtype, np.complex64))
+    return np.empty((n, n // 2 + 1, prop.n_orient, batch), ctype)
 
 
 def _evolve_batch(stacks, prop, m, product=None):
@@ -296,10 +361,16 @@ def _evolve_batch(stacks, prop, m, product=None):
 
     The result has the stacks' dtype, float64 or float32.  m = 0 is the
     identity and returns a copy.  Each mode's real propagator multiplies
-    the complex spectrum viewed as interleaved (re, im) reals: one real
-    (K, K) @ (K, 2B) product per mode instead of one for each part, one
-    batched product per piece.  ``product``, a ``mode_product_buffer``,
-    receives the mode product and is overwritten by the inverse; None
+    the complex spectrum viewed as interleaved (re, im) reals, so one
+    real product serves both parts.  A batch takes one batched matmul
+    per block of ``prop.pieces``, a (K, K) @ (K, 2B) product per mode,
+    into the half spectrum ``product``.  One stack is gathered by
+    generator instead: each block copies its modes into its partner
+    slot of ``product[0]``, one matmul applies every distinct generator
+    to its (K, 2S) right-hand side into ``product[1]``, and the blocks
+    are scattered back into the forward spectrum.  Gathering pays only
+    for a batch of one (measured crossover in the module docstring).
+    ``product``, a ``mode_product_buffer``, is overwritten; None
     allocates it.
     """
     if m == 0:
@@ -308,8 +379,16 @@ def _evolve_batch(stacks, prop, m, product=None):
     spec = rfft2(stacks, axes=(0, 1), workers=-1)
     if product is None:
         product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)
+    if stacks.shape[-1] == 1:
+        gathered, evolved = product
+        for rows, cols, us, vs, slot in prop.pieces:
+            gathered[us, vs, :, slot] = spec[rows, cols, :, 0]
+        np.matmul(pm, gathered.view(stacks.dtype), out=evolved.view(stacks.dtype))
+        for rows, cols, us, vs, slot in prop.pieces:
+            spec[rows, cols, :, 0] = evolved[us, vs, :, slot]
+        return irfft2(spec, prop.n_pixels)
     spec, real = spec.view(stacks.dtype), product.view(stacks.dtype)
-    for rows, cols, us, vs in prop.pieces:
+    for rows, cols, us, vs, _ in prop.pieces:
         np.matmul(pm[us, vs], spec[rows, cols], out=real[rows, cols])
     del spec  # the inverse's output takes the forward spectrum's memory
     return irfft2(product, prop.n_pixels)

@@ -115,6 +115,32 @@ def test_wc_run_reaches_the_traced_names(recorder, monkeypatch):
     assert rec.counts["evolve_calls"] == rec.counts["stacks_evolved"] == res.iterations
 
 
+def test_lhe_run_reaches_the_traced_names(recorder, monkeypatch):
+    # iter_ms reads the gaps between the relative changes, one per
+    # accepted iteration; evolve_calls one evolution of the powers per
+    # evaluation, the rejected extrapolations' included
+    rec = recorder.Recorder(trace=True)
+    dynamics = recorder.dynamics
+    wrapped = {
+        "relative_change": rec.span("dynamics.relative_change", dynamics.relative_change),
+        "_evolve_batch": rec.span("heat.evolve", rec._counted_evolve(dynamics._evolve_batch)),
+    }
+    for name, fn in wrapped.items():
+        monkeypatch.setattr(dynamics, name, fn)
+    n, k = 32, 8
+    f0 = poggendorff_gratings(StimulusSpec(n_pixels=n, bar_width=8, grating_period=8,
+                                           line_thickness=3))
+    cfg = ModelConfig(model="lhe", lam=0.5, alpha=6.0, sigma_mu=2.0, dt=0.15,
+                      dtau=0.01, tau=0.5, max_iters=10)
+    res = run_model(f0, cfg, build_cake_bank(n, k, 5),
+                    build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau))
+    names = [span[0] for span in rec.spans]
+    assert res.iterations == 10 and res.rejected_steps >= 1
+    assert names.count("dynamics.relative_change") == len(res.rel_history)
+    assert names.count("heat.evolve") == rec.counts["evolve_calls"] == res.iterations
+    assert rec.counts["stacks_evolved"] == res.iterations * cfg.poly_degree
+
+
 def test_built_objects_carry_the_recorded_attributes():
     prop = build_propagator(8, 4, 0.05, 0.01)
     for name in ("_prop_cache", "eigvals", "eigvecs", "d2h", "n_orient", "n_pixels"):

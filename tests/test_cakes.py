@@ -11,7 +11,7 @@ from srcortex import (
     pou_check,
     project,
 )
-from srcortex.cakes import retained_mask
+from srcortex.cakes import _cardinal_bspline, _freq_radius, _radial_taper, retained_mask
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +44,37 @@ def test_real_filters_give_the_complex_bank_bits():
     assert pou_check(as_complex) == bank.pou_residual
     img = np.random.default_rng(3).random((48, 48))
     np.testing.assert_array_equal(lift(img, as_complex), lift(img, bank))
+
+
+def shifted_filters(n, k, bw, reach):
+    """The bank's filters with the spline shifts q pi, |q| <= reach, summed in order of q."""
+    dtheta = np.pi / k
+    spline = _cardinal_bspline(bw)
+    u = np.fft.fftfreq(n) * n
+    phi = np.arctan2(u[None, :], u[:, None])
+    taper = _radial_taper(_freq_radius(n), n)
+    filters = np.empty((k, n, n))
+    for j in range(k):
+        base = (phi - (j * dtheta + np.pi / 2.0) + np.pi / 2.0) % np.pi - np.pi / 2.0
+        profile = np.zeros((n, n))
+        for q in range(-reach, reach + 1):
+            profile += spline((base + q * np.pi) / dtheta)
+        filters[j] = profile * taper
+    filters[:, 0, 0] = 1.0 / k
+    return filters
+
+
+@pytest.mark.parametrize("k, needed", [(16, 0), (4, 1)])
+def test_bank_sums_every_shift_that_reaches_the_support(k, needed):
+    # |q| <= 2 covers every shift that can reach a support of half-width
+    # 3 pi / K; the bank evaluates only |q| <= needed, and the shifts it
+    # skips add exact zeros
+    n, bw = 32, 5
+    every = shifted_filters(n, k, bw, 2)
+    np.testing.assert_array_equal(build_cake_bank(n, k, bw).filters, every)
+    assert np.array_equal(shifted_filters(n, k, bw, needed), every)
+    if needed:
+        assert not np.array_equal(shifted_filters(n, k, bw, needed - 1), every)
 
 
 def test_two_wedges_sum_to_one():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from srcortex import ModelConfig, project, relative_change, renormalize
+from srcortex.core import BLOCK
 from srcortex.core import steps_of
 from srcortex.imgio import read_pgm, to_bytes_image, write_pgm
 
@@ -49,6 +50,17 @@ def test_relative_change_zero_reference():
     b = np.ones_like(z)
     assert relative_change(z, z) == 0.0
     assert relative_change(z, b) == math.inf
+
+
+def test_relative_change_across_blocks():
+    # two full blocks and part of a third, against the unblocked norms
+    rng = np.random.default_rng(4)
+    a, b = rng.standard_normal((2, 5 * BLOCK // 2))
+    expected = np.linalg.norm(a - b) / np.linalg.norm(a)
+    assert relative_change(a, b) == pytest.approx(expected, rel=1e-14)
+    tail = np.zeros_like(a)
+    tail[-1] = 1.0
+    assert relative_change(a, a - tail) == pytest.approx(1.0 / np.linalg.norm(a), rel=1e-14)
 
 
 def test_relative_change_shape_mismatch():

@@ -27,7 +27,7 @@ from srcortex import (
     run_model,
 )
 from srcortex import dynamics
-from srcortex.core import as_stack
+from srcortex.core import BLOCK, as_stack
 from srcortex.dynamics import (
     _combine,
     _evolved_powers,
@@ -328,6 +328,19 @@ class TestGdStep:
         rng = np.random.default_rng(9)
         a, forcing = rng.standard_normal((2, 6, 6, 3))
         inter = rng.standard_normal((6, 6, 3)).astype(inter_dtype)
+        expected = a + cfg.dt * (
+            -(1.0 + cfg.lam) * a + forcing + cfg.interaction_scale * inter
+        )
+        np.testing.assert_array_equal(gd_step(a, forcing, inter, cfg), expected)
+
+    def test_blocks_match_the_unblocked_formula_bitwise(self):
+        # 49,152 entries: one full block of the passes and part of a second
+        cfg = ModelConfig(model="wc", lam=0.7, alpha=2.0, sigma_mu=1.0,
+                          dt=0.3, dtau=0.01, tau=0.1)
+        rng = np.random.default_rng(10)
+        a, forcing = rng.standard_normal((2, 128, 128, 3))
+        inter = rng.standard_normal((128, 128, 3)).astype(np.float32)
+        assert a.size > BLOCK
         expected = a + cfg.dt * (
             -(1.0 + cfg.lam) * a + forcing + cfg.interaction_scale * inter
         )
@@ -784,9 +797,9 @@ class TestKeptArrays:
         # numpy reports its arrays to tracemalloc.  A warm float32 LHE
         # evaluation allocates the forward spectrum (about nine stacks),
         # then in its place the nine evolved stacks, and a few single
-        # stacks.  A WC one holds about two stacks at a time: the float32
-        # state and its sigmoid, then the forward spectrum and the evolved
-        # stack (measured peak 2.02).  The kept arrays live in the closure
+        # stacks.  A WC one holds about two stacks at a time: the forward
+        # spectrum, which the inverse works in, and the evolved stack
+        # (measured peak 2.11).  The kept arrays live in the closure
         for model, budget in (("lhe", 12), ("wc", 3)):
             cfg, prop, a0, mu, a, _ = self._case(model)
             evaluate = _interaction(cfg, prop, a0, mu, np.float32)
