@@ -7,7 +7,7 @@ import argparse
 import dataclasses
 import sys
 
-from .core import FORCINGS, MODELS, SIGMA_SIGNS, ModelConfig
+from .core import FORCINGS, MODELS, ModelConfig
 from .experiment import SWEEPABLE, ExperimentConfig, run_experiment, run_sweep
 from .stimuli import GRATINGS, STIMULUS_KINDS, StimulusSpec
 
@@ -52,7 +52,6 @@ def build_parser() -> _Parser:
                    help=f"run once per value of one of {', '.join(SWEEPABLE)}")
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     p.add_argument("--forcing", choices=FORCINGS)
-    p.add_argument("--sigma-sign", choices=SIGMA_SIGNS)
     # the ModelConfig fields with a default take it from ModelConfig
     p.set_defaults(**{f.name: f.default for f in dataclasses.fields(ModelConfig)
                       if f.default is not dataclasses.MISSING})

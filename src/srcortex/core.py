@@ -16,7 +16,6 @@ WC = "wc"
 LHE = "lhe"
 MODELS = (WC, LHE)
 FORCINGS = ("continuous", "discrete-paper")
-SIGMA_SIGNS = ("paper", "flipped")
 MAX_POLY_DEGREE = 15  # contrast-sigmoid fit; above it the fit is ill-conditioned
 # entries per block of a blocked float64 pass: 256 KB, so a block's few
 # arrays stay in a core's L2 cache between the operations on it
@@ -93,8 +92,7 @@ class ModelConfig:
 
     Fields follow the evolution equation
     ``da/dt = -(1 + lam) a + lam a0 + mu + (s/2M) * interaction`` with
-    the interaction normalizer M = 1 fixed and s = +-1 set by
-    ``sigma_sign``:
+    the sign s = +1 and the interaction normalizer M = 1 both fixed:
 
     - ``model``: "wc" (sigmoid of activity) or "lhe" (sigmoid of contrast)
     - ``lam``: fidelity weight (>= 0)
@@ -107,9 +105,6 @@ class ModelConfig:
     - ``poly_degree``: odd degree of the contrast-sigmoid fit (LHE only)
     - ``forcing``: "continuous" uses lam*a0 + mu, "discrete-paper" swaps
       the roles to a0 + lam*mu
-    - ``sigma_sign``: the sign s of the interaction's scale s/2M:
-      "paper" (+1) keeps the decreasing sigmoid, "flipped" (-1) negates
-      the interaction nonlinearity
     """
 
     model: str
@@ -123,7 +118,6 @@ class ModelConfig:
     poly_degree: int = 9
     max_iters: int = 500
     forcing: str = "continuous"
-    sigma_sign: str = "paper"
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -149,13 +143,6 @@ class ModelConfig:
             raise ValueError("max_iters must be >= 1")
         if self.forcing not in FORCINGS:
             raise ValueError(f"unknown forcing {self.forcing!r}")
-        if self.sigma_sign not in SIGMA_SIGNS:
-            raise ValueError(f"unknown sigma_sign {self.sigma_sign!r}")
-
-    @property
-    def interaction_scale(self) -> float:
-        """s/2M, the interaction's weight in the drift (M = 1, s from sigma_sign)."""
-        return 0.5 if self.sigma_sign == "paper" else -0.5
 
     @property
     def fidelity_weights(self) -> tuple[float, float]:

@@ -5,10 +5,10 @@ Both models evolve an activation stack ``a`` by explicit time stepping of
     da/dt = -(1 + lam) a + lam a0 + mu + (s/2M) * S[a]
 
 where ``S`` applies the heat kernel to a sigmoid of the activity (WC) or
-of the local contrast (LHE).  M = 1, and s = +1 for ``sigma_sign="paper"``
-and -1 for ``"flipped"``; the one scalar s/2M is
-``ModelConfig.interaction_scale``.  Under ``forcing="discrete-paper"``
-the stimulus and its local mean swap weights: ``a0 + lam mu``.
+of the local contrast (LHE).  The sign s = +1 and the normalizer M = 1
+are both fixed, so the one scalar s/2M = 1/2 is ``INTERACTION_SCALE``.
+Under ``forcing="discrete-paper"`` the stimulus and its local mean swap
+weights: ``a0 + lam mu``.
 
 The LHE contrast term is made separable by replacing the clamped-linear
 sigmoid with an odd polynomial fit.  Expanding ``sum_j c_j (x - y)^j``
@@ -89,6 +89,7 @@ from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
 RUN_DTYPE = np.float32  # run_model's dtype for the kernel terms of both models
+INTERACTION_SCALE = 0.5  # s/2M, the interaction's weight in the drift
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -238,8 +239,11 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     The evaluation allocates the arrays it hands the heat layer once,
     here: the mode-product buffer, and the sigmoid stack (WC) or the
     powers and rows (LHE).  Each call returns a new ``term``; the rows
-    an LHE call hands the energy are overwritten by the next call.  A
-    WC call first checks that ``a`` is a finite stack.
+    an LHE call hands the energy are overwritten by the next call.
+    No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
+    first.  In ``run_model`` a WC state is ``a0`` or a step whose
+    relative change was found finite, and a non-finite LHE state gives a
+    non-finite energy, which the run rejects.
     """
     if cfg.model == WC:
         m = prop.step_count(cfg.tau)
@@ -247,7 +251,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
         product = mode_product_buffer(prop, 1, dtype)
 
         def wc(a):
-            sigmoid(as_stack(a), cfg.alpha, out=stack[..., 0])
+            sigmoid(a, cfg.alpha, out=stack[..., 0])
             return _evolve_batch(stack, prop, m, product)[..., 0], None
 
         return wc
@@ -271,10 +275,10 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
 
 
 def _drift(a, forcing, inter, cfg: ModelConfig, out=None):
-    """``-(1 + lam) a + forcing + s * inter``, summed in that order into ``out`` or a new array."""
+    """``-(1 + lam) a + forcing + inter / 2``, summed in that order into ``out`` or a new array."""
     g = np.multiply(a, -(1.0 + cfg.lam), out=out)
     g += forcing
-    g += cfg.interaction_scale * inter
+    g += INTERACTION_SCALE * inter
     return g
 
 
@@ -350,7 +354,7 @@ def _energy_from_terms(a, a0, mu, cfg, prim, rows, x) -> float:
     double_sum = _horner(diff, prim[::2])
     np.multiply(a, h, out=diff)
     double_sum += diff
-    inter = -0.5 * cfg.interaction_scale * float(double_sum.sum())
+    inter = -0.5 * INTERACTION_SCALE * float(double_sum.sum())
     return fidelity + mean_term + inter
 
 

@@ -2,8 +2,8 @@
 
 ``run_experiment`` generates or loads the stimulus, builds the wavelet
 bank and the heat propagator, runs the model loop, writes the artifacts
-(input/output/crop images, per-iteration trace, flat-text and JSON
-reports) and measures the completion offset.  ``run_sweep`` repeats an
+(input/output/crop images, per-iteration trace, JSON report) and
+measures the completion offset.  ``run_sweep`` repeats an
 experiment over a parameter list in parallel worker processes, one per
 value up to four.
 
@@ -210,7 +210,7 @@ def make_stimulus(spec: StimulusSpec) -> np.ndarray:
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute one configuration and write its artifacts.
 
-    Returns the report dictionary (also written as report.txt/json).
+    Returns the report dictionary (also written as report.json).
     Report contents are a pure function of the config, so repeated runs
     produce identical files.
     """
@@ -304,9 +304,6 @@ def _format_value(value) -> str:
 
 
 def _write_report(out: Path, report: dict) -> None:
-    with open(out / "report.txt", "w") as fh:
-        for key, value in report.items():
-            fh.write(f"{key}={_format_value(value)}\n")
     with open(out / "report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")

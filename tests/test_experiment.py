@@ -20,6 +20,9 @@ from srcortex.cli import build_parser, config_from_args, main
 from srcortex.imgio import write_pgm
 from srcortex.stimuli import BACKGROUND
 
+# every file a single run writes
+ARTIFACTS = ("input.pgm", "output.pgm", "crop.pgm", "trace.csv", "report.json")
+
 
 def paper_spec():
     return StimulusSpec()  # 200 px, 30 px bar, pi/3, 25 px gratings
@@ -144,9 +147,7 @@ class TestRunExperiment:
         cfg = quick_config(tmp_path)
         report = run_experiment(cfg)
         out = tmp_path / "run"
-        for name in ("input.pgm", "output.pgm", "crop.pgm", "trace.csv",
-                     "report.txt", "report.json"):
-            assert (out / name).exists()
+        assert {path.name for path in out.iterdir()} == set(ARTIFACTS)
         assert report["model"] == "lhe"
         assert report["stimulus"] == "gratings"
         assert report["iterations"] >= 1
@@ -155,8 +156,6 @@ class TestRunExperiment:
         assert 0.0 <= report["pou_residual"] < 1e-10
         assert report["poly_sup_error"] == fit_polynomial(6.0, 5).sup_error
         assert report["interaction_dtype"] == "float32"
-        text = (out / "report.txt").read_text()
-        assert f"iterations={report['iterations']}" in text
         parsed = json.loads((out / "report.json").read_text())
         assert parsed["iterations"] == report["iterations"]
         trace = (out / "trace.csv").read_text().splitlines()
@@ -181,8 +180,8 @@ class TestRunExperiment:
         cfg2 = quick_config(tmp_path, out_dir=str(tmp_path / "b"))
         run_experiment(cfg1)
         run_experiment(cfg2)
-        for name in ("input.pgm", "output.pgm", "crop.pgm", "trace.csv",
-                     "report.txt", "report.json"):
+        assert {path.name for path in (tmp_path / "a").iterdir()} == set(ARTIFACTS)
+        for name in ARTIFACTS:
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -209,8 +208,8 @@ class TestSweep:
         )
         reports = run_sweep(cfg)
         assert len(reports) == 2
-        assert (tmp_path / "sweep" / "tau=0.05" / "report.txt").exists()
-        assert (tmp_path / "sweep" / "tau=0.25" / "report.txt").exists()
+        assert (tmp_path / "sweep" / "tau=0.05" / "report.json").exists()
+        assert (tmp_path / "sweep" / "tau=0.25" / "report.json").exists()
         summary = (tmp_path / "sweep" / "sweep_summary.txt").read_text()
         assert "tau=0.05" in summary and "tau=0.25" in summary
 
@@ -324,7 +323,7 @@ class TestCli:
             "--out", str(tmp_path / "cli"),
         ])
         assert code == 0
-        assert (tmp_path / "cli" / "report.txt").exists()
+        assert (tmp_path / "cli" / "report.json").exists()
         assert "done:" in capsys.readouterr().out
 
     def test_every_model_field_has_a_flag_with_its_default(self):

@@ -7,7 +7,13 @@ from scipy.linalg import expm
 
 from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
 from srcortex import heat
-from srcortex.heat import SINGLE_FLUSH, _evolve_batch, _sines, mode_product_buffer
+from srcortex.heat import (
+    SINGLE_FLUSH,
+    _evolve_batch,
+    _sines,
+    _symmetry_classes,
+    mode_product_buffer,
+)
 
 # (N, K): odd and even K, odd N and N mod 4 = 0 and 2
 GRIDS = [(4, 2), (3, 3), (7, 5), (6, 6), (10, 4), (8, 16)]
@@ -20,13 +26,32 @@ def angular_second_difference(g, beta: float, dtheta: float) -> np.ndarray:
     return coeff * (np.roll(g, 1, axis=-1) - 2.0 * g + np.roll(g, -1, axis=-1))
 
 
-def dense_generator(n, k, beta, h):
+def full_symbol(n, k):
+    """``d[r, s, k]^2 / h^2`` on every (N, N) mode, the reference for ``prop.d2h``.
+
+    ``d = cos(theta_k) S[r] + sin(theta_k) S[s]`` with ``build_propagator``'s
+    sines, broadcast over the whole grid; the propagator keeps only the
+    rows of its canonical generators.
+    """
+    _, sines = _sines(n)
+    theta = np.arange(k) * (math.pi / k)
+    d = (
+        np.cos(theta)[None, None, :] * sines[:, None, None]
+        + np.sin(theta)[None, None, :] * sines[None, :, None]
+    )
+    h = 1.0 / math.sqrt(n)
+    return (d / h) ** 2
+
+
+def dense_generator(n, k, beta):
     """Independent dense assembly of the semi-discrete operator.
 
     Built straight from the finite differences (directional central
     difference applied twice plus the periodic angular stencil), never
-    touching the Fourier path under test.
+    touching the Fourier path under test.  The spatial step is
+    ``build_propagator``'s h = 1/sqrt(N).
     """
+    h = 1.0 / math.sqrt(n)
 
     def directional(g, theta):
         dx = (np.roll(g, -1, axis=0) - np.roll(g, 1, axis=0)) / (2.0 * h)
@@ -87,17 +112,18 @@ def distinct_generators(prop):
     """Every distinct generator of the grid, assembled from a mode it serves."""
     k = prop.n_orient
     ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
+    symbol = full_symbol(prop.n_pixels, k)
     d2h = np.empty(prop.eigvals.shape)
     for rows, cols, us, vs, _ in prop.pieces:
-        d2h[us, vs] = prop.d2h[rows, cols]
+        d2h[us, vs] = symbol[rows, cols]
     return ang - d2h[..., None] * np.eye(k)
 
 
-def assembled_generator(prop, r, s):
-    """Mode (r, s) generator from the angular stencil and the stored symbol."""
+def assembled_generator(prop, symbol, r, s):
+    """Mode (r, s) generator from the angular stencil and the ``full_symbol`` table."""
     k = prop.n_orient
     ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
-    return ang - np.diag(prop.d2h[r, s])
+    return ang - np.diag(symbol[r, s])
 
 
 class TestAngularDifference:
@@ -122,24 +148,20 @@ class TestAngularDifference:
 
 
 class TestSpectralSymbol:
-    """``d2h[r, s, k] = (d / h)^2`` with the directional-difference symbol
-    ``d = cos(theta_k) sin(2 pi r / N) + sin(theta_k) sin(2 pi s / N)``
-    and the grid spacing h = 1/sqrt(N)."""
+    """``full_symbol(n, k)[r, s, k] = (d / h)^2`` with the directional-difference
+    symbol ``d = cos(theta_k) sin(2 pi r / N) + sin(theta_k) sin(2 pi s / N)``
+    and the grid spacing h = 1/sqrt(N); ``prop.d2h`` holds its canonical rows."""
 
     def test_dc_mode_is_zero(self):
-        prop = build_propagator(8, 4, 0.5, 0.01)
-        np.testing.assert_array_equal(prop.d2h[0, 0], 0.0)
+        np.testing.assert_array_equal(full_symbol(8, 4)[0, 0], 0.0)
 
     def test_vertical_orientation_kills_first_axis(self):
         # theta = pi/2 (index K/2): the cos factor vanishes on first-axis modes
-        prop = build_propagator(8, 4, 0.5, 0.01)
-        assert np.abs(prop.d2h[:, 0, 2]).max() == pytest.approx(0.0, abs=1e-15)
+        assert np.abs(full_symbol(8, 4)[:, 0, 2]).max() == pytest.approx(0.0, abs=1e-15)
 
     def test_direct_evaluation(self):
         # N=4, h=1/2, mode (1, 0), theta=0 -> sin(pi/2)^2 / h^2 = 4
-        prop = build_propagator(4, 4, 0.5, 0.01)
-        assert prop.h == 0.5
-        assert prop.d2h[1, 0, 0] == pytest.approx(4.0)
+        assert full_symbol(4, 4)[1, 0, 0] == pytest.approx(4.0)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -149,8 +171,8 @@ class TestSpectralSymbol:
 
     def test_matches_propagator_grid(self):
         n, k = 6, 4
-        prop = build_propagator(n, k, 0.5, 0.01)
-        h = prop.h
+        symbol = full_symbol(n, k)
+        h = 1.0 / math.sqrt(n)
         for r in (0, 1, 4):
             for s in (0, 2):
                 for kk in (0, 1, 3):
@@ -158,23 +180,45 @@ class TestSpectralSymbol:
                     d = math.cos(theta) * math.sin(2 * math.pi * r / n) + math.sin(
                         theta
                     ) * math.sin(2 * math.pi * s / n)
-                    assert prop.d2h[r, s, kk] == pytest.approx((d / h) ** 2)
+                    assert symbol[r, s, kk] == pytest.approx((d / h) ** 2)
 
     @pytest.mark.parametrize("n", [6, 8, 10, 100])
     def test_bitwise_symmetric(self, n):
         # S[N/2 - j] = S[j]: mode r and N/2 - r share one generator
-        d2h = build_propagator(n, 16, 0.5, 0.01).d2h
+        d2h = full_symbol(n, 16)
         for r in range(n):
             np.testing.assert_array_equal(d2h[(n // 2 - r) % n], d2h[r])
         for s in range(n // 2 + 1):
             np.testing.assert_array_equal(d2h[:, n // 2 - s], d2h[:, s])
 
+    @pytest.mark.parametrize("n, k", [(100, 16), (200, 16), (200, 15), (101, 16)])
+    def test_propagator_keeps_the_canonical_rows_and_their_factoring(self, n, k):
+        # prop.d2h is the full table on the canonical pairs, bit for bit, and
+        # factoring the generators built from the full table gives the
+        # propagator's eigenpairs bit for bit
+        beta = ModelConfig.beta_for(n, k)
+        prop = build_propagator(n, k, beta, 0.01)
+        q, _ = _sines(n)
+        cols, s_first = np.unique(q[: n // 2 + 1], return_index=True)
+        pairs, canon, perm = _symmetry_classes(np.unique(q), cols, k)
+        d2h = full_symbol(n, k)[s_first[pairs[0]], s_first[pairs[1]]]
+        assert prop.d2h.shape == (len(pairs[0]), k)
+        np.testing.assert_array_equal(prop.d2h, d2h)
+        generators = angular_second_difference(np.eye(k), beta, math.pi / k) - (
+            d2h[:, :, None] * np.eye(k)
+        )
+        vals, vecs = np.linalg.eigh(generators)
+        np.minimum(vals, 0.0, out=vals)
+        np.testing.assert_array_equal(prop.eigvals, vals[canon])
+        np.testing.assert_array_equal(prop.eigvecs, vecs[canon[..., None], perm])
+
 
 class TestPropagator:
     def test_mode_matrices_symmetric(self):
         prop = build_propagator(6, 5, 0.8, 0.02)
+        symbol = full_symbol(6, 5)
         for r, s in [(0, 0), (1, 3), (2, 2), (5, 1)]:
-            mat = assembled_generator(prop, r, s)
+            mat = assembled_generator(prop, symbol, r, s)
             assert np.abs(mat - mat.T).max() == 0.0
             vecs = prop.eigvecs[grid_entry(prop, r, s)]
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(5), atol=1e-12)
@@ -198,7 +242,7 @@ class TestPropagator:
         # the half grid the propagator stores
         n, k = 6, 6
         prop = build_propagator(n, k, 0.7, 0.05)
-        step = cn_step_matrix(dense_generator(n, k, prop.beta, prop.h), prop.dtau)
+        step = cn_step_matrix(dense_generator(n, k, prop.beta), prop.dtau)
         vals = np.linalg.eigvalsh(0.5 * (step + step.T))
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
         assert np.all(vals > -1.0)
@@ -219,9 +263,10 @@ class TestPropagator:
         for rows, cols, _, _, _ in prop.pieces:
             covered[rows, cols] += 1
         np.testing.assert_array_equal(covered, 1)
+        symbol = full_symbol(n, k)
         for r in range(n):
             for s in range(n // 2 + 1):
-                mat = assembled_generator(prop, r, s)
+                mat = assembled_generator(prop, symbol, r, s)
                 np.testing.assert_allclose(
                     factored_generator(prop, r, s), mat, rtol=0.0,
                     atol=1e-12 * np.abs(mat).max(),
@@ -267,7 +312,7 @@ class TestPropagator:
         j = np.arange(n)
         np.testing.assert_array_equal(q[(n - j) % n], -q[j])
         np.testing.assert_array_equal(sines[(n - j) % n], -sines[j])
-        d2h = build_propagator(n, 4, 0.5, 0.01).d2h
+        d2h = full_symbol(n, 4)
         np.testing.assert_array_equal(d2h[(n - j) % n][:, (n - j) % n], d2h)
 
     def test_paper_size_factors_distinct_generators_only(self):
@@ -299,7 +344,7 @@ class TestHeatEvolve:
         assert abs(out.sum() - self.a.sum()) <= 1e-10 * abs(self.a.sum())
 
     def test_matches_dense_exponential(self):
-        mat = dense_generator(8, 4, self.prop.beta, self.prop.h)
+        mat = dense_generator(8, 4, self.prop.beta)
         expected = (expm(0.5 * mat) @ self.a.ravel()).reshape(8, 8, 4)
         got = heat_evolve(self.a, self.prop, 0.5)
         rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
@@ -310,7 +355,7 @@ class TestHeatEvolve:
         # 30 literal Crank-Nicolson steps of the dense generator
         prop = build_propagator(n, 4, 0.5, 0.01)
         a = np.random.default_rng(42).standard_normal((n, n, 4))
-        mat = dense_generator(n, 4, prop.beta, prop.h)
+        mat = dense_generator(n, 4, prop.beta)
         step = np.linalg.matrix_power(cn_step_matrix(mat, prop.dtau), 30)
         expected = (step @ a.ravel()).reshape(n, n, 4)
         spec = heat_evolve(a, prop, 0.3)

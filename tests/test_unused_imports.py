@@ -16,6 +16,12 @@ USERS = ("src", "demos", "bench")
 CALLED_BY_LIBRARY = {"cli._Parser.error"}  # argparse, on a usage error
 
 
+def _is_all(node) -> bool:
+    """Whether ``node`` assigns a module's ``__all__``."""
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
 def _unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {}
@@ -27,8 +33,7 @@ def _unused_imports(source: str) -> list[str]:
     used |= {node.value.id for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)}
     for node in ast.walk(tree):  # names listed in __all__ count as used
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+        if _is_all(node):
             used |= {elt.value for elt in node.value.elts}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
@@ -53,11 +58,17 @@ def _definitions(path: Path) -> dict[str, str]:
 
 
 def _references() -> set[str]:
-    """Every name, attribute and string constant (``__all__``, getattr) in the users."""
+    """Every name, attribute and string constant (getattr) in the users.
+
+    The strings of an ``__all__`` list are not uses: exporting a name
+    does not make anything call it.
+    """
     names = set()
     for folder in USERS:
         for path in (ROOT / folder).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            tree.body = [node for node in tree.body if not _is_all(node)]
+            for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
                     names.add(node.id)
                 elif isinstance(node, ast.Attribute):
