@@ -34,9 +34,11 @@ def build_parser() -> _Parser:
         help="generated test figure (default: gratings unless --input is given)",
     )
     src.add_argument("--input", metavar="PATH", help="PGM/PNG image to process")
-    p.add_argument("--N", type=int, default=200, help="stimulus size in pixels")
-    p.add_argument("--K", type=int, default=16, help="number of orientations")
-    p.add_argument("--bw", type=int, default=5, help="angular profile order")
+    p.add_argument("--N", type=int, default=StimulusSpec.n_pixels, help="stimulus size in pixels")
+    p.add_argument("--K", type=int, default=ExperimentConfig.n_orient,
+                   help="number of orientations")
+    p.add_argument("--bw", type=int, default=ExperimentConfig.profile_order,
+                   help="angular profile order")
     p.add_argument("--lambda", dest="lam", type=float, default=2.0,
                    help="fidelity weight")
     p.add_argument("--alpha", type=float, default=8.0, help="sigmoid slope")

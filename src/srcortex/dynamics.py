@@ -124,13 +124,12 @@ def sigmoid_hat(r, alpha: float):
 class PolyCoeffs:
     """Odd-polynomial fit of the contrast sigmoid on [-1, 1].
 
-    ``coeffs[i]`` multiplies r^i (even entries are zero); ``sup_error``
-    is the recorded maximum fit deviation over the sample grid.
+    ``coeffs[i]`` multiplies r^i (even entries are zero; the degree is
+    ``len(coeffs) - 1``); ``sup_error`` is the recorded maximum fit
+    deviation over the sample grid.
     """
 
-    degree: int
     coeffs: np.ndarray
-    alpha: float
     sup_error: float
 
 
@@ -145,7 +144,7 @@ def fit_polynomial(alpha: float, degree: int) -> PolyCoeffs:
     coeffs = np.zeros(degree + 1)
     coeffs[exponents] = sol
     sup_error = float(np.abs(basis @ sol - target).max())
-    return PolyCoeffs(degree, coeffs, alpha, sup_error)
+    return PolyCoeffs(coeffs, sup_error)
 
 
 def _weights(coeffs) -> np.ndarray:
@@ -363,8 +362,9 @@ class RunResult:
     """Outcome of a model run: projected image plus loop diagnostics.
 
     ``iterations`` counts interaction evaluations: one per entry of
-    ``rel_history`` (the accepted iterates) plus ``rejected_steps``, the
-    LHE extrapolations the energy safeguard turned down.  ``energies``
+    ``rel_history`` (the accepted iterates' relative changes, the last
+    one the stopping rule's) plus ``rejected_steps``, the LHE
+    extrapolations the energy safeguard turned down.  ``energies``
     (LHE only) pairs with ``rel_history``: entry i is the energy of the
     i-th accepted evaluated state, from the same evaluation.  The
     returned state G(a) is never evaluated, so it has no entry.
@@ -374,7 +374,6 @@ class RunResult:
     stack: np.ndarray
     iterations: int
     converged: bool
-    last_change: float
     rel_history: list
     energies: list | None = None
     rejected_steps: int = 0
@@ -552,7 +551,6 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
         stack=g,
         iterations=p,
         converged=converged,
-        last_change=rel_history[-1],
         rel_history=rel_history,
         energies=energies,
         rejected_steps=rejected,

@@ -2,10 +2,10 @@
 
 ``run_experiment`` generates or loads the stimulus, builds the wavelet
 bank and the heat propagator, runs the model loop, writes the artifacts
-(input/output/crop images, per-iteration trace, JSON report) and
-measures the completion offset.  ``run_sweep`` repeats an
-experiment over a parameter list in parallel worker processes, one per
-value up to four.
+(input/output/crop images, per-iteration trace and ``report.json``, the
+run's one record) and measures the completion offset.  ``run_sweep``
+repeats an experiment over a parameter list in worker processes, one per
+value up to four; it writes no file beyond each value's run.
 
 The completion offset is the signed perpendicular displacement, in
 pixels at the bar's right edge, of the completed dark path inside the
@@ -280,7 +280,7 @@ def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> 
         "iterations": result.iterations,
         "rejected_steps": result.rejected_steps,
         "converged": result.converged,
-        "final_relative_change": result.last_change,
+        "final_relative_change": result.rel_history[-1],
         "offset_detected": offset is not None,
         "offset_px": offset,
         "pou_residual": bank.pou_residual,
@@ -291,16 +291,8 @@ def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> 
         report["energy_final"] = result.energies[-1]
         report["poly_sup_error"] = fit_polynomial(mc.alpha, mc.poly_degree).sup_error
     if cfg.stimulus is not None:
-        report["stimulus_spec"] = cfg.stimulus.to_text().strip().replace("\n", ";")
+        report["stimulus_spec"] = dataclasses.asdict(cfg.stimulus)
     return report
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _write_report(out: Path, report: dict) -> None:
@@ -312,22 +304,11 @@ def _write_report(out: Path, report: dict) -> None:
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured parameter sweep in worker processes, one per value up to four.
 
-    Each value gets ``<out_dir>/<param>=<value:g>/``; a summary of the
-    offsets lands in ``<out_dir>/sweep_summary.txt``.
+    Returns the reports in ``sweep_values`` order; each value writes its
+    run to ``<out_dir>/<param>=<value:g>/`` and the sweep nothing else.
     """
     if cfg.sweep_param is None:
         raise ValueError("config has no sweep specification")
     subcfgs = _sweep_configs(cfg)
     with ProcessPoolExecutor(max_workers=min(len(subcfgs), 4)) as pool:
-        reports = list(pool.map(run_experiment, subcfgs))
-
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep_summary.txt", "w") as fh:
-        fh.write(f"param={cfg.sweep_param}\n")
-        for value, rep in zip(cfg.sweep_values, reports):
-            fh.write(
-                f"{cfg.sweep_param}={value:g} offset_px={_format_value(rep['offset_px'])} "
-                f"iterations={rep['iterations']} converged={_format_value(rep['converged'])}\n"
-            )
-    return reports
+        return list(pool.map(run_experiment, subcfgs))

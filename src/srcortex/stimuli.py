@@ -17,7 +17,7 @@ bitwise-equal images.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,10 +93,6 @@ class StimulusSpec:
         return self.center - math.tan(self.incidence_angle) * (
             np.asarray(col, dtype=float) - self.center
         )
-
-    def to_text(self) -> str:
-        lines = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
 
 
 def poggendorff_classic(spec: StimulusSpec) -> np.ndarray:

@@ -18,7 +18,7 @@ from srcortex import (
 )
 from srcortex.cli import build_parser, config_from_args, main
 from srcortex.imgio import write_pgm
-from srcortex.stimuli import BACKGROUND
+from srcortex.stimuli import BACKGROUND, STIMULUS_KINDS
 
 # every file a single run writes
 ARTIFACTS = ("input.pgm", "output.pgm", "crop.pgm", "trace.csv", "report.json")
@@ -186,6 +186,16 @@ class TestRunExperiment:
                 tmp_path / "b" / name
             ).read_bytes()
 
+    @pytest.mark.parametrize("kind", STIMULUS_KINDS)
+    def test_report_rebuilds_the_stimulus_spec(self, tmp_path, kind):
+        cfg = quick_config(tmp_path, stimulus=StimulusSpec.paper(48, kind),
+                           model_kw={"model": "wc"})
+        report = run_experiment(cfg)
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert written["stimulus"] == kind
+        assert StimulusSpec(**report["stimulus_spec"]) == cfg.stimulus
+        assert StimulusSpec(**written["stimulus_spec"]) == cfg.stimulus
+
     def test_input_image_path(self, tmp_path):
         img = poggendorff_gratings(
             StimulusSpec(n_pixels=48, bar_width=8, grating_period=6)
@@ -204,14 +214,14 @@ class TestSweep:
             tmp_path,
             out_dir=str(tmp_path / "sweep"),
             sweep_param="tau",
-            sweep_values=(0.05, 0.25),
+            sweep_values=(0.25, 0.05),  # descending: the reports keep this order
         )
         reports = run_sweep(cfg)
-        assert len(reports) == 2
-        assert (tmp_path / "sweep" / "tau=0.05" / "report.json").exists()
-        assert (tmp_path / "sweep" / "tau=0.25" / "report.json").exists()
-        summary = (tmp_path / "sweep" / "sweep_summary.txt").read_text()
-        assert "tau=0.05" in summary and "tau=0.25" in summary
+        # the per-value runs are the sweep's only output
+        assert {path.name for path in (tmp_path / "sweep").iterdir()} == {"tau=0.25", "tau=0.05"}
+        for tau in cfg.sweep_values:
+            assert (tmp_path / "sweep" / f"tau={tau:g}" / "report.json").exists()
+        assert [rep["tau"] for rep in reports] == [0.25, 0.05]
 
     def test_pooled_sweep_matches_serial(self, tmp_path):
         # each worker process writes what a run in this process writes

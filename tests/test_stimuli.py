@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,22 +6,6 @@ import pytest
 from srcortex import StimulusSpec, poggendorff_classic, poggendorff_gratings
 from srcortex.imgio import to_bytes_image
 from srcortex.stimuli import BACKGROUND, CLASSIC
-
-
-def spec_from_text(text):
-    """Parse ``StimulusSpec.to_text`` output back into a spec."""
-    names = {f.name for f in dataclasses.fields(StimulusSpec)}
-    kwargs = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in names:
-            raise ValueError(f"unknown stimulus key {key!r}")
-        kwargs[key] = (int if key == "n_pixels" else float)(value.strip())
-    return StimulusSpec(**kwargs)
 
 
 def classic_spec(**kw):
@@ -43,12 +26,6 @@ class TestSpec:
             StimulusSpec(incidence_angle=math.pi / 2)
         with pytest.raises(ValueError):
             StimulusSpec(bar_gray=1.5)
-
-    def test_text_roundtrip(self):
-        spec = StimulusSpec(n_pixels=128, bar_width=20, grating_period=18,
-                            incidence_angle=1.0)
-        back = spec_from_text(spec.to_text())
-        assert back == spec
 
     def test_paper_figure(self):
         assert StimulusSpec.paper(200) == StimulusSpec()

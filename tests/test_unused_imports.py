@@ -1,7 +1,8 @@
-"""No module of the package imports a name it never uses or defines one nothing calls.
+"""No module of the package imports a name it never uses, defines one nothing
+calls, or gives a dataclass a field nothing reads.
 
-Helpers that only tests need live in ``tests/``: a definition counts as
-used only when ``src/``, ``demos/`` or ``bench/`` refers to it.
+Helpers that only tests need live in ``tests/``: a definition or a field
+counts as used only when ``src/``, ``demos/`` or ``bench/`` refers to it.
 """
 
 import ast
@@ -57,6 +58,15 @@ def _definitions(path: Path) -> dict[str, str]:
     return defs
 
 
+def _user_nodes():
+    """Every node of every module in the users, ``__all__`` lists left out."""
+    for folder in USERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            tree.body = [node for node in tree.body if not _is_all(node)]
+            yield from ast.walk(tree)
+
+
 def _references() -> set[str]:
     """Every name, attribute and string constant (getattr) in the users.
 
@@ -64,17 +74,13 @@ def _references() -> set[str]:
     does not make anything call it.
     """
     names = set()
-    for folder in USERS:
-        for path in (ROOT / folder).rglob("*.py"):
-            tree = ast.parse(path.read_text())
-            tree.body = [node for node in tree.body if not _is_all(node)]
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
+    for node in _user_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
     return names
 
 
@@ -85,3 +91,31 @@ def test_no_definition_only_tests_use():
         defs.update(_definitions(path))
     unused = {qual for qual, name in defs.items() if name not in referenced}
     assert unused == CALLED_BY_LIBRARY
+
+
+def _dataclass_fields(path: Path) -> dict[str, str]:
+    """``module.Class.field`` of each field of a ``@dataclass``, mapped to its name."""
+    fields = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass" for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    fields[f"{path.stem}.{node.name}.{item.target.id}"] = item.target.id
+    return fields
+
+
+def test_no_dataclass_field_only_tests_read():
+    """Every dataclass field is read as ``x.<field>`` in ``src/``, ``demos/`` or ``bench/``.
+
+    The check goes by name, as ``test_no_definition_only_tests_use``
+    does: a field passes when any attribute of that name is read, so a
+    field that shares its name with a read attribute of another class
+    passes too.
+    """
+    read = {node.attr for node in _user_nodes()
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        fields.update(_dataclass_fields(path))
+    assert {qual for qual, name in fields.items() if name not in read} == set()
