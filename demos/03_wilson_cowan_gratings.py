@@ -1,10 +1,12 @@
 """Wilson-Cowan completion of the Poggendorff gratings.
 
-Runs the activity-sigmoid model with the parameters used for the
-gratings figure and probes the completed path inside the occluding bar.
-Pass --quick for a half-size run.
+Runs the activity-sigmoid model with the gratings figure's parameters,
+``ModelConfig.paper("wc")``, and probes the completed path inside the
+occluding bar.  Pass --quick for a half-size run, which scales sigma_mu
+by N/200 and tau by (N/200)^2.
 """
 
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -16,10 +18,10 @@ n = 100 if quick else 200
 scale = n / 200.0
 out = Path(__file__).parent / "out" / f"03_wc_n{n}"
 
+paper = ModelConfig.paper("wc")
 cfg = ExperimentConfig(
-    model_cfg=ModelConfig(
-        model="wc", lam=0.01, alpha=20.0, sigma_mu=6.5 * scale,
-        dt=0.1, dtau=0.01, tau=5.0 * scale**2, forcing="discrete-paper",
+    model_cfg=dataclasses.replace(
+        paper, sigma_mu=paper.sigma_mu * scale, tau=paper.tau * scale**2
     ),
     out_dir=str(out),
     stimulus=StimulusSpec.paper(n),

@@ -1,10 +1,12 @@
 """Contrast-model (LHE) completion of the Poggendorff gratings.
 
-Runs the contrast-sigmoid model with the gratings-figure parameters,
-tracking the energy it descends, and probes the completed path.  Pass
---quick for a half-size run.
+Runs the contrast-sigmoid model with the gratings figure's parameters,
+``ModelConfig.paper("lhe")``, tracking the energy it descends, and
+probes the completed path.  Pass --quick for a half-size run, which
+scales tau by (N/200)^2.
 """
 
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -16,11 +18,9 @@ n = 100 if quick else 200
 scale = n / 200.0
 out = Path(__file__).parent / "out" / f"04_lhe_n{n}"
 
+paper = ModelConfig.paper("lhe")
 cfg = ExperimentConfig(
-    model_cfg=ModelConfig(
-        model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0,
-        dt=0.15, dtau=0.01, tau=5.0 * scale**2, forcing="discrete-paper",
-    ),
+    model_cfg=dataclasses.replace(paper, tau=paper.tau * scale**2),
     out_dir=str(out),
     stimulus=StimulusSpec.paper(n),
 )

@@ -1,17 +1,18 @@
 """Sweep the kernel width: the completion offset against tau.
 
-Repeats the contrast-model (LHE) run at tau = 0.1, 0.5 and 2.5 and prints
-each run's iterations, convergence and the offset probe's signed
-displacement of the completed path from the collinear continuation
-(positive = toward the perceptually expected attachment, None = no path
-detected).  The paper expects collinear
-fill-in for narrow kernels and a growing positive displacement for wide
-ones; this implementation does not show that.  At N=200 it measures
-[None, -1.59, -4.12] px, at --quick (N=100) +0.47, +1.33 and -1.74 px.
-The README's paragraph on criterion 8 and ROADMAP item 5 discuss the
-gap.  Pass --quick for a half-size run.
+Repeats the contrast-model (LHE) run, ``ModelConfig.paper("lhe")`` at
+alpha = 6, for tau = 0.1, 0.5 and 2.5, and prints each run's iterations,
+convergence and the offset probe's signed displacement of the completed
+path from the collinear continuation (positive = toward the perceptually
+expected attachment, None = no path detected).  The paper expects
+collinear fill-in for narrow kernels and a growing positive displacement
+for wide ones; this implementation does not show that.  At N=200 it
+measures [None, -1.59, -4.12] px, at --quick (N=100) +0.47, +1.33 and
+-1.74 px.  The README's paragraph on criterion 8 and ROADMAP item 5
+discuss the gap.  Pass --quick for a half-size run.
 """
 
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -23,10 +24,7 @@ n = 100 if quick else 200
 out = Path(__file__).parent / "out" / f"05_sweep_n{n}"
 
 cfg = ExperimentConfig(
-    model_cfg=ModelConfig(
-        model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
-        dt=0.15, dtau=0.01, tau=0.1, forcing="discrete-paper",
-    ),
+    model_cfg=dataclasses.replace(ModelConfig.paper("lhe"), alpha=6.0, tau=0.1),
     out_dir=str(out),
     stimulus=StimulusSpec.paper(n),
     sweep_param="tau",

@@ -39,14 +39,13 @@ def build_parser() -> _Parser:
                    help="number of orientations")
     p.add_argument("--bw", type=int, default=ExperimentConfig.profile_order,
                    help="angular profile order")
-    p.add_argument("--lambda", dest="lam", type=float, default=2.0,
-                   help="fidelity weight")
-    p.add_argument("--alpha", type=float, default=8.0, help="sigmoid slope")
-    p.add_argument("--sigma-mu", type=float, default=1.0,
-                   help="local-mean Gaussian std (pixels)")
-    p.add_argument("--dt", type=float, default=0.15, help="descent step")
-    p.add_argument("--dtau", type=float, default=0.01, help="heat solver step")
-    p.add_argument("--tau", type=float, default=5.0, help="kernel diffusion time")
+    # no defaults: config_from_args takes what is not given from ModelConfig.paper
+    p.add_argument("--lambda", dest="lam", type=float, help="fidelity weight")
+    p.add_argument("--alpha", type=float, help="sigmoid slope")
+    p.add_argument("--sigma-mu", type=float, help="local-mean Gaussian std (pixels)")
+    p.add_argument("--dt", type=float, help="descent step")
+    p.add_argument("--dtau", type=float, help="heat solver step")
+    p.add_argument("--tau", type=float, help="kernel diffusion time")
     p.add_argument("--tol", type=float, help="stopping threshold")
     p.add_argument("--max-iters", type=int)
     p.add_argument("--poly-degree", type=int, help="odd degree of the LHE contrast fit")
@@ -54,16 +53,14 @@ def build_parser() -> _Parser:
                    help=f"run once per value of one of {', '.join(SWEEPABLE)}")
     p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     p.add_argument("--forcing", choices=FORCINGS)
-    # the ModelConfig fields with a default take it from ModelConfig
-    p.set_defaults(**{f.name: f.default for f in dataclasses.fields(ModelConfig)
-                      if f.default is not dataclasses.MISSING})
     return p
 
 
 def config_from_args(args) -> ExperimentConfig:
     # every ModelConfig field has a flag whose dest is the field's name
-    model_cfg = ModelConfig(**{f.name: getattr(args, f.name)
-                               for f in dataclasses.fields(ModelConfig)})
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ModelConfig)
+             if getattr(args, f.name) is not None}
+    model_cfg = dataclasses.replace(ModelConfig.paper(args.model), **given)
     stimulus = None
     if args.input is None:
         stimulus = StimulusSpec.paper(args.N, args.stimulus or GRATINGS)

@@ -105,6 +105,8 @@ class ModelConfig:
     - ``poly_degree``: odd degree of the contrast-sigmoid fit (LHE only)
     - ``forcing``: "continuous" uses lam*a0 + mu, "discrete-paper" swaps
       the roles to a0 + lam*mu
+
+    ``paper(model)`` holds the values of each model's gratings figure.
     """
 
     model: str
@@ -143,6 +145,28 @@ class ModelConfig:
             raise ValueError("max_iters must be >= 1")
         if self.forcing not in FORCINGS:
             raise ValueError(f"unknown forcing {self.forcing!r}")
+
+    @classmethod
+    def paper(cls, model: str) -> "ModelConfig":
+        """The model's parameters for the N = 200 gratings figure.
+
+        WC and LHE differ in lam, alpha, sigma_mu and dt; both run tau = 5
+        in steps dtau = 0.01 under the discrete-paper forcing, with the
+        defaults for the rest.  The values are the N = 200 ones; callers
+        that run a smaller figure scale them themselves.  An unknown
+        model gets LHE's values and is rejected by ``__post_init__``.
+        """
+        wc = model == WC
+        return cls(
+            model=model,
+            lam=0.01 if wc else 2.0,
+            alpha=20.0 if wc else 8.0,
+            sigma_mu=6.5 if wc else 1.0,
+            dt=0.1 if wc else 0.15,
+            dtau=0.01,
+            tau=5.0,
+            forcing="discrete-paper",
+        )
 
     @property
     def fidelity_weights(self) -> tuple[float, float]:

@@ -80,6 +80,8 @@ class ExperimentConfig:
             if not self.sweep_values:
                 raise ValueError("sweep_param given without sweep_values")
             _sweep_configs(self)
+        elif self.sweep_values:
+            raise ValueError("sweep_values given without sweep_param")
 
 
 def _sweep_configs(cfg: ExperimentConfig) -> list:

@@ -7,6 +7,7 @@ take a few minutes together.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,8 +159,7 @@ def test_criterion_5_energy_descent_and_gradient():
     # descent on the downscaled gratings at dt = 0.5/(1+lam)
     f0 = gratings64()
     bank = build_cake_bank(64, 8, 5)
-    cfg = ModelConfig(model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0,
-                      dt=0.5 / 3.0, dtau=0.01, tau=5.0)
+    cfg = replace(ModelConfig.paper("lhe"), dt=0.5 / 3.0, forcing="continuous")
     prop = build_propagator(64, 8, cfg.beta_for(64, 8), cfg.dtau)
     res = run_model(f0, cfg, bank, prop)
     energies = np.array(res.energies)
@@ -170,8 +170,8 @@ def test_criterion_5_energy_descent_and_gradient():
     rng = np.random.default_rng(10)
     shape = (6, 3)
     prop6 = build_propagator(6, 3, 0.5, 0.01)
-    cfg6 = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
-                       dt=0.15, dtau=0.01, tau=0.1, poly_degree=5)
+    cfg6 = replace(ModelConfig.paper("lhe"), alpha=6.0, tau=0.1, poly_degree=5,
+                   forcing="continuous")
     a = 0.2 + 0.6 * rng.random((6, 6, 3))
     a0 = 0.2 + 0.6 * rng.random((6, 6, 3))
     mu = 0.2 + 0.6 * rng.random((6, 6, 3))
@@ -212,14 +212,8 @@ def test_criterion_7_figure_reproduction(paper_bank, paper_prop):
     spec = StimulusSpec()
     f0 = poggendorff_gratings(spec)
     results = {}
-    for name, cfg in (
-        ("wc-4b", ModelConfig(model="wc", lam=0.01, alpha=20.0, sigma_mu=6.5,
-                              dt=0.1, dtau=0.01, tau=5.0,
-                              forcing="discrete-paper")),
-        ("lhe-5b", ModelConfig(model="lhe", lam=2.0, alpha=8.0, sigma_mu=1.0,
-                               dt=0.15, dtau=0.01, tau=5.0,
-                               forcing="discrete-paper")),
-    ):
+    for name, cfg in (("wc-4b", ModelConfig.paper("wc")),
+                      ("lhe-5b", ModelConfig.paper("lhe"))):
         t0 = time.perf_counter()
         res = run_model(f0, cfg, paper_bank, paper_prop)
         elapsed = time.perf_counter() - t0
@@ -243,9 +237,7 @@ def test_criterion_8_inpainting_to_perception(paper_bank, paper_prop):
     taus = (0.1, 0.5, 2.5)
     offsets = []
     for tau in taus:
-        cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0,
-                          dt=0.15, dtau=0.01, tau=tau,
-                          forcing="discrete-paper")
+        cfg = replace(ModelConfig.paper("lhe"), alpha=6.0, tau=tau)
         res = run_model(f0, cfg, paper_bank, paper_prop)
         offsets.append(measure_offset(res.image, spec))
     detected = all(o is not None for o in offsets)
@@ -276,10 +268,9 @@ def test_criterion_9_stability_boundary():
     # set to 1.5 so the decay term dominates the interaction Lipschitz
     # constant (at the captioned slopes the boundary step provably
     # oscillates, which the sufficient condition does not account for)
-    for model, lam, sig in (("wc", 0.01, 6.5), ("lhe", 2.0, 1.0)):
-        cfg = ModelConfig(model=model, lam=lam, alpha=1.5, sigma_mu=sig,
-                          dt=1.0 / (1.0 + lam), dtau=0.01, tau=5.0,
-                          forcing="discrete-paper")
+    for model in ("wc", "lhe"):
+        paper = ModelConfig.paper(model)
+        cfg = replace(paper, alpha=1.5, dt=1.0 / (1.0 + paper.lam))
         prop = build_propagator(64, 8, cfg.beta_for(64, 8), cfg.dtau)
         res = run_model(f0, cfg, bank, prop)
         results[model] = res

@@ -10,6 +10,7 @@ configs and the set-up timing are run here on the self-test grid.
 
 import importlib.util
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -158,3 +159,15 @@ def test_workload_setup_runs(workloads, name, tmp_path):
     small = workloads.tiny(workloads.WORKLOADS[name])
     small.config(str(tmp_path))
     assert workloads.time_setup(small) > 0.0
+
+
+def test_workload_models_are_the_figures(workloads):
+    # the workloads write the figures' parameters out; each must be
+    # ModelConfig.paper's set plus only what the workload varies
+    paper = ModelConfig.paper
+    expected = {
+        "wc-gratings-n200": paper("wc"),
+        "lhe-gratings-n100": replace(paper("lhe"), tau=1.25),
+        "lhe-tau-sweep-n100": replace(paper("lhe"), alpha=6.0, tau=0.1),
+    }
+    assert {name: w.model for name, w in workloads.WORKLOADS.items()} == expected

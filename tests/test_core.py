@@ -121,6 +121,11 @@ def test_config_rejects_bad_values():
         ModelConfig(**good, poly_degree=17)
 
 
+def test_paper_rejects_an_unknown_model():
+    with pytest.raises(ValueError, match="model must be 'wc' or 'lhe', got 'nope'"):
+        ModelConfig.paper("nope")
+
+
 def test_beta_for_matches_grid_formula():
     assert ModelConfig.beta_for(200, 16) == pytest.approx(16 / (200**2 * math.sqrt(2)))
 

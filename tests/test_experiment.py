@@ -112,6 +112,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             quick_config(tmp_path, sweep_param="dt", sweep_values=(0.9,))
 
+    def test_sweep_values_without_param_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="sweep_values given without sweep_param"):
+            quick_config(tmp_path, sweep_values=(0.1, 0.5))
+
     @pytest.mark.parametrize("param,values", [("n_orient", (8, 16)), ("model", ("wc",))])
     def test_only_sweepable_fields_swept(self, tmp_path, param, values):
         with pytest.raises(ValueError, match=f"cannot sweep '{param}'.*tau, alpha"):
@@ -337,9 +341,25 @@ class TestCli:
         assert "done:" in capsys.readouterr().out
 
     def test_every_model_field_has_a_flag_with_its_default(self):
+        # the model is required; every other field defaults to the figure's value
         parser = build_parser()
         dests = {action.dest for action in parser._actions}
         for f in dataclasses.fields(ModelConfig):
             assert f.name in dests, f.name
-            if f.default is not dataclasses.MISSING:
-                assert parser.get_default(f.name) == f.default, f.name
+            if f.name != "model":
+                assert parser.get_default(f.name) is None, f.name
+        for model in ("wc", "lhe"):
+            args = parser.parse_args(["--model", model])
+            assert config_from_args(args).model_cfg == ModelConfig.paper(model)
+
+    @pytest.mark.parametrize("model", ["wc", "lhe"])
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--tau", "tau", 0.5),
+        ("--sigma-mu", "sigma_mu", 3.0),
+        ("--max-iters", "max_iters", 7),
+        ("--forcing", "forcing", "continuous"),
+    ])
+    def test_one_flag_changes_only_its_field(self, model, flag, field, value):
+        args = build_parser().parse_args(["--model", model, flag, str(value)])
+        expected = dataclasses.replace(ModelConfig.paper(model), **{field: value})
+        assert config_from_args(args).model_cfg == expected
