@@ -40,14 +40,19 @@ matrices with rows and columns permuted, and their eigenvectors are
 the canonical ones with the orientations permuted.  Only the canonical
 generators, a >= 0 and for even K a <= b, are diagonalized, once: 1,326
 of the 5,151 at N=200, K=16 (351 of 1,326 at N=100; 2,601 at N=200,
-K=15, which has no axis swap).  The symbol d^2/h^2 is computed for
-those generators only and kept as a (P, K) table, 1,326 x 16 at N=200
-(0.17 MB, against 5.1 MB for every mode).  m Crank-Nicolson steps are
-applied in one pass as the propagator ``V diag(rho^m) V^T`` with ``rho
-= (1 + dtau*w/2) / (1 - dtau*w/2)``.  Along each axis a mode's index on
-the distinct grid runs in steps of +1 or -1, so the half spectrum
-splits into a few blocks, each taking a strided block of the distinct
-propagators.
+K=15, which has no axis swap).  The symbol d^2/h^2 and the eigenpairs
+are kept for those generators only, as (P, K) and (P, K, K) tables:
+0.17 MB and 2.7 MB at N=200, K=16, against 5.1 MB and 10.5 MB for
+every mode and every distinct generator.  Each distinct generator
+keeps the index of its canonical one and its orientation map.  m
+Crank-Nicolson steps are applied in one pass as the propagator ``V
+diag(rho^m) V^T`` with ``rho = (1 + dtau*w/2) / (1 - dtau*w/2)``,
+multiplied out for the P canonical generators.  The distinct
+generators' operators are those with rows and columns permuted, equal
+bit for bit to multiplying out their own permuted eigenvectors.  Along
+each axis a mode's index on the distinct grid runs in steps of +1 or
+-1, so the half spectrum splits into a few blocks, each taking a
+strided block of the distinct propagators.
 
 Each block also keeps one partner slot.  For even N the rows r and
 N/2 - r share a generator, and so do the columns s and N/2 - s, so a
@@ -108,12 +113,12 @@ SINGLE_FLUSH = float(np.finfo(np.float32).eps) ** 2
 class HeatPropagator:
     """Precomputed factorization of the one-step evolution.
 
-    ``eigvals``/``eigvecs`` hold the spectral factorization of every
-    distinct ``B_rs`` (eigenvalues clipped to <= 0; the operator is
-    negative semidefinite by construction, the clip removes roundoff).
-    Only the canonical generators under the mirror and axis swap are
-    factored; every other entry holds its canonical generator's
-    eigenvalues and, orientations permuted, eigenvectors.
+    ``eigvals``/``eigvecs`` hold the spectral factorization of the
+    canonical generators under the mirror and axis swap (eigenvalues
+    clipped to <= 0; the operator is negative semidefinite by
+    construction, the clip removes roundoff).  Every distinct ``B_rs``
+    is its canonical generator ``canon`` with the orientations mapped
+    by ``perm``.
     """
 
     n_pixels: int
@@ -121,8 +126,13 @@ class HeatPropagator:
     beta: float
     dtau: float
     d2h: np.ndarray  # (P, K): d^2 / h^2 of the P canonical generators, in factoring order
-    eigvals: np.ndarray  # (U, V, K): U, V distinct S[r], S[s] (r < N, s <= N//2)
-    eigvecs: np.ndarray  # (U, V, K, K), columns are eigenvectors
+    eigvals: np.ndarray  # (P, K)
+    eigvecs: np.ndarray  # (P, K, K), columns are eigenvectors
+    # (U, V): the canonical generator of each distinct one, U, V distinct
+    # S[r], S[s] (r < N, s <= N//2); (U, V, K): orientation k of distinct
+    # generator (u, v) is orientation perm[u, v, k] of its canonical one
+    canon: np.ndarray
+    perm: np.ndarray
     # (rows, cols, us, vs, slot): half-spectrum modes [rows, cols] take the
     # generators [us, vs] of the distinct grid (us, vs of step +1 or -1),
     # as partner ``slot`` of those that share a generator (``_pieces``)
@@ -133,18 +143,26 @@ class HeatPropagator:
         return steps_of(tau, self.dtau)
 
     def step_ratios(self, m: int) -> np.ndarray:
-        """Eigenvalues of the m-step propagator, per mode and eigenvector."""
+        """Eigenvalues of the m-step propagator, per canonical generator and eigenvector."""
         z = 0.5 * self.dtau * self.eigvals
         return ((1.0 + z) / (1.0 - z)) ** m
 
     def propagator(self, m: int) -> np.ndarray:
-        """Dense (U, V, K, K) m-step operator on the distinct grid."""
+        """Dense (U, V, K, K) m-step operator on the distinct grid.
+
+        Multiplied out for the P canonical generators, then each
+        distinct generator's operator is its canonical one with rows and
+        columns permuted.
+        """
         cached = self._prop_cache.get(m)
         if cached is None:
             rho = self.step_ratios(m)
-            cached = (self.eigvecs * rho[..., None, :]) @ np.swapaxes(
+            canonical = (self.eigvecs * rho[..., None, :]) @ np.swapaxes(
                 self.eigvecs, -1, -2
             )
+            perm = self.perm
+            cached = canonical[self.canon[..., None, None], perm[..., :, None],
+                               perm[..., None, :]]
             self._prop_cache[m] = cached
         return cached
 
@@ -215,8 +233,10 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         beta=beta,
         dtau=dtau,
         d2h=d2h,
-        eigvals=vals[canon],
-        eigvecs=vecs[canon[..., None], perm],
+        eigvals=vals,
+        eigvecs=vecs,
+        canon=canon,
+        perm=perm,
         pieces=_pieces(r_grid, s_grid),
     )
 
@@ -350,7 +370,7 @@ def mode_product_buffer(prop: HeatPropagator, batch: int, dtype) -> np.ndarray:
     ctype = np.result_type(dtype, np.complex64)
     if batch == 1:
         slots = 1 + max(piece[-1] for piece in prop.pieces)
-        return np.zeros((2,) + prop.eigvals.shape + (slots,), ctype)
+        return np.zeros((2,) + prop.canon.shape + (prop.n_orient, slots), ctype)
     n = prop.n_pixels
     return np.empty((n, n // 2 + 1, prop.n_orient, batch), ctype)
 

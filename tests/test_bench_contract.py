@@ -88,32 +88,52 @@ def test_counted_evolve_matches_the_unwrapped_call(recorder):
 def test_wc_run_reaches_the_traced_names(recorder, monkeypatch):
     # wc_sigmoid_pct and evolve_calls read one sigmoid and one evolution
     # per evaluation, iter_ms the gaps between the relative changes, one
-    # per iteration, and assemble_s the one propagator build; the
-    # recorder's own wrappers, patched as install does
-    rec = recorder.Recorder(trace=True)
-    propagator = recorder.heat.HeatPropagator.propagator
-    monkeypatch.setattr(recorder.heat.HeatPropagator, "propagator",
-                        rec._assembly_span(propagator))
+    # per evaluation (a rejected extrapolation's included), and
+    # assemble_s the one propagator build; the recorder's own wrappers,
+    # patched as install does.  The second run forces a rejection: the
+    # third evaluation, the first extrapolated one, reads a relative
+    # change above the last accepted one's (the first run rejects its
+    # sixth)
     dynamics = recorder.dynamics
-    wrapped = {
-        "sigmoid": rec.span("dynamics.wc_sigmoid", dynamics.sigmoid),
-        "relative_change": rec.span("dynamics.relative_change", dynamics.relative_change),
-        "_evolve_batch": rec.span("heat.evolve", rec._counted_evolve(dynamics._evolve_batch)),
-    }
-    for name, fn in wrapped.items():
-        monkeypatch.setattr(dynamics, name, fn)
+    change = dynamics.relative_change
     n, k = 32, 8
     f0 = poggendorff_gratings(StimulusSpec(n_pixels=n, bar_width=8, grating_period=8,
                                            line_thickness=3))
     cfg = ModelConfig(model="wc", lam=0.01, alpha=20.0, sigma_mu=2.0, dt=0.1,
                       dtau=0.01, tau=0.5, max_iters=6)
-    res = run_model(f0, cfg, build_cake_bank(n, k, 5),
-                    build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau))
-    names = [span[0] for span in rec.spans]
-    assert res.iterations == 6 and names.count("heat.assemble") == 1
-    for span in ("dynamics.wc_sigmoid", "heat.evolve", "dynamics.relative_change"):
-        assert names.count(span) == res.iterations, span
-    assert rec.counts["evolve_calls"] == rec.counts["stacks_evolved"] == res.iterations
+    bank = build_cake_bank(n, k, 5)
+    propagator = recorder.heat.HeatPropagator.propagator
+
+    def traced_run(relative_change):
+        rec = recorder.Recorder(trace=True)
+        monkeypatch.setattr(recorder.heat.HeatPropagator, "propagator",
+                            rec._assembly_span(propagator))
+        wrapped = {
+            "sigmoid": rec.span("dynamics.wc_sigmoid", dynamics.sigmoid),
+            "relative_change": rec.span("dynamics.relative_change", relative_change),
+            "_evolve_batch": rec.span("heat.evolve",
+                                      rec._counted_evolve(dynamics._evolve_batch)),
+        }
+        for name, fn in wrapped.items():
+            monkeypatch.setattr(dynamics, name, fn)
+        res = run_model(f0, cfg, bank, build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau))
+        monkeypatch.undo()
+        return rec, res
+
+    calls = []
+
+    def forced(g, a):
+        calls.append(None)
+        return change(g, a) + (1.0 if len(calls) == 3 else 0.0)
+
+    for relative_change, rejected in ((change, 0), (forced, 1)):
+        rec, res = traced_run(relative_change)
+        names = [span[0] for span in rec.spans]
+        assert res.iterations == 6 and res.rejected_steps >= rejected
+        assert names.count("heat.assemble") == 1
+        for span in ("dynamics.wc_sigmoid", "heat.evolve", "dynamics.relative_change"):
+            assert names.count(span) == res.iterations, span
+        assert rec.counts["evolve_calls"] == rec.counts["stacks_evolved"] == res.iterations
 
 
 def test_lhe_run_reaches_the_traced_names(recorder, monkeypatch):

@@ -543,9 +543,14 @@ def _tiny_wc():
 
 
 class TestAnderson:
-    @pytest.mark.parametrize("alpha", [6.0, 8.0])
-    def test_fewer_evaluations_to_the_same_stopping_rule(self, alpha):
-        f0, cfg, bank, prop = _tiny_run(alpha, 0.5)
+    @pytest.mark.parametrize("case", [
+        pytest.param(lambda: _tiny_run(6.0, 0.5), id="6.0"),
+        pytest.param(lambda: _tiny_run(8.0, 0.5), id="8.0"),
+        pytest.param(_tiny_wc, id="wc"),
+    ])
+    def test_fewer_evaluations_to_the_same_stopping_rule(self, case):
+        # LHE's five-pair history and WC's one secant pair against the plain loop
+        f0, cfg, bank, prop = case()
         res = run_model(f0, cfg, bank, prop)
         gd_stack, gd_steps, _ = gd_reference(f0, cfg, bank, prop)
         assert res.converged and res.iterations < gd_steps
@@ -556,8 +561,8 @@ class TestAnderson:
         # Both runs stop on the same residual rule, so both lie about
         # rel / (1 - q) from the fixed point, q the slowest contraction;
         # which is nearer depends on where each one's last residual fell
-        # below tol.  Measured ratios of the distances: 0.89 (alpha 6) and
-        # 1.05 (alpha 8).
+        # below tol.  Measured ratios of the distances: 0.89 (LHE, alpha 6),
+        # 1.05 (LHE, alpha 8) and 0.52 (WC, 20 evaluations against 51).
         fixed, _, _ = gd_reference(f0, dataclasses.replace(cfg, tol=1e-6), bank, prop)
 
         def dist(stack):
@@ -593,15 +598,6 @@ class TestAnderson:
         assert double.interaction_dtype == "float64"
         assert res.iterations == double.iterations
         assert np.linalg.norm(res.stack - double.stack) <= 1e-7 * np.linalg.norm(double.stack)
-
-    def test_wc_is_the_plain_loop(self):
-        f0, cfg, bank, prop = _tiny_wc()
-        res = run_model(f0, cfg, bank, prop)
-        with dynamics._single_blas_thread():
-            stack, steps, rel_history = gd_reference(f0, cfg, bank, prop)
-        np.testing.assert_array_equal(res.stack, stack)
-        assert (res.iterations, res.rel_history) == (steps, rel_history)
-        assert res.energies is None and res.rejected_steps == 0
 
     def test_one_evaluation_per_state(self, monkeypatch, tmp_path):
         # each evaluated state costs one batched heat evolution, which yields
@@ -654,6 +650,35 @@ class TestAnderson:
     def test_nan_energy_is_a_rejection(self, monkeypatch):
         res = self._forced(monkeypatch, lambda e: math.nan)
         assert np.all(np.isfinite(res.energies))
+
+    def test_wc_forced_rejection_restarts_from_the_last_plain_step(self, monkeypatch):
+        # the third evaluated state is the first extrapolated one; its
+        # relative change is made to exceed the last accepted one's
+        case = _tiny_wc()
+        base = run_model(*case)
+        change, step = dynamics.relative_change, dynamics.gd_step
+        evaluated, steps = [], []
+
+        def forced(g, a):
+            rel = change(g, a)
+            return rel + 1.0 if len(steps) == 3 else rel
+
+        def recorded(a, *args):
+            evaluated.append(a)
+            steps.append(step(a, *args))
+            return steps[-1]
+
+        monkeypatch.setattr(dynamics, "relative_change", forced)
+        monkeypatch.setattr(dynamics, "gd_step", recorded)
+        res = run_model(*case)
+        assert base.rejected_steps == 0 and res.rejected_steps >= 1
+        assert res.converged and res.energies is None
+        assert res.iterations == len(res.rel_history) + res.rejected_steps
+        assert max(res.rel_history) < 1.0  # the forced change was not accepted
+        # the rejected state was extrapolated, and the next evaluated state
+        # is the plain step of the last accepted one
+        assert evaluated[2] is not steps[1]
+        assert evaluated[3] is steps[1]
 
 
 class TestEnergy:

@@ -9,11 +9,14 @@ from srcortex import (
     ExperimentConfig,
     ModelConfig,
     StimulusSpec,
+    build_cake_bank,
+    build_propagator,
     fit_polynomial,
     measure_offset,
     poggendorff_classic,
     poggendorff_gratings,
     run_experiment,
+    run_model,
     run_sweep,
 )
 from srcortex.cli import build_parser, config_from_args, main
@@ -82,6 +85,42 @@ class TestMeasureOffset:
         img[:, in_bar] = np.roll(img[:, in_bar], roll, axis=0)
         off = measure_offset(img, spec)
         assert off == pytest.approx(roll * math.cos(spec.incidence_angle), abs=0.1)
+
+
+class TestMirrorOracle:
+    """The figure mirrored (incidence pi - pi/3) reads the same completion.
+
+    Its stimulus is the figure's with the rows flipped, bit for bit, so
+    the model's output must be the flipped output and the probe must
+    read the same offset, in the same number of evaluations: a probe or
+    solver change that breaks the sign convention shows here.  Measured
+    at N = 48 and 64, K = 8, tau 0.5: images within 2e-8 (WC) and 1e-4
+    (LHE) relative, offsets within 4e-7 and 1e-4 px.
+    """
+
+    @pytest.mark.parametrize("n", [48, 64])
+    @pytest.mark.parametrize("model", ["wc", "lhe"])
+    def test_mirrored_figure_reads_the_same_offset(self, model, n):
+        k = 8
+        spec = StimulusSpec.paper(n)
+        mirrored = dataclasses.replace(spec, incidence_angle=math.pi - math.pi / 3.0)
+        f0 = poggendorff_gratings(spec)
+        np.testing.assert_array_equal(poggendorff_gratings(mirrored), f0[::-1])
+        cfg = dataclasses.replace(ModelConfig.paper(model), tau=0.5)
+        if model == "wc":
+            cfg = dataclasses.replace(cfg, sigma_mu=cfg.sigma_mu * n / 200)
+        bank = build_cake_bank(n, k, 5)
+        prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
+        res = run_model(f0, cfg, bank, prop)
+        flipped = run_model(f0[::-1], cfg, bank, prop)
+        assert (flipped.iterations, flipped.rejected_steps) == (
+            res.iterations, res.rejected_steps)
+        rel = np.linalg.norm(flipped.image - res.image[::-1]) / np.linalg.norm(res.image)
+        assert rel <= (1e-6 if model == "wc" else 1e-3)
+        offset, mirrored_offset = measure_offset(res.image, spec), measure_offset(
+            flipped.image, mirrored)
+        assert offset is not None and mirrored_offset is not None
+        assert mirrored_offset == pytest.approx(offset, abs=1e-3)
 
 
 def quick_config(tmp_path, **overrides):

@@ -101,11 +101,19 @@ def expanded(prop, table):
     )
 
 
+def distinct_eigenpairs(prop):
+    """Eigenvalues (U, V, K) and eigenvectors (U, V, K, K) of every distinct generator.
+
+    Each takes its canonical generator's eigenpairs, the eigenvectors'
+    rows (orientations) permuted by its orientation map.
+    """
+    return prop.eigvals[prop.canon], prop.eigvecs[prop.canon[..., None], prop.perm]
+
+
 def factored_generator(prop, r, s):
     """Mode (r, s) generator rebuilt from its distinct eigenpairs."""
-    entry = grid_entry(prop, r, s)
-    vecs = prop.eigvecs[entry]
-    return (vecs * prop.eigvals[entry]) @ vecs.T
+    vals, vecs = (x[grid_entry(prop, r, s)] for x in distinct_eigenpairs(prop))
+    return (vecs * vals) @ vecs.T
 
 
 def distinct_generators(prop):
@@ -113,7 +121,7 @@ def distinct_generators(prop):
     k = prop.n_orient
     ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
     symbol = full_symbol(prop.n_pixels, k)
-    d2h = np.empty(prop.eigvals.shape)
+    d2h = np.empty(prop.canon.shape + (k,))
     for rows, cols, us, vs, _ in prop.pieces:
         d2h[us, vs] = symbol[rows, cols]
     return ang - d2h[..., None] * np.eye(k)
@@ -209,8 +217,12 @@ class TestSpectralSymbol:
         )
         vals, vecs = np.linalg.eigh(generators)
         np.minimum(vals, 0.0, out=vals)
-        np.testing.assert_array_equal(prop.eigvals, vals[canon])
-        np.testing.assert_array_equal(prop.eigvecs, vecs[canon[..., None], perm])
+        assert prop.eigvals.shape == (len(pairs[0]), k)
+        assert prop.eigvecs.shape == (len(pairs[0]), k, k)
+        np.testing.assert_array_equal(prop.eigvals, vals)
+        np.testing.assert_array_equal(prop.eigvecs, vecs)
+        np.testing.assert_array_equal(prop.canon, canon)
+        np.testing.assert_array_equal(prop.perm, perm)
 
 
 class TestPropagator:
@@ -220,7 +232,7 @@ class TestPropagator:
         for r, s in [(0, 0), (1, 3), (2, 2), (5, 1)]:
             mat = assembled_generator(prop, symbol, r, s)
             assert np.abs(mat - mat.T).max() == 0.0
-            vecs = prop.eigvecs[grid_entry(prop, r, s)]
+            vecs = distinct_eigenpairs(prop)[1][grid_entry(prop, r, s)]
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(5), atol=1e-12)
             np.testing.assert_allclose(
                 factored_generator(prop, r, s), mat, atol=1e-12 * np.abs(mat).max()
@@ -246,7 +258,7 @@ class TestPropagator:
         vals = np.linalg.eigvalsh(0.5 * (step + step.T))
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
         assert np.all(vals > -1.0)
-        ratios = expanded(prop, prop.step_ratios(1))
+        ratios = expanded(prop, prop.step_ratios(1)[prop.canon])
         full = [
             ratios[r, s] if s <= n // 2 else ratios[-r % n, n - s]
             for r in range(n)
@@ -274,9 +286,26 @@ class TestPropagator:
 
     @pytest.mark.parametrize("n, k", GRIDS + [(100, 16)])
     def test_every_distinct_eigenbasis_orthonormal(self, n, k):
-        vecs = build_propagator(n, k, 0.8, 0.02).eigvecs
+        _, vecs = distinct_eigenpairs(build_propagator(n, k, 0.8, 0.02))
         gram = np.swapaxes(vecs, -1, -2) @ vecs
         assert np.abs(gram - np.eye(k)).max() <= 1e-12
+
+    @pytest.mark.parametrize("n, k", [(200, 16), (200, 15), (100, 16), (31, 9), (30, 8),
+                                      (7, 5)])
+    def test_operator_equals_multiplying_out_every_distinct_generator(self, n, k):
+        # oracle: each distinct generator's own eigenpairs, multiplied out as
+        # V diag(rho^m) V^T; permuting the canonical operator gives the same
+        # bits, in float64 and in the flushed float32 copy
+        prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
+        vals, vecs = distinct_eigenpairs(prop)
+        z = 0.5 * prop.dtau * vals
+        for m in (1, 500):
+            rho = ((1.0 + z) / (1.0 - z)) ** m
+            expected = (vecs * rho[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+            np.testing.assert_array_equal(prop.propagator(m), expected)
+            single = expected.astype(np.float32)
+            single[np.abs(single) < SINGLE_FLUSH] = 0.0
+            np.testing.assert_array_equal(prop.single_propagator(m), single)
 
     @pytest.mark.parametrize("beta", [ModelConfig.beta_for(100, 16), 0.05])
     def test_matches_factoring_every_distinct_generator(self, beta):
@@ -317,9 +346,10 @@ class TestPropagator:
 
     def test_paper_size_factors_distinct_generators_only(self):
         prop = build_propagator(200, 16, 0.05, 0.01)
-        modes = prop.eigvals.shape[0] * prop.eigvals.shape[1]
-        assert modes <= 5202
-        assert prop.eigvecs.shape == prop.eigvals.shape + (16,)
+        assert prop.canon.shape == (101, 51) and prop.perm.shape == (101, 51, 16)
+        assert prop.eigvals.shape == (1326, 16)
+        assert prop.eigvecs.shape == (1326, 16, 16)
+        assert prop.propagator(1).shape == (101, 51, 16, 16)
 
 
 class TestHeatEvolve:
@@ -442,8 +472,8 @@ class TestGroupedProduct:
         taken = set()
         for rows, cols, us, vs, slot in prop.pieces:
             covered[rows, cols] += 1
-            u = np.arange(prop.eigvals.shape[0])[us]
-            v = np.arange(prop.eigvals.shape[1])[vs]
+            u = np.arange(prop.canon.shape[0])[us]
+            v = np.arange(prop.canon.shape[1])[vs]
             assert len(u) == rows.stop - rows.start and len(v) == cols.stop - cols.start
             taken.update((int(i), int(j), slot) for i in u for j in v)
         np.testing.assert_array_equal(covered, 1)
@@ -458,7 +488,7 @@ class TestGroupedProduct:
     def test_buffer_is_kept_zero_filled_and_grouped(self):
         prop = build_propagator(12, 6, 0.3, 0.01)
         product = mode_product_buffer(prop, 1, np.float32)
-        assert product.shape == (2,) + prop.eigvals.shape + (4,)
+        assert product.shape == (2,) + prop.canon.shape + (6, 4)
         assert product.dtype == np.complex64 and not product.any()
         stack = np.random.default_rng(47).random((12, 12, 6, 1)).astype(np.float32)
         expected = _evolve_batch(stack, prop, 30)
@@ -486,7 +516,7 @@ class TestGroupedProduct:
                                       per_piece_evolution(a, prop, 30))
         col = kernel_column(prop, 3, 4, 1, 0.3)
         assert col.sum() == pytest.approx(1.0, abs=1e-12)
-        assert [b.shape for b in built] == [(2,) + prop.eigvals.shape + (4,)] * 2
+        assert [b.shape for b in built] == [(2,) + prop.canon.shape + (4, 4)] * 2
 
 
 class TestSinglePrecision:
