@@ -7,7 +7,7 @@ path from the collinear continuation (positive = toward the perceptually
 expected attachment, None = no path detected).  The paper expects
 collinear fill-in for narrow kernels and a growing positive displacement
 for wide ones; this implementation does not show that.  At N=200 it
-measures [None, -1.59, -4.12] px, at --quick (N=100) +0.47, +1.33 and
+measures [None, -1.59, -4.13] px, at --quick (N=100) +0.47, +1.33 and
 -1.74 px.  The README's paragraph on criterion 8 and ROADMAP item 5
 discuss the gap.  Pass --quick for a half-size run.
 """

@@ -21,7 +21,9 @@ so with K the heat kernel and E_i = K[a^i] (E_0 = 1) the interaction is
     S[a](xi) = sum_p a(xi)^p * sum_i W[p, i] E_i(xi):
 
 one small matmul of the table with the evolved powers, giving one row
-R_p = sum_i W[p, i] E_i per degree, then a Horner pass in ``a``.
+R_p = sum_i W[p, i] E_i per degree, then a Horner pass in ``a``.  The
+combine does both a block of ``BLOCK`` entries at a time, so the rows
+exist only for the block in hand.
 ``_interaction`` is the one place a model is evaluated: it builds the
 fit and its weight table once, and each call evolves the powers a^1 ..
 a^n once, for the interaction and the energy alike.
@@ -34,7 +36,8 @@ the kernel double sum of the even primitive Sigma of the polynomial,
 ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``.  Sigma's weight table is the
 polynomial's shifted by one degree, ``W_Sigma[p, i] = W[p - 1, i] / p``
 for p >= 1, so the terms with p >= 1 are ``sum_x a H(a)`` with
-``H = sum_q a^q R_q / (q + 1)``: the combine's rows again.  The terms
+``H = sum_q a^q R_q / (q + 1)``, which the combine evaluates from each
+block's rows in the same pass as the interaction.  The terms
 with p = 0 are ``sum_i W_Sigma[0, i] sum_x K[a^i] = sum_x Sigma(-a)``,
 because the kernel conserves mass (``sum K[f] = sum f``), and
 Sigma(-a) = Sigma(a).  So the double sum is ``sum_x (a H(a) +
@@ -55,9 +58,9 @@ evaluation keeps the arrays it hands the heat layer for as long as it
 lives (a whole run in ``run_model``): the evolution's complex
 mode-product buffer (for WC, the modes gathered by generator and their
 product), and the sigmoid stack (WC) or the n powers and the combine's
-rows (LHE).  The WC evaluation keeps neither a0 nor mu, so a WC run
-holds mu only until the forcing is formed and a0 only as its first
-state.  The evolved stacks are the one large array a call allocates
+``(n + 1, BLOCK)`` row scratch (LHE).  The WC evaluation keeps neither
+a0 nor mu, so a WC run holds mu only until the forcing is formed and a0
+only as its first state.  The evolved stacks are the one large array a call allocates
 besides the forward spectrum; the LHE ones take over its memory.
 
 ``run_model`` seeks the fixed point of the descent step
@@ -65,16 +68,19 @@ besides the forward spectrum; the LHE ones take over its memory.
 tol``.  Near the fixed point the plain iteration ``a <- G(a)`` contracts
 slowly (about 0.993 per step for LHE, 0.88 for WC), so both models use
 type-II Anderson acceleration (Walker & Ni, SIAM J. Numer. Anal. 49(4),
-2011).  LHE extrapolates from the last five steps, guarded by the
-energy: each interaction evaluation yields the energy of its state, an
-extrapolated state that does not lower it is rejected, and the run
-restarts from the plain step with the history cleared.  So the accepted
-energies never rise, as long as the plain step descends (dt in the
-stable range).  WC has no energy.  It extrapolates from one secant pair
-(3-4 ms per update at N=200, K=16, against 12-16 ms for five pairs and
-about 10 ms for an evaluation), guarded by the relative change: an
-extrapolated state whose step changes it no less than the last accepted
-state's did is rejected in the same way.
+2011).  LHE extrapolates, from the last five pairs, the Picard map
+``Phi(a) = (forcing + S[a]/2) / (1 + lam)``: the model equation solved
+for ``a``, of which G moves only ``(1 + lam) dt`` of the way (0.45 for
+the figures).  Its step is guarded by the energy: each interaction
+evaluation yields the energy of its state, an extrapolated state (the
+first Picard step included) that does not lower it is rejected, and the
+run restarts from the plain step with the history cleared.  So the
+accepted energies never rise, as long as the plain step descends (dt in
+the stable range).  WC has no energy.  It extrapolates G itself from one
+secant pair (3-4 ms per update at N=200, K=16, against 12-16 ms for five
+pairs and about 10 ms for an evaluation), guarded by the relative
+change: an extrapolated state whose step changes it no less than the
+last accepted state's did is rejected in the same way.
 """
 
 import contextlib
@@ -162,9 +168,13 @@ def _weights(coeffs) -> np.ndarray:
     return w
 
 
-def _horner(a, rows):
-    """``sum_p rows[p] a^p`` by Horner's rule; rows are scalars or stacks."""
-    out = np.empty_like(a)
+def _horner(a, rows, out=None):
+    """``sum_p rows[p] a^p`` by Horner's rule, into ``out`` or a new array.
+
+    Rows are scalars or arrays of a's shape.
+    """
+    if out is None:
+        out = np.empty_like(a)
     out[...] = rows[-1]
     for row in rows[-2::-1]:
         out *= a
@@ -198,19 +208,32 @@ def _evolved_powers(powers, prop, tau, product):
 
 
 def _combine(a, weights, evolved, rows):
-    """``sum_{p,i} W[p, i] a^p E_i`` with E_0 = 1: a matmul, then Horner in a.
+    """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's H.
 
-    Computes in a's dtype.  Returns the interaction (a new array) and
-    its rows ``R_p = sum_i W[p, i] E_i``, one stack per p, which the
-    energy reuses; they are written into ``rows``, an ``(n + 1, a.size)``
-    array.
+    One pass of ``BLOCK`` entries at a time, in a's dtype.  Each block's
+    rows ``R_p = sum_i W[p, i] E_i`` are one small matmul into ``rows``,
+    an ``(n + 1, min(BLOCK, a.size))`` scratch; a Horner pass in ``a``
+    over them gives the interaction, and one over ``R_q / (q + 1)`` gives
+    ``H = sum_q a^q R_q / (q + 1)``.  Both come back as new arrays of
+    a's shape; no full-size row is kept.
     """
     nmax = evolved.shape[-1]
     weights = weights.astype(a.dtype, copy=False)
-    rows = np.matmul(weights[:, 1:], evolved.reshape(-1, nmax).T, out=rows)
-    rows += weights[:, :1]
-    rows = rows.reshape((len(weights),) + a.shape)
-    return _horner(a, rows), rows
+    divisors = np.arange(1, len(weights) + 1, dtype=a.dtype)[:, None]
+    term, h = np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype)
+    a_flat, term_flat, h_flat = a.ravel(), term.ravel(), h.ravel()
+    e_flat = evolved.reshape(-1, nmax)
+    scratch = rows.ravel()
+    for start in range(0, a.size, BLOCK):
+        stop = min(start + BLOCK, a.size)
+        r = scratch[: len(weights) * (stop - start)].reshape(len(weights), -1)
+        np.matmul(weights[:, 1:], e_flat[start:stop].T, out=r)
+        r += weights[:, :1]
+        a_b = a_flat[start:stop]
+        _horner(a_b, r, out=term_flat[start:stop])
+        r /= divisors
+        _horner(a_b, r, out=h_flat[start:stop])
+    return term, h
 
 
 def local_mean(a0, sigma_mu: float):
@@ -242,8 +265,8 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
 
     The evaluation allocates the arrays it hands the heat layer once,
     here: the mode-product buffer, and the sigmoid stack (WC) or the
-    powers and rows (LHE).  Each call returns a new ``term``; the rows
-    an LHE call hands the energy are overwritten by the next call.
+    powers and the combine's row scratch (LHE).  Each call returns a new
+    ``term``; an LHE call also makes a new H, which only its energy reads.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
     first.  In ``run_model`` a WC state is ``a0`` or a step whose
     relative change was found finite, and a non-finite LHE state gives a
@@ -265,15 +288,14 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     n = cfg.poly_degree
     powers = np.empty((n,) + a0.shape, dtype)
     product = mode_product_buffer(prop, n, dtype)
-    rows = np.empty((n + 1, a0.size), dtype)
+    rows = np.empty((n + 1, min(BLOCK, a0.size)), dtype)
 
     def lhe(a):
         np.copyto(powers[0], a, casting="same_kind")
-        work = powers[0]
         evolved = _evolved_powers(powers, prop, cfg.tau, product)
-        term, stacked_rows = _combine(work, weights, evolved, rows)
-        del evolved  # the energy needs only the rows
-        return term, _energy_from_terms(a, a0, mu, cfg, prim, stacked_rows, work)
+        term, h = _combine(powers[0], weights, evolved, rows)
+        del evolved  # the energy needs only H
+        return term, _energy_from_terms(a, a0, mu, cfg, prim, h)
 
     return lhe
 
@@ -327,39 +349,39 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
 
 
-def _energy_from_terms(a, a0, mu, cfg, prim, rows, x) -> float:
-    """Energy of ``a`` from the combine's rows R_0 .. R_n; ``x`` is ``a`` in their dtype.
+def _energy_from_terms(a, a0, mu, cfg, prim, h) -> float:
+    """Energy of ``a`` from the combine's ``H = sum_q a^q R_q / (q + 1)``.
 
     ``prim`` holds the coefficients of the even primitive Sigma.  Its
     weight table is the combine's shifted by one degree,
     ``W_Sigma[p, i] = W[p - 1, i] / p`` for p >= 1, so the terms with
     p >= 1 of the double sum ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>`` are
-    ``sum_x a H(a)`` with ``H = sum_q a^q R_q / (q + 1)``.  The terms
-    with p = 0 are ``sum_i W_Sigma[0, i] sum_x K[a^i] = sum_x Sigma(-a)``
-    because K conserves mass, and Sigma is even (``prim``'s odd entries
-    are zero), so it is evaluated as a polynomial in ``a * a``.  The
-    double sum enters with half the interaction's scale, negated.  H is
-    evaluated in the rows' dtype; the product with ``a``, Sigma and the
-    sums in ``a``'s.  The two fidelity sums are dot products of one
-    difference array, which then holds ``a * a`` and ``a * H``.
+    ``sum_x a H(a)``.  The terms with p = 0 are ``sum_i W_Sigma[0, i]
+    sum_x K[a^i] = sum_x Sigma(-a)`` because K conserves mass, and Sigma
+    is even (``prim``'s odd entries are zero), so it is evaluated as a
+    polynomial in ``a * a``.  The double sum enters with half the
+    interaction's scale, negated.  The two fidelity sums, Sigma and
+    ``a H`` are taken in one pass of ``BLOCK`` entries at a time, in
+    ``a``'s dtype.
     """
     w_a0, w_mu = cfg.fidelity_weights
-    diff = a - a0
-    flat = diff.ravel()
-    fidelity = 0.5 * w_a0 * float(flat @ flat)
-    np.subtract(a, mu, out=diff)
-    mean_term = 0.5 * w_mu * float(flat @ flat)
-    h = rows[-1] / len(rows)
-    scaled = np.empty_like(h)
-    for q in range(len(rows) - 2, -1, -1):
-        h *= x
-        h += np.divide(rows[q], q + 1, out=scaled)
-    np.multiply(a, a, out=diff)
-    double_sum = _horner(diff, prim[::2])
-    np.multiply(a, h, out=diff)
-    double_sum += diff
-    inter = -0.5 * INTERACTION_SCALE * float(double_sum.sum())
-    return fidelity + mean_term + inter
+    even = prim[::2]
+    size = min(BLOCK, a.size)
+    diff, sigma = np.empty(size), np.empty(size)
+    flat = [x.ravel() for x in (a, a0, mu, h)]
+    fidelity = mean_term = double_sum = 0.0
+    for start in range(0, a.size, BLOCK):
+        a_b, a0_b, mu_b, h_b = (x[start : start + BLOCK] for x in flat)
+        d = np.subtract(a_b, a0_b, out=diff[: len(a_b)])
+        fidelity += float(d @ d)
+        np.subtract(a_b, mu_b, out=d)
+        mean_term += float(d @ d)
+        np.multiply(a_b, a_b, out=d)
+        s = _horner(d, even, out=sigma[: len(a_b)])
+        s += np.multiply(a_b, h_b, out=d)
+        double_sum += float(s.sum())
+    inter = -0.5 * INTERACTION_SCALE * double_sum
+    return 0.5 * w_a0 * fidelity + 0.5 * w_mu * mean_term + inter
 
 
 @dataclass
@@ -440,25 +462,32 @@ class _SecantPair:
 
 
 class _AndersonHistory:
-    """Type-II Anderson mixing for a fixed-point map G (Walker & Ni, 2011).
+    """Type-II Anderson mixing on the LHE Picard map (Walker & Ni, 2011).
 
-    Holds the differences of the residuals ``f = G(x) - x`` and of the
-    images ``G(x)`` of consecutive accepted iterates in two preallocated
-    ``(ANDERSON_WINDOW, size)`` ring buffers, ``df`` and ``dg``.  The
-    next iterate is ``G(x) - dg^T gamma``, with gamma solving the Gram
-    system ``df df^T gamma = df f`` (least squares, so a singular Gram
-    matrix gives the minimum-norm gamma).  The order of the pairs in the
-    ring does not matter to that solution.  The Gram matrix is kept and
-    only the new pair's row and column are computed.
+    The descent step ``G(a) = a + dt * drift(a)`` moves only
+    ``(1 + lam) dt`` of the way to the model equation solved for ``a``,
+    the Picard map ``Phi(a) = a + beta (G(a) - a) = (forcing + S[a]/2) /
+    (1 + lam)``, ``beta = 1 / ((1 + lam) dt)``.  The history extrapolates
+    Phi.  It holds the differences of the residuals ``f = G(x) - x`` and
+    of the images ``Phi(x)`` of consecutive accepted iterates in two
+    preallocated ``(ANDERSON_WINDOW, size)`` ring buffers, ``df`` and
+    ``dphi = dx + beta df``.  The next iterate is ``Phi(x) - dphi^T
+    gamma``, with gamma solving the Gram system ``df df^T gamma = df f``
+    (least squares, so a singular Gram matrix gives the minimum-norm
+    gamma); Phi's residual is ``beta f``, and gamma does not depend on
+    that scale.  The order of the pairs in the ring does not matter to
+    that solution.  The Gram matrix is kept and only the new pair's row
+    and column are computed.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, cfg: ModelConfig):
+        self.beta = 1.0 / ((1.0 + cfg.lam) * cfg.dt)
         self.df = np.empty((ANDERSON_WINDOW, size))
-        self.dg = np.empty((ANDERSON_WINDOW, size))
+        self.dphi = np.empty((ANDERSON_WINDOW, size))
         self.gram = np.empty((ANDERSON_WINDOW, ANDERSON_WINDOW))
         self.pairs = 0  # valid pairs, in slots 0 .. pairs-1 until the ring wraps
         self.slot = 0  # the slot the next pair overwrites
-        self.f_prev = self.g_prev = None
+        self.f_prev = self.x_prev = None
 
     def clear(self):
         """Forget every pair; the next two accepted iterates start a new one.
@@ -467,31 +496,37 @@ class _AndersonHistory:
         each new pair writes its row and column over every valid slot.
         """
         self.pairs = self.slot = 0
-        self.f_prev = self.g_prev = None
+        self.f_prev = self.x_prev = None
 
     def extrapolate(self, x, g):
         """Record the accepted iterate x with g = G(x); return the next iterate.
 
-        With no pair recorded yet this is g, the plain descent step.
+        With no pair recorded yet this is ``Phi(x)`` itself, a new array.
+        ``x`` is kept as the next pair's base, so the caller must not
+        write to it.
         """
+        x_flat = x.ravel()
         f = (g - x).ravel()
-        g_flat = g.ravel()
         if self.f_prev is not None:
-            np.subtract(f, self.f_prev, out=self.df[self.slot])
-            np.subtract(g_flat, self.g_prev, out=self.dg[self.slot])
+            df, dphi = self.df[self.slot], self.dphi[self.slot]
+            np.subtract(f, self.f_prev, out=df)
+            np.multiply(df, self.beta, out=dphi)
+            dphi += x_flat
+            dphi -= self.x_prev  # dx + beta df
             self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
-            row = self.df[: self.pairs] @ self.df[self.slot]
+            row = self.df[: self.pairs] @ df
             self.gram[self.slot, : self.pairs] = self.gram[: self.pairs, self.slot] = row
             self.slot = (self.slot + 1) % ANDERSON_WINDOW
-        self.f_prev, self.g_prev = f, g_flat
-        if self.pairs == 0:
-            return g
-        df, dg = self.df[: self.pairs], self.dg[: self.pairs]
-        gram = self.gram[: self.pairs, : self.pairs]
-        gamma = np.linalg.lstsq(gram, df @ f, rcond=None)[0]
-        out = gamma @ dg
-        np.subtract(g_flat, out, out=out)
-        return out.reshape(g.shape)
+        self.f_prev, self.x_prev = f, x_flat
+        out = np.multiply(f, self.beta)
+        out += x_flat  # Phi(x)
+        if self.pairs:
+            gram = self.gram[: self.pairs, : self.pairs]
+            gamma = np.linalg.lstsq(gram, self.df[: self.pairs] @ f, rcond=None)[0]
+            dphi = self.dphi[: self.pairs]
+            for start in range(0, out.size, BLOCK):
+                out[start : start + BLOCK] -= gamma @ dphi[:, start : start + BLOCK]
+        return out.reshape(x.shape)
 
 
 @functools.cache
@@ -544,18 +579,21 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     Both models stop at the first evaluated state ``a`` whose descent
     step ``G(a) = gd_step(a, ...)`` satisfies ``relative_change(G(a), a)
     < cfg.tol``, and return ``G(a)``.  Both iterate with type-II Anderson
-    acceleration on G.  LHE uses five pairs (``_AndersonHistory``),
-    guarded by the energy that each interaction evaluation yields: an
-    extrapolated state whose energy is non-finite or above that of the
-    last accepted state is rejected, and the run restarts from the plain
-    step G of the last accepted state with the history cleared.  A plain
-    step has nothing to fall back to and is accepted; for dt in the
-    stable range it descends, and if its energy does not fall it clears
-    the history, so no extrapolation builds on an ascending (for example
-    diverging) run.  WC uses one pair (``_SecantPair``), guarded by the
-    relative change: an extrapolated state whose relative change is not
-    below the last accepted state's is rejected in the same way.  A
-    non-finite relative change raises before that guard is consulted.
+    acceleration.  LHE extrapolates the Picard map ``Phi(a) = a + (G(a)
+    - a) / ((1 + lam) dt)`` from five pairs (``_AndersonHistory``); with
+    no pair recorded its next state is ``Phi(a)`` itself.  Each such
+    state counts as extrapolated and is guarded by the energy that each
+    interaction evaluation yields: one whose energy is non-finite or
+    above that of the last accepted state is rejected, and the run
+    restarts from the plain step G of the last accepted state with the
+    history cleared.  A plain step has nothing to fall back to and is
+    accepted; for dt in the stable range it descends, and if its energy
+    does not fall it clears the history, so no extrapolation builds on
+    an ascending (for example diverging) run.  WC extrapolates G itself
+    from one pair (``_SecantPair``), guarded by the relative change: an
+    extrapolated state whose relative change is not below the last
+    accepted state's is rejected in the same way.  A non-finite relative
+    change raises before that guard is consulted.
 
     ``cfg.max_iters`` caps the interaction evaluations.  Non-convergence
     is reported through the ``converged`` flag, not an exception; a
@@ -572,7 +610,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     lhe = cfg.model == LHE
     interaction = _interaction(cfg, prop, a, mu, RUN_DTYPE)
     del mu  # the LHE evaluation keeps its own a0 and mu; WC keeps neither
-    history = _AndersonHistory(a.size) if lhe else _SecantPair(a.size)
+    history = _AndersonHistory(a.size, cfg) if lhe else _SecantPair(a.size)
 
     g = None  # G of the last accepted state: where a rejection restarts
     extrapolated = False

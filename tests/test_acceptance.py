@@ -250,7 +250,7 @@ def test_criterion_8_inpainting_to_perception(paper_bank, paper_prop):
         f"offsets {[None if o is None else round(o, 2) for o in offsets]} "
         f"for tau {list(taus)}; monotone={monotone}, |offset(0.1)|<=1px={anchored}"
     )
-    # Measured at these parameters: offsets [None, -1.59, -4.12] px.  At
+    # Measured at these parameters: offsets [None, -1.59, -4.13] px.  At
     # tau = 0.1 the probe detects no path, so the criterion fails on
     # detection before the 1px anchor is checked; the detected offsets lie
     # on the negative side and grow with tau.  The probe reads translated

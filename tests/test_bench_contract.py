@@ -139,13 +139,19 @@ def test_wc_run_reaches_the_traced_names(recorder, monkeypatch):
 def test_lhe_run_reaches_the_traced_names(recorder, monkeypatch):
     # iter_ms reads the gaps between the relative changes, one per
     # accepted iteration; evolve_calls one evolution of the powers per
-    # evaluation, the rejected extrapolations' included
+    # evaluation, and combine_pct and energy_pct one combine and one
+    # energy per evaluation, the rejected extrapolations' included.  The
+    # combine and energy spans are wrapped as the recorder's TRACED
+    # table names them
     rec = recorder.Recorder(trace=True)
     dynamics = recorder.dynamics
+    traced = {name: span for module, name, span in recorder.TRACED if module is dynamics}
     wrapped = {
         "relative_change": rec.span("dynamics.relative_change", dynamics.relative_change),
         "_evolve_batch": rec.span("heat.evolve", rec._counted_evolve(dynamics._evolve_batch)),
     }
+    for name in ("_combine", "_energy_from_terms"):
+        wrapped[name] = rec.span(traced[name], getattr(dynamics, name))
     for name, fn in wrapped.items():
         monkeypatch.setattr(dynamics, name, fn)
     n, k = 32, 8
@@ -160,6 +166,8 @@ def test_lhe_run_reaches_the_traced_names(recorder, monkeypatch):
     assert names.count("dynamics.relative_change") == len(res.rel_history)
     assert names.count("heat.evolve") == rec.counts["evolve_calls"] == res.iterations
     assert rec.counts["stacks_evolved"] == res.iterations * cfg.poly_degree
+    for span in ("dynamics.combine", "dynamics.energy"):
+        assert names.count(span) == res.iterations, span
 
 
 def test_built_objects_carry_the_recorded_attributes():

@@ -72,7 +72,42 @@ def lhe_interaction(a, prop, tau, poly):
     powers = np.empty((n,) + a.shape)
     powers[0] = a
     evolved = _evolved_powers(powers, prop, tau, mode_product_buffer(prop, n, a.dtype))
-    return _combine(a, _weights(poly.coeffs), evolved, np.empty((n + 1, a.size)))[0]
+    return _combine(a, _weights(poly.coeffs), evolved, np.empty((n + 1, min(BLOCK, a.size))))[0]
+
+
+def unblocked_combine(a, weights, evolved):
+    """The interaction and H from full-size rows ``R = W[:, 1:] E^T + W[:, :1]``.
+
+    One row per degree over the whole stack, then Horner in ``a`` over
+    R for the interaction and over ``R_q / (q + 1)`` for H.
+    """
+    nmax = evolved.shape[-1]
+    weights = weights.astype(a.dtype, copy=False)
+    rows = np.matmul(weights[:, 1:], evolved.reshape(-1, nmax).T)
+    rows += weights[:, :1]
+    rows = rows.reshape((len(weights),) + a.shape)
+    h = rows[-1] / len(rows)
+    for q in range(len(rows) - 2, -1, -1):
+        h *= a
+        h += rows[q] / (q + 1)
+    return _horner(a, rows), h
+
+
+def energy_reference(a, a0, mu, cfg, prop):
+    """The LHE energy with every power up to the primitive's degree evolved.
+
+    The kernel double sum ``sum K(xi, eta) Sigma(a(xi) - a(eta))``
+    expanded binomially voxel by voxel, each ``K[a^i]`` a separate
+    float64 evolution, then summed.
+    """
+    prim = _primitive_coeffs(fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs)
+    evolved = [np.ones_like(a)] + [heat_evolve(a**i, prop, cfg.tau)
+                                   for i in range(1, len(prim))]
+    field = sum(prim[j] * math.comb(j, i) * (-1.0) ** i * a ** (j - i) * evolved[i]
+                for j in range(len(prim)) for i in range(j + 1))
+    w_a0, w_mu = (cfg.lam, 1.0) if cfg.forcing == "continuous" else (1.0, cfg.lam)
+    return (0.5 * w_a0 * ((a - a0) ** 2).sum() + 0.5 * w_mu * ((a - mu) ** 2).sum()
+            - field.sum() / 4.0)
 
 
 def gd_reference(f0, cfg, bank, prop):
@@ -643,6 +678,56 @@ class TestAnderson:
         assert evaluated[3] is steps[1]
         return res
 
+    def test_rejected_first_picard_step_restarts_from_the_plain_step(self, monkeypatch):
+        # the second evaluated state is Phi(a0), extrapolated with no pair
+        # recorded; its energy is forced up, and the next evaluated state
+        # is the plain step G(a0)
+        energy, step = dynamics._energy_from_terms, dynamics.gd_step
+        evaluated, steps = [], []
+
+        def forced(a, *args):
+            evaluated.append(a)
+            e = energy(a, *args)
+            return e + 1e6 if len(evaluated) == 2 else e
+
+        def recorded(*args):
+            steps.append(step(*args))
+            return steps[-1]
+
+        monkeypatch.setattr(dynamics, "_energy_from_terms", forced)
+        monkeypatch.setattr(dynamics, "gd_step", recorded)
+        res = run_model(*_tiny_run(6.0, 0.5))
+        assert res.rejected_steps >= 1 and res.converged
+        assert res.iterations == len(res.rel_history) + res.rejected_steps
+        assert evaluated[1] is not steps[0]
+        assert evaluated[2] is steps[0]
+        assert np.all(np.diff(res.energies) <= 0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_affine_map_reaches_its_fixed_point_in_dim_plus_one_updates(self, dim):
+        # type-II Anderson on an affine map is GMRES: the first update is
+        # the Picard step, and once dim independent residual differences
+        # are recorded the next update is the fixed point
+        assert dim <= dynamics.ANDERSON_WINDOW
+        cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0, dt=0.15,
+                          dtau=0.01, tau=0.1)
+        rng = np.random.default_rng(dim)
+        m = rng.standard_normal((dim, dim))
+        coupling, forcing = m + m.T, rng.standard_normal(dim)
+
+        def step(x):  # G(x) = x + dt (forcing - (1 + lam) x + S x / 2)
+            return x + cfg.dt * (forcing - (1.0 + cfg.lam) * x + 0.5 * coupling @ x)
+
+        fixed = np.linalg.solve((1.0 + cfg.lam) * np.eye(dim) - 0.5 * coupling, forcing)
+        history = dynamics._AndersonHistory(dim, cfg)
+        x = rng.standard_normal(dim)
+        picard = (forcing + 0.5 * coupling @ x) / (1.0 + cfg.lam)
+        x = history.extrapolate(x, step(x))
+        np.testing.assert_allclose(x, picard, rtol=1e-12, atol=1e-12)
+        for _ in range(dim):
+            x = history.extrapolate(x, step(x))
+        assert np.linalg.norm(x - fixed) <= 1e-10 * np.linalg.norm(fixed)
+
     def test_forced_rejection_keeps_energy_descending(self, monkeypatch):
         res = self._forced(monkeypatch, lambda e: e + 1e6)
         assert np.all(np.diff(res.energies) <= 0.0)
@@ -728,21 +813,17 @@ class TestEnergy:
     def test_energy_matches_all_powers_evolved(self, forcing):
         # reference: every power up to the primitive's degree evolved
         # through the kernel, expanded voxel by voxel, then summed
-        prop = build_propagator(16, 4, 0.05, 0.01)
-        rng = np.random.default_rng(13)
-        a, a0, mu = (0.2 + 0.6 * rng.random((16, 16, 4)) for _ in range(3))
+        # 70 x 70 x 8 = 39,200 entries: one full block of the energy's
+        # pass and a ragged one
         cfg = self._cfg(poly_degree=9, tau=0.2, forcing=forcing)
-        prim = _primitive_coeffs(fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs)
-        evolved = [np.ones_like(a)] + [heat_evolve(a**i, prop, cfg.tau)
-                                       for i in range(1, len(prim))]
-        field = sum(prim[j] * math.comb(j, i) * (-1.0) ** i * a ** (j - i) * evolved[i]
-                    for j in range(len(prim)) for i in range(j + 1))
-        w_a0, w_mu = (cfg.lam, 1.0) if forcing == "continuous" else (1.0, cfg.lam)
-        expected = (0.5 * w_a0 * ((a - a0) ** 2).sum() + 0.5 * w_mu * ((a - mu) ** 2).sum()
-                    - field.sum() / 4.0)
-        got = lhe_energy(a, a0, mu, cfg, prop)
-        assert type(got) is float
-        assert abs(got - expected) <= 1e-12 * abs(expected)
+        rng = np.random.default_rng(13)
+        for n, k in ((16, 4), (70, 8)):
+            prop = build_propagator(n, k, 0.05, 0.01)
+            a, a0, mu = (0.2 + 0.6 * rng.random((n, n, k)) for _ in range(3))
+            expected = energy_reference(a, a0, mu, cfg, prop)
+            got = lhe_energy(a, a0, mu, cfg, prop)
+            assert type(got) is float
+            assert abs(got - expected) <= 1e-12 * abs(expected), (n, k)
 
     def test_energy_descent_along_trajectory(self, small_prop):
         rng = np.random.default_rng(11)
@@ -766,6 +847,51 @@ class TestEnergy:
         with pytest.raises(ValueError):
             lhe_energy(np.zeros((6, 6, 3)), np.zeros((6, 6, 3)),
                        np.zeros((6, 6, 3)), cfg, small_prop)
+
+
+class TestBlockedCombine:
+    """The combine and the energy pass over the stack in blocks of ``BLOCK``.
+
+    70 x 70 x 8 = 39,200 entries: one full block and a ragged one.
+    ``TestEnergy.test_energy_matches_all_powers_evolved`` checks the
+    energy on that grid too.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interaction_and_h_equal_the_unblocked_rows(self, dtype):
+        n, k = 70, 8
+        assert BLOCK < n * n * k < 2 * BLOCK
+        prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
+        a = 0.2 + 0.6 * np.random.default_rng(23).random((n, n, k))
+        degree = 9
+        weights = _weights(fit_polynomial(6.0, degree).coeffs)
+        powers = np.empty((degree,) + a.shape, dtype)
+        powers[0] = a
+        product = mode_product_buffer(prop, degree, dtype)
+        evolved = _evolved_powers(powers, prop, 0.5, product)
+        rows = np.empty((degree + 1, BLOCK), dtype)
+        term, h = _combine(powers[0], weights, evolved, rows)
+        expected_term, expected_h = unblocked_combine(powers[0], weights, evolved)
+        assert term.dtype == h.dtype == dtype
+        np.testing.assert_array_equal(term, expected_term)
+        np.testing.assert_array_equal(h, expected_h)
+
+    def test_energy_matches_the_dense_kernel_double_sum(self, monkeypatch, small_prop,
+                                                       small_kernel):
+        # 6 x 6 x 3 = 108 entries in blocks of 40: two full blocks and a
+        # ragged one, against sum K(xi, eta) Sigma(a(xi) - a(eta)) with
+        # the kernel as a dense matrix
+        monkeypatch.setattr(dynamics, "BLOCK", 40)
+        rng = np.random.default_rng(24)
+        a, a0, mu = (0.2 + 0.6 * rng.random((6, 6, 3)) for _ in range(3))
+        cfg = ModelConfig(model="lhe", lam=2.0, alpha=6.0, sigma_mu=1.0, dt=0.15,
+                          dtau=0.01, tau=0.1, poly_degree=5)
+        prim = _primitive_coeffs(fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs)
+        flat = a.ravel()
+        sigma = np.polyval(prim[::-1], flat[:, None] - flat[None, :])
+        expected = (0.5 * cfg.lam * ((a - a0) ** 2).sum() + 0.5 * ((a - mu) ** 2).sum()
+                    - (small_kernel * sigma).sum() / 4.0)
+        assert abs(lhe_energy(a, a0, mu, cfg, small_prop) - expected) <= 1e-12 * abs(expected)
 
 
 class TestKeptArrays:
