@@ -90,7 +90,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+from scipy.fft import irfft2, rfft, rfft2
 
 from .cakes import lift
 from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
@@ -237,12 +237,29 @@ def _combine(a, weights, evolved, rows):
 
 
 def local_mean(a0, sigma_mu: float):
-    """Spatial Gaussian blur of each orientation slice (periodic, 4-sigma)."""
+    """Spatial Gaussian blur of each orientation slice (periodic, 4-sigma).
+
+    The kernel is the sampled Gaussian exp(-x^2 / (2 sigma_mu^2)) on
+    |x| <= int(4 sigma_mu + 1/2), normalized to sum 1 and wrapped onto
+    the periodic N-pixel axis (a kernel longer than the axis wraps more
+    than once): ``scipy.ndimage.gaussian_filter``'s with ``mode="wrap"``
+    and ``truncate=4``.  The blur multiplies each slice's ``rfft2`` half
+    spectrum by the kernel's DFT along both axes, which is real since
+    the kernel is even.
+    """
     if sigma_mu <= 0:
         raise ValueError("sigma_mu must be > 0")
-    return gaussian_filter(
-        as_stack(a0), sigma=(sigma_mu, sigma_mu, 0.0), mode="wrap", truncate=4.0
-    )
+    a = as_stack(a0)
+    n = a.shape[0]
+    radius = int(4.0 * sigma_mu + 0.5)
+    taps = np.arange(-radius, radius + 1)
+    weights = np.exp(-0.5 * (taps / sigma_mu) ** 2)
+    gain = rfft(np.bincount(taps % n, weights / weights.sum(), minlength=n)).real
+    # the first axis's gain at the DFT frequencies 0 .. N-1, by evenness
+    rows = gain[np.minimum(np.arange(n), n - np.arange(n))]
+    spec = rfft2(a, axes=(0, 1))
+    spec *= (rows[:, None] * gain)[..., None]
+    return irfft2(spec, s=(n, n), axes=(0, 1), overwrite_x=True)
 
 
 def _forcing(cfg: ModelConfig, a0, mu):

@@ -44,7 +44,8 @@ K=15, which has no axis swap).  The symbol d^2/h^2 and the eigenpairs
 are kept for those generators only, as (P, K) and (P, K, K) tables:
 0.17 MB and 2.7 MB at N=200, K=16, against 5.1 MB and 10.5 MB for
 every mode and every distinct generator.  Each distinct generator
-keeps the index of its canonical one and its orientation map.  m
+keeps the index of its canonical one and which of the four orientation
+maps (identity, mirror, axis swap, both) takes it there, as a uint8.  m
 Crank-Nicolson steps are applied in one pass as the propagator ``V
 diag(rho^m) V^T`` with ``rho = (1 + dtau*w/2) / (1 - dtau*w/2)``,
 multiplied out for the P canonical generators.  The distinct
@@ -118,7 +119,7 @@ class HeatPropagator:
     clipped to <= 0; the operator is negative semidefinite by
     construction, the clip removes roundoff).  Every distinct ``B_rs``
     is its canonical generator ``canon`` with the orientations mapped
-    by ``perm``.
+    by ``maps[map_index]``.
     """
 
     n_pixels: int
@@ -129,10 +130,12 @@ class HeatPropagator:
     eigvals: np.ndarray  # (P, K)
     eigvecs: np.ndarray  # (P, K, K), columns are eigenvectors
     # (U, V): the canonical generator of each distinct one, U, V distinct
-    # S[r], S[s] (r < N, s <= N//2); (U, V, K): orientation k of distinct
-    # generator (u, v) is orientation perm[u, v, k] of its canonical one
+    # S[r], S[s] (r < N, s <= N//2); (U, V) uint8 and (4, K): orientation k
+    # of distinct generator (u, v) is orientation maps[map_index[u, v], k]
+    # of its canonical one
     canon: np.ndarray
-    perm: np.ndarray
+    map_index: np.ndarray
+    maps: np.ndarray
     # (rows, cols, us, vs, slot): half-spectrum modes [rows, cols] take the
     # generators [us, vs] of the distinct grid (us, vs of step +1 or -1),
     # as partner ``slot`` of those that share a generator (``_pieces``)
@@ -160,7 +163,7 @@ class HeatPropagator:
             canonical = (self.eigvecs * rho[..., None, :]) @ np.swapaxes(
                 self.eigvecs, -1, -2
             )
-            perm = self.perm
+            perm = self.maps[self.map_index]
             cached = canonical[self.canon[..., None, None], perm[..., :, None],
                                perm[..., None, :]]
             self._prop_cache[m] = cached
@@ -213,7 +216,7 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
     nh = n // 2 + 1
     rows, r_grid = np.unique(q, return_inverse=True)
     cols, s_first, s_grid = np.unique(q[:nh], return_index=True, return_inverse=True)
-    pairs, canon, perm = _symmetry_classes(rows, cols, k)
+    pairs, canon, map_index, maps = _symmetry_classes(rows, cols, k)
     # sines[s_first[i]] is the sine of the angle cols[i]
     theta = np.arange(k) * dtheta
     d = (
@@ -236,7 +239,8 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         eigvals=vals,
         eigvecs=vecs,
         canon=canon,
-        perm=perm,
+        map_index=map_index,
+        maps=maps,
         pieces=_pieces(r_grid, s_grid),
     )
 
@@ -273,9 +277,10 @@ def _symmetry_classes(rows, cols, k):
     a <= b.  Returns ``pairs``, their (a, b) as indices into ``cols``
     (sorted, so a <= b holds for the indices too); ``canon``, the index
     into ``pairs`` of the canonical generator of each distinct one
-    (U, V); and ``perm`` (U, V, K): an eigenvector of distinct generator
-    (u, v) has at orientation k the entry its canonical generator's
-    eigenvector has at ``perm[u, v, k]``.
+    (U, V); ``map_index`` (U, V, uint8) and the four orientation maps
+    ``maps`` (4, K): an eigenvector of distinct generator (u, v) has at
+    orientation k the entry its canonical generator's eigenvector has at
+    ``maps[map_index[u, v], k]``.
     """
     nc = len(cols)
     keep = np.ones((nc, nc), dtype=bool)
@@ -290,8 +295,8 @@ def _symmetry_classes(rows, cols, k):
     orient = np.arange(k)
     # indexed by mirror + 2 * swap; odd K never takes the last two
     maps = np.stack([orient, -orient % k, (k // 2 - orient) % k, (k // 2 + orient) % k])
-    perm = maps[(rows < 0)[:, None] + 2 * swap]
-    return pairs, canon, perm
+    map_index = ((rows < 0)[:, None] + 2 * swap).astype(np.uint8)
+    return pairs, canon, map_index, maps
 
 
 def _pieces(r_grid, s_grid):

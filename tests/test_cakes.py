@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.fft import fft2, ifft2
+from scipy.interpolate import BSpline
 from scipy.ndimage import gaussian_filter
 
 from srcortex import (
@@ -11,7 +13,7 @@ from srcortex import (
     pou_check,
     project,
 )
-from srcortex.cakes import _cardinal_bspline, _freq_radius, _radial_taper, retained_mask
+from srcortex.cakes import _bspline_pieces, _radial_taper, retained_mask
 
 
 @pytest.fixture(scope="module")
@@ -40,19 +42,31 @@ def test_real_filters_give_the_complex_bank_bits():
     # the residual or of a lifted stack
     bank = build_cake_bank(48, 8, 5)
     assert bank.filters.dtype == np.float64
+    assert bank.filters.shape == (8, 48, 25)
     as_complex = WaveletBank(48, 8, 5, bank.filters.astype(complex), math.nan)
     assert pou_check(as_complex) == bank.pou_residual
     img = np.random.default_rng(3).random((48, 48))
     np.testing.assert_array_equal(lift(img, as_complex), lift(img, bank))
 
 
+def reference_spline(order):
+    """scipy's centered cardinal B-spline of the given degree, 0 outside its support."""
+    knots = np.arange(order + 2) - (order + 1) / 2.0
+    basis = BSpline.basis_element(knots, extrapolate=False)
+    return lambda x: np.nan_to_num(basis(x))
+
+
 def shifted_filters(n, k, bw, reach):
-    """The bank's filters with the spline shifts q pi, |q| <= reach, summed in order of q."""
+    """Full-plane (K, N, N) wedges with the spline shifts q pi, |q| <= reach, summed in order of q.
+
+    Each is evaluated at the DFT frequencies as they are, so the
+    Nyquist row and column take the wedge at -N/2 only.
+    """
     dtheta = np.pi / k
-    spline = _cardinal_bspline(bw)
+    spline = reference_spline(bw)
     u = np.fft.fftfreq(n) * n
     phi = np.arctan2(u[None, :], u[:, None])
-    taper = _radial_taper(_freq_radius(n), n)
+    taper = _radial_taper(np.hypot(u[:, None], u[None, :]), n)
     filters = np.empty((k, n, n))
     for j in range(k):
         base = (phi - (j * dtheta + np.pi / 2.0) + np.pi / 2.0) % np.pi - np.pi / 2.0
@@ -64,29 +78,91 @@ def shifted_filters(n, k, bw, reach):
     return filters
 
 
+def even_half(full):
+    """The even part of full-plane (K, N, N) filters on rfft2's half plane."""
+    n = full.shape[-1]
+    mirror = -np.arange(n) % n
+    return (0.5 * (full + full[:, mirror][:, :, mirror]))[:, :, : n // 2 + 1]
+
+
+def full_plane(half, n):
+    """(K, N, N) filters from their half plane, by evenness."""
+    full = np.empty(half.shape[:2] + (n,))
+    full[:, :, : n // 2 + 1] = half
+    rows, cols = -np.arange(n) % n, -np.arange(n // 2 + 1, n) % n
+    full[:, :, n // 2 + 1 :] = half[:, rows][:, :, cols]
+    return full
+
+
 @pytest.mark.parametrize("k, needed", [(16, 0), (4, 1)])
 def test_bank_sums_every_shift_that_reaches_the_support(k, needed):
     # |q| <= 2 covers every shift that can reach a support of half-width
-    # 3 pi / K; the bank evaluates only |q| <= needed, and the shifts it
-    # skips add exact zeros
+    # 3 pi / K, and K = 4 needs |q| = 1; the bank holds the even part of
+    # the filters with every shift summed
     n, bw = 32, 5
     every = shifted_filters(n, k, bw, 2)
-    np.testing.assert_array_equal(build_cake_bank(n, k, bw).filters, every)
+    bank = build_cake_bank(n, k, bw)
+    assert bank.filters.shape == (k, n, n // 2 + 1)
+    assert np.abs(bank.filters - even_half(every)).max() <= 1e-14
     assert np.array_equal(shifted_filters(n, k, bw, needed), every)
     if needed:
         assert not np.array_equal(shifted_filters(n, k, bw, needed - 1), every)
+
+
+@pytest.mark.parametrize("n, k", [(200, 16), (64, 8)])
+def test_bank_is_the_even_part_of_the_full_plane_filters(n, k):
+    every = shifted_filters(n, k, 5, 2)
+    half = even_half(every)
+    bank = build_cake_bank(n, k, 5)
+    assert np.abs(bank.filters - half).max() <= 1e-14
+    # the full-plane filters differ from their even part on the Nyquist lines only
+    assert np.abs(half - every[:, :, : n // 2 + 1]).max() > 0.1
+    inner = np.ones(n, dtype=bool)
+    inner[n // 2] = False
+    assert np.abs(half - every[:, :, : n // 2 + 1])[:, inner, : n // 2].max() <= 1e-14
+
+
+@pytest.mark.parametrize("n, k", [(32, 16), (32, 4), (64, 8), (200, 16)])
+def test_lift_is_the_real_part_of_the_full_plane_lift(n, k):
+    bank = build_cake_bank(n, k, 5)
+    img = np.random.default_rng(n + k).random((n, n))
+    full = ifft2(shifted_filters(n, k, 5, 2) * fft2(img), axes=(1, 2))
+    expected = np.real(full).transpose(1, 2, 0)
+    err = np.abs(lift(img, bank) - expected).max()
+    assert err <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("n, k", [(32, 4), (64, 8), (200, 16)])
+def test_stored_bank_is_real_in_space(n, k):
+    # the even filters' full-plane inverse DFTs are real
+    spatial = ifft2(full_plane(build_cake_bank(n, k, 5).filters, n), axes=(1, 2))
+    assert np.abs(spatial.imag).max() <= 1e-12 * np.abs(spatial.real).max()
+
+
+@pytest.mark.parametrize("order", range(1, 8))
+def test_bspline_pieces_match_scipy(order):
+    # on a grid through every knot and beyond both ends of the support
+    h = (order + 1) / 2.0
+    x = np.concatenate([np.arange(-h - 2.0, h + 2.0 + 1e-9, 1.0 / 16.0),
+                        np.random.default_rng(order).uniform(-h - 1.0, h + 1.0, 500)])
+    piece = np.floor(x + h).astype(int)
+    values = np.array(_bspline_pieces(order, x + h - piece))
+    inside = (piece >= 0) & (piece <= order)
+    ours = np.where(inside, values[np.clip(piece, 0, order), np.arange(x.size)], 0.0)
+    np.testing.assert_allclose(ours, reference_spline(order)(x), rtol=0, atol=1e-15)
 
 
 def test_two_wedges_sum_to_one():
     bank = build_cake_bank(32, 2, 1)
     mask = retained_mask(32)
     total = bank.filters.sum(axis=0)
+    assert total.shape == mask.shape == (32, 17)
     assert np.abs(total[mask] - 1.0).max() < 1e-12
 
 
 def test_all_pass_single_filter_bank_has_zero_residual():
     # degenerate K=1 bank built directly; build_cake_bank requires K >= 2
-    filters = np.ones((1, 16, 16), dtype=complex)
+    filters = np.ones((1, 16, 9), dtype=complex)
     bank = WaveletBank(16, 1, 1, filters, 0.0)
     assert pou_check(bank) == 0.0
 
@@ -100,6 +176,7 @@ def test_broken_bank_has_large_residual(bank64):
         bank64.pou_residual,
     )
     broken.filters[0] = 0.0
+    assert broken.filters.shape == (8, 64, 33)
     assert pou_check(broken) >= 0.5
 
 

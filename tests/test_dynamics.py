@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 import srcortex
 from srcortex import (
@@ -353,6 +354,16 @@ class TestLocalMean:
         idx = np.arange(n) - n // 2
         m2 = (out * idx[:, None] ** 2).sum() / out.sum()
         assert abs(m2 - sigma**2) / sigma**2 < 0.05
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 6.5, 20.0])
+    @pytest.mark.parametrize("n", [8, 9, 32, 100, 200])
+    def test_equals_the_wrapped_gaussian_filter(self, n, sigma):
+        # oracle: scipy's periodic 4-sigma filter, kernels longer than the
+        # axis (n = 8, 9 and 32 at sigma 20) and odd n included
+        a = np.random.default_rng(n).random((n, n, 2))
+        expected = gaussian_filter(a, (sigma, sigma, 0.0), mode="wrap", truncate=4.0)
+        err = np.abs(local_mean(a, sigma) - expected).max()
+        assert err <= 1e-13 * np.abs(expected).max()
 
 
 class TestGdStep:

@@ -107,7 +107,8 @@ def distinct_eigenpairs(prop):
     Each takes its canonical generator's eigenpairs, the eigenvectors'
     rows (orientations) permuted by its orientation map.
     """
-    return prop.eigvals[prop.canon], prop.eigvecs[prop.canon[..., None], prop.perm]
+    perm = prop.maps[prop.map_index]
+    return prop.eigvals[prop.canon], prop.eigvecs[prop.canon[..., None], perm]
 
 
 def factored_generator(prop, r, s):
@@ -208,7 +209,7 @@ class TestSpectralSymbol:
         prop = build_propagator(n, k, beta, 0.01)
         q, _ = _sines(n)
         cols, s_first = np.unique(q[: n // 2 + 1], return_index=True)
-        pairs, canon, perm = _symmetry_classes(np.unique(q), cols, k)
+        pairs, canon, map_index, maps = _symmetry_classes(np.unique(q), cols, k)
         d2h = full_symbol(n, k)[s_first[pairs[0]], s_first[pairs[1]]]
         assert prop.d2h.shape == (len(pairs[0]), k)
         np.testing.assert_array_equal(prop.d2h, d2h)
@@ -222,7 +223,8 @@ class TestSpectralSymbol:
         np.testing.assert_array_equal(prop.eigvals, vals)
         np.testing.assert_array_equal(prop.eigvecs, vecs)
         np.testing.assert_array_equal(prop.canon, canon)
-        np.testing.assert_array_equal(prop.perm, perm)
+        np.testing.assert_array_equal(prop.map_index, map_index)
+        np.testing.assert_array_equal(prop.maps, maps)
 
 
 class TestPropagator:
@@ -346,7 +348,8 @@ class TestPropagator:
 
     def test_paper_size_factors_distinct_generators_only(self):
         prop = build_propagator(200, 16, 0.05, 0.01)
-        assert prop.canon.shape == (101, 51) and prop.perm.shape == (101, 51, 16)
+        assert prop.canon.shape == (101, 51) and prop.map_index.shape == (101, 51)
+        assert prop.map_index.dtype == np.uint8 and prop.maps.shape == (4, 16)
         assert prop.eigvals.shape == (1326, 16)
         assert prop.eigvecs.shape == (1326, 16, 16)
         assert prop.propagator(1).shape == (101, 51, 16, 16)
