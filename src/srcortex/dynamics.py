@@ -33,7 +33,11 @@ fidelity terms whose gradient is ``(1 + lam) a`` minus the forcing
 (``lam/2 |a - a0|^2 + 1/2 |a - mu|^2``, or ``1/2 |a - a0|^2 +
 lam/2 |a - mu|^2`` under the discrete-paper forcing), minus s/(4M) times
 the kernel double sum of the even primitive Sigma of the polynomial,
-``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``.  Sigma's weight table is the
+``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>``.  With weights w_a0 and w_mu
+the fidelity terms expand to ``(w_a0 + w_mu)/2 |a|^2 - a . forcing +
+C``, ``C = (w_a0 |a0|^2 + w_mu |mu|^2) / 2``, so an evaluation reads
+the forcing, which the descent step needs anyway, and one constant
+formed per run.  Sigma's weight table is the
 polynomial's shifted by one degree, ``W_Sigma[p, i] = W[p - 1, i] / p``
 for p >= 1, so the terms with p >= 1 are ``sum_x a H(a)`` with
 ``H = sum_q a^q R_q / (q + 1)``, which the combine evaluates from each
@@ -50,17 +54,22 @@ Precision: ``run_model`` evaluates the kernel terms of both models in
 float32 (``RUN_DTYPE``), where the FFTs and the mode product are
 cheaper, and adds the interaction to its float64 state.  For WC
 these are the sigmoid and its evolution; for LHE the powers, their
-evolutions, the rows, the interaction and H.  The state, the descent
-step, the Anderson history, the stopping rule and the energy's fidelity
-terms, Sigma, the product a H and the sums stay float64.
+evolutions, the rows, the interaction and H.  The LHE Anderson history
+stores its difference rows and its last residual and iterate in
+``RUN_DTYPE`` too; each new pair is formed in float64 before it is
+stored, and the extrapolation's Gram matrix and ``Phi(x)`` are float64,
+so the rows' rounding enters only the correction, which vanishes at the
+fixed point.  The state, the descent step, the WC secant pair, the
+stopping rule and the energy's fidelity terms, Sigma, the product a H
+and the sums stay float64.
 ``model_drift`` and ``lhe_energy`` evaluate wholly in float64.  An
 evaluation keeps the arrays it hands the heat layer for as long as it
 lives (a whole run in ``run_model``): the evolution's complex
 mode-product buffer (for WC, the modes gathered by generator and their
 product), and the sigmoid stack (WC) or the n powers and the combine's
-``(n + 1, BLOCK)`` row scratch (LHE).  The WC evaluation keeps neither
-a0 nor mu, so a WC run holds mu only until the forcing is formed and a0
-only as its first state.  The evolved stacks are the one large array a call allocates
+``(n + 1, BLOCK)`` row scratch (LHE).  No evaluation keeps a0 or mu, so
+a run holds mu only until the forcing and C are formed and a0 only as
+its first state.  The evolved stacks are the one large array a call allocates
 besides the forward spectrum; the LHE ones take over its memory.
 
 ``run_model`` seeks the fixed point of the descent step
@@ -99,7 +108,7 @@ from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
-RUN_DTYPE = np.float32  # run_model's dtype for the kernel terms of both models
+RUN_DTYPE = np.float32  # run_model's kernel terms (both models) and LHE Anderson history
 INTERACTION_SCALE = 0.5  # s/2M, the interaction's weight in the drift
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
@@ -267,11 +276,23 @@ def _forcing(cfg: ModelConfig, a0, mu):
     return w_a0 * a0 + w_mu * mu
 
 
-def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float64):
+def _fidelity_constant(cfg: ModelConfig, a0, mu) -> float:
+    """``(w_a0 |a0|^2 + w_mu |mu|^2) / 2``, the part of the fidelity energy free of ``a``."""
+    w_a0, w_mu = cfg.fidelity_weights
+    a0, mu = a0.ravel(), mu.ravel()
+    return 0.5 * (w_a0 * float(a0 @ a0) + w_mu * float(mu @ mu))
+
+
+def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: float,
+                 dtype=np.float64):
     """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
-    is the energy of ``a`` for LHE and None for WC.  The kernel terms
+    is the energy of ``a`` for LHE and None for WC.  ``forcing`` is the
+    run's ``_forcing`` array and ``constant`` its ``_fidelity_constant``:
+    the LHE energy's fidelity terms are ``(w_a0 + w_mu) |a|^2 / 2 -
+    a . forcing + constant``, so the evaluation holds neither a0 nor mu
+    (WC reads only the forcing's shape).  The kernel terms
     are computed from ``a`` cast to ``dtype`` in a kept array (the WC
     sigmoid stack, which the sigmoid writes from ``a`` in the same pass,
     or the first LHE power), and ``term`` comes back in ``dtype``: the WC
@@ -291,7 +312,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     """
     if cfg.model == WC:
         m = prop.step_count(cfg.tau)
-        stack = np.empty(a0.shape + (1,), dtype)
+        stack = np.empty(forcing.shape + (1,), dtype)
         product = mode_product_buffer(prop, 1, dtype)
 
         def wc(a):
@@ -303,25 +324,28 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float6
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
     n = cfg.poly_degree
-    powers = np.empty((n,) + a0.shape, dtype)
+    powers = np.empty((n,) + forcing.shape, dtype)
     product = mode_product_buffer(prop, n, dtype)
-    rows = np.empty((n + 1, min(BLOCK, a0.size)), dtype)
+    rows = np.empty((n + 1, min(BLOCK, forcing.size)), dtype)
 
     def lhe(a):
         np.copyto(powers[0], a, casting="same_kind")
         evolved = _evolved_powers(powers, prop, cfg.tau, product)
         term, h = _combine(powers[0], weights, evolved, rows)
         del evolved  # the energy needs only H
-        return term, _energy_from_terms(a, a0, mu, cfg, prim, h)
+        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h)
 
     return lhe
 
 
-def _drift(a, forcing, inter, cfg: ModelConfig, out=None):
-    """``-(1 + lam) a + forcing + inter / 2``, summed in that order into ``out`` or a new array."""
+def _drift(a, forcing, inter, cfg: ModelConfig, out=None, scaled=None):
+    """``-(1 + lam) a + forcing + inter / 2``, summed in that order into ``out`` or a new array.
+
+    ``inter / 2`` is formed in ``scaled``, an array of inter's shape, or a new one.
+    """
     g = np.multiply(a, -(1.0 + cfg.lam), out=out)
     g += forcing
-    g += INTERACTION_SCALE * inter
+    g += np.multiply(inter, INTERACTION_SCALE, out=scaled)
     return g
 
 
@@ -330,13 +354,15 @@ def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
 
     ``a + dt * drift`` into a new float64 array, a block of ``BLOCK``
     entries at a time: each block's drift and update are done while it
-    is in cache, so every array is read from memory once.
+    is in cache, so every array is read from memory once.  The scaled
+    interaction of each block goes to one block scratch of inter's dtype.
     """
     g = np.empty(a.shape)
+    scaled = np.empty(min(BLOCK, g.size), inter.dtype)
     flat = [x.ravel() for x in (g, a, forcing, inter)]
     for start in range(0, g.size, BLOCK):
         out, a_b, f_b, i_b = (x[start : start + BLOCK] for x in flat)
-        _drift(a_b, f_b, i_b, cfg, out)
+        _drift(a_b, f_b, i_b, cfg, out, scaled[: len(out)])
         out *= cfg.dt
         out += a_b
     return g
@@ -345,8 +371,9 @@ def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
 def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray:
     """Right-hand side of the evolution at state ``a``."""
     a = as_stack(a)
-    inter, _ = _interaction(cfg, prop, a0, mu)(a)
-    return _drift(a, _forcing(cfg, a0, mu), inter, cfg)
+    forcing = _forcing(cfg, a0, mu)
+    inter, _ = _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(a)
+    return _drift(a, forcing, inter, cfg)
 
 
 def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
@@ -363,13 +390,18 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     """
     if cfg.model != LHE:
         raise ValueError("energy is defined for the LHE model")
-    return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
+    forcing = _forcing(cfg, a0, mu)
+    return _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(as_stack(a))[1]
 
 
-def _energy_from_terms(a, a0, mu, cfg, prim, h) -> float:
+def _energy_from_terms(a, forcing, constant, cfg, prim, h) -> float:
     """Energy of ``a`` from the combine's ``H = sum_q a^q R_q / (q + 1)``.
 
-    ``prim`` holds the coefficients of the even primitive Sigma.  Its
+    The fidelity terms ``w_a0/2 |a - a0|^2 + w_mu/2 |a - mu|^2`` are
+    expanded as ``(w_a0 + w_mu)/2 |a|^2 - a . forcing + constant``, with
+    ``forcing = w_a0 a0 + w_mu mu`` and ``constant = (w_a0 |a0|^2 + w_mu
+    |mu|^2) / 2`` formed once per run, so only ``a`` and the forcing are
+    read.  ``prim`` holds the coefficients of the even primitive Sigma.  Its
     weight table is the combine's shifted by one degree,
     ``W_Sigma[p, i] = W[p - 1, i] / p`` for p >= 1, so the terms with
     p >= 1 of the double sum ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>`` are
@@ -377,28 +409,26 @@ def _energy_from_terms(a, a0, mu, cfg, prim, h) -> float:
     sum_x K[a^i] = sum_x Sigma(-a)`` because K conserves mass, and Sigma
     is even (``prim``'s odd entries are zero), so it is evaluated as a
     polynomial in ``a * a``.  The double sum enters with half the
-    interaction's scale, negated.  The two fidelity sums, Sigma and
+    interaction's scale, negated.  ``|a|^2``, ``a . forcing``, Sigma and
     ``a H`` are taken in one pass of ``BLOCK`` entries at a time, in
     ``a``'s dtype.
     """
     w_a0, w_mu = cfg.fidelity_weights
     even = prim[::2]
     size = min(BLOCK, a.size)
-    diff, sigma = np.empty(size), np.empty(size)
-    flat = [x.ravel() for x in (a, a0, mu, h)]
-    fidelity = mean_term = double_sum = 0.0
+    square, sigma = np.empty(size), np.empty(size)
+    flat = [x.ravel() for x in (a, forcing, h)]
+    norm = cross = double_sum = 0.0
     for start in range(0, a.size, BLOCK):
-        a_b, a0_b, mu_b, h_b = (x[start : start + BLOCK] for x in flat)
-        d = np.subtract(a_b, a0_b, out=diff[: len(a_b)])
-        fidelity += float(d @ d)
-        np.subtract(a_b, mu_b, out=d)
-        mean_term += float(d @ d)
-        np.multiply(a_b, a_b, out=d)
+        a_b, f_b, h_b = (x[start : start + BLOCK] for x in flat)
+        norm += float(a_b @ a_b)
+        cross += float(a_b @ f_b)
+        d = np.multiply(a_b, a_b, out=square[: len(a_b)])
         s = _horner(d, even, out=sigma[: len(a_b)])
         s += np.multiply(a_b, h_b, out=d)
         double_sum += float(s.sum())
     inter = -0.5 * INTERACTION_SCALE * double_sum
-    return 0.5 * w_a0 * fidelity + 0.5 * w_mu * mean_term + inter
+    return 0.5 * (w_a0 + w_mu) * norm - cross + constant + inter
 
 
 @dataclass
@@ -495,16 +525,34 @@ class _AndersonHistory:
     that scale.  The order of the pairs in the ring does not matter to
     that solution.  The Gram matrix is kept and only the new pair's row
     and column are computed.
+
+    The rings and the last accepted ``f`` and ``x`` are stored in
+    ``RUN_DTYPE`` (float32), as copies rather than references to the
+    caller's stacks.  Each new pair is formed in float64 from the
+    float64 ``x`` and ``G(x)`` and the stored previous ones, then
+    rounded into its slot.  The Gram matrix and the right-hand side
+    ``df f`` are float64 sums over the stored rows, widened a block at
+    a time, and ``Phi(x)`` is float64; the correction ``dphi^T gamma``
+    is taken in ``RUN_DTYPE``, like the rows it combines, and vanishes
+    at the fixed point.  An update reads ``x`` and ``G(x)`` once, a
+    block of ``BLOCK`` entries at a time, and its one new stack is the
+    returned iterate.
     """
 
     def __init__(self, size: int, cfg: ModelConfig):
         self.beta = 1.0 / ((1.0 + cfg.lam) * cfg.dt)
-        self.df = np.empty((ANDERSON_WINDOW, size))
-        self.dphi = np.empty((ANDERSON_WINDOW, size))
+        self.df = np.empty((ANDERSON_WINDOW, size), RUN_DTYPE)
+        self.dphi = np.empty((ANDERSON_WINDOW, size), RUN_DTYPE)
+        self.f_prev = np.empty(size, RUN_DTYPE)
+        self.x_prev = np.empty(size, RUN_DTYPE)
         self.gram = np.empty((ANDERSON_WINDOW, ANDERSON_WINDOW))
+        block = min(BLOCK, size)
+        self.rows = np.empty((ANDERSON_WINDOW, block))  # one block of df, widened
+        self.pair = np.empty((2, block))  # one block of the new df row and of f
+        self.correction = np.empty(block, self.dphi.dtype)
         self.pairs = 0  # valid pairs, in slots 0 .. pairs-1 until the ring wraps
         self.slot = 0  # the slot the next pair overwrites
-        self.f_prev = self.x_prev = None
+        self.recorded = False  # whether f_prev and x_prev hold an iterate
 
     def clear(self):
         """Forget every pair; the next two accepted iterates start a new one.
@@ -513,36 +561,52 @@ class _AndersonHistory:
         each new pair writes its row and column over every valid slot.
         """
         self.pairs = self.slot = 0
-        self.f_prev = self.x_prev = None
+        self.recorded = False
 
     def extrapolate(self, x, g):
         """Record the accepted iterate x with g = G(x); return the next iterate.
 
-        With no pair recorded yet this is ``Phi(x)`` itself, a new array.
-        ``x`` is kept as the next pair's base, so the caller must not
-        write to it.
+        With no pair recorded yet this is ``Phi(x)`` itself.  The
+        returned iterate is always a new float64 array.  The first pass
+        writes ``Phi(x)`` into it while recording the pair, and the
+        second subtracts the correction.
         """
-        x_flat = x.ravel()
-        f = (g - x).ravel()
-        if self.f_prev is not None:
-            df, dphi = self.df[self.slot], self.dphi[self.slot]
-            np.subtract(f, self.f_prev, out=df)
-            np.multiply(df, self.beta, out=dphi)
-            dphi += x_flat
-            dphi -= self.x_prev  # dx + beta df
+        x_flat, g_flat = x.ravel(), g.ravel()
+        if self.recorded:
             self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
-            row = self.df[: self.pairs] @ df
-            self.gram[self.slot, : self.pairs] = self.gram[: self.pairs, self.slot] = row
-            self.slot = (self.slot + 1) % ANDERSON_WINDOW
-        self.f_prev, self.x_prev = f, x_flat
-        out = np.multiply(f, self.beta)
-        out += x_flat  # Phi(x)
-        if self.pairs:
-            gram = self.gram[: self.pairs, : self.pairs]
-            gamma = np.linalg.lstsq(gram, self.df[: self.pairs] @ f, rcond=None)[0]
-            dphi = self.dphi[: self.pairs]
+        pairs, slot = self.pairs, self.slot
+        dots = np.zeros((pairs, 2))  # df . df[slot] and df . f
+        out = np.empty(x_flat.size)
+        for start in range(0, out.size, BLOCK):
+            stop = min(start + BLOCK, out.size)
+            x_b, pair = x_flat[start:stop], self.pair[:, : stop - start]
+            f_b = np.subtract(g_flat[start:stop], x_b, out=pair[1])
+            out_b = np.multiply(f_b, self.beta, out=out[start:stop])
+            out_b += x_b  # Phi(x)
+            f_prev, x_prev = self.f_prev[start:stop], self.x_prev[start:stop]
+            if pairs:
+                d = np.subtract(f_b, f_prev, out=pair[0])
+                self.df[slot, start:stop] = d
+                d *= self.beta
+                d += x_b
+                d -= x_prev  # dx + beta df
+                self.dphi[slot, start:stop] = d
+                rows = self.rows[:pairs, : stop - start]
+                rows[...] = self.df[:pairs, start:stop]
+                d[...] = rows[slot]  # the stored df row
+                dots += rows @ pair.T
+            f_prev[...] = f_b
+            x_prev[...] = x_b
+        self.recorded = True
+        if pairs:
+            self.gram[slot, :pairs] = self.gram[:pairs, slot] = dots[:, 0]
+            self.slot = (slot + 1) % ANDERSON_WINDOW
+            gram = self.gram[:pairs, :pairs]
+            gamma = np.linalg.lstsq(gram, dots[:, 1], rcond=None)[0].astype(self.dphi.dtype)
             for start in range(0, out.size, BLOCK):
-                out[start : start + BLOCK] -= gamma @ dphi[:, start : start + BLOCK]
+                out_b = out[start : start + BLOCK]
+                out_b -= np.matmul(gamma, self.dphi[:pairs, start : start + BLOCK],
+                                   out=self.correction[: len(out_b)])
         return out.reshape(x.shape)
 
 
@@ -619,14 +683,15 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     the result does not depend on the machine's core count.  The kernel
     terms of both models (the WC sigmoid and its evolution, the LHE
     powers, evolutions and combine) are evaluated in ``RUN_DTYPE``
-    (float32), everything else in float64.
+    (float32), and the LHE Anderson history is stored in it; everything
+    else is float64.
     """
     a = lift(f0, bank)  # the initial state a0
     mu = local_mean(a, cfg.sigma_mu)
     forcing = _forcing(cfg, a, mu)
     lhe = cfg.model == LHE
-    interaction = _interaction(cfg, prop, a, mu, RUN_DTYPE)
-    del mu  # the LHE evaluation keeps its own a0 and mu; WC keeps neither
+    interaction = _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a, mu), RUN_DTYPE)
+    del mu  # no evaluation keeps a0 or mu; a0 lives on only as the first state
     history = _AndersonHistory(a.size, cfg) if lhe else _SecantPair(a.size)
 
     g = None  # G of the last accepted state: where a rejection restarts
