@@ -4,10 +4,29 @@ Images are square ``(N, N)`` float arrays; activation stacks are
 ``(N, N, K)`` float arrays whose last axis indexes orientations
 ``theta_k = k * pi / K`` (axis 0 is the first spatial coordinate, axis 1
 the second; orientations are periodic modulo K, identifying theta and
-theta + pi).  All operations are pure functions of their arguments.
+theta + pi).  The stack operations are pure functions of their arguments.
+
+The block pool runs the blocked passes of the other modules on this
+process's threads.  Each process has one width: the CPUs it may run on
+(``os.sched_getaffinity``), or a ``run_sweep`` worker's share of them.
+The calling thread works alongside ``width - 1`` helper threads; each
+claims the next part (a ``BLOCK`` of a stack, or a contiguous run of
+items) from a shared counter, and the results come back in part order.
+Every part is computed by the same operations whichever thread takes
+it, and callers that sum over parts add the per-part sums in that
+order, as one thread does, so results are equal bit for bit at any
+width.  A helper allocates nothing larger than a block: glibc gives
+each thread its own arena and keeps what a helper freed resident, so a
+helper's scratch comes from its caller.  The helper threads are made
+on first use and made afresh in a forked child, which inherits the
+executor but none of its threads.
 """
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +39,125 @@ MAX_POLY_DEGREE = 15  # contrast-sigmoid fit; above it the fit is ill-conditione
 # entries per block of a blocked float64 pass: 256 KB, so a block's few
 # arrays stay in a core's L2 cache between the operations on it
 BLOCK = 1 << 15
+
+_width = None  # this process's pool width, read from the CPUs on first use
+_helpers = None  # (executor, thread count) of the helper threads, made on first use
+_helpers_lock = threading.Lock()  # callers on several threads may make the executor at once
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity interface (macOS)
+        return os.cpu_count() or 1
+
+
+def pool_width() -> int:
+    """Threads the block pool runs on in this process, the caller's included."""
+    global _width
+    if _width is None:
+        _width = cpu_count()
+    return _width
+
+
+def set_pool_width(width: int) -> None:
+    """Run this process's block pool on ``width`` threads (at least one)."""
+    global _width
+    _width = max(1, int(width))
+
+
+def pool_threads(parts: int) -> int:
+    """Threads ``run_parts`` uses for ``parts`` parts: the width, or fewer parts."""
+    return max(1, min(pool_width(), parts))
+
+
+def _forget_pool():
+    global _width, _helpers, _helpers_lock
+    _width = _helpers = None
+    _helpers_lock = threading.Lock()  # another thread may have held it at the fork
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _helper_executor(count: int) -> ThreadPoolExecutor:
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None or _helpers[1] < count:
+            if _helpers is not None:
+                _helpers[0].shutdown(wait=False)
+            _helpers = ThreadPoolExecutor(count, thread_name_prefix="srcortex-block"), count
+        return _helpers[0]
+
+
+def run_parts(fn, parts: int, threads: int | None = None) -> list:
+    """``[fn(part, thread) for part in range(parts)]``, on the block pool.
+
+    ``thread`` is 0 on the calling thread and 1 .. threads - 1 on the
+    helpers, so ``fn`` can index per-thread scratch with it.  ``threads``
+    (default the pool width) is capped at ``pool_threads(parts)``.  The
+    threads claim parts in increasing order; the call returns once every
+    part is done, and raises an exception that a part raised, if any.
+    """
+    threads = pool_threads(parts) if threads is None else min(threads, pool_threads(parts))
+    if threads == 1:
+        return [fn(part, 0) for part in range(parts)]
+    results = [None] * parts
+    claims = iter(range(parts))
+    lock = threading.Lock()
+
+    def work(thread):
+        while True:
+            with lock:
+                part = next(claims, None)
+            if part is None:
+                return
+            results[part] = fn(part, thread)
+
+    executor = _helper_executor(threads - 1)
+    # each helper runs in a copy of the caller's context, so that numpy's
+    # floating-point error state (np.errstate) holds for every part
+    helpers = [executor.submit(contextvars.copy_context().run, work, thread)
+               for thread in range(1, threads)]
+    try:
+        work(0)
+    finally:
+        wait(helpers)  # they may still be writing into the caller's arrays
+    for helper in helpers:
+        helper.result()
+    return results
+
+
+def split(count: int, entries: int, threads: int) -> list:
+    """``range(count)`` as contiguous ``(start, stop)`` parts for ``threads`` threads.
+
+    Items of ``entries`` entries each are grouped into about ``BLOCK``
+    entries per part or fewer, and the number of parts is rounded up to
+    a multiple of ``threads`` so that the threads get equal shares.
+    """
+    blocks = -(-count * entries // BLOCK)
+    parts = max(1, min(count, threads * -(-blocks // threads)))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def run_spans(fn, count: int, entries: int) -> list:
+    """``fn(start, stop)`` over ``split(count, entries, width)``, on the block pool, in order."""
+    spans = split(count, entries, pool_width())
+    return run_parts(lambda part, _: fn(*spans[part]), len(spans))
+
+
+def carve(buffer, count: int, shape, dtype) -> list:
+    """Up to ``count`` arrays of ``shape`` and ``dtype`` over the memory of ``buffer``.
+
+    ``buffer`` is a C-contiguous array that its owner does not read
+    while the arrays are in use; as many arrays are returned as fit.
+    """
+    raw = buffer.reshape(-1).view(np.uint8)
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    count = max(0, min(count, raw.size // nbytes))
+    return [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(count)]
 
 
 def as_image(arr) -> np.ndarray:

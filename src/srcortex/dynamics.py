@@ -72,6 +72,19 @@ a run holds mu only until the forcing and C are formed and a0 only as
 its first state.  The evolved stacks are the one large array a call allocates
 besides the forward spectrum; the LHE ones take over its memory.
 
+Threads: the LHE evaluation's blocked passes (the powers, the batched
+mode product, the combine and the energy) and both passes of the
+Anderson update run on ``core``'s block pool, a block of ``BLOCK``
+entries per part, and the blocks' sums are added in block order, so
+runs are equal bit for bit at any width.  A helper's scratch is carved
+from the mode-product buffer, which is idle from the inverse transform
+to the next evaluation (the combine's rows and the energy's blocks), or
+made per call by the calling thread (the Anderson update's rows).
+The WC sigmoid, its one-stack product, ``_SecantPair``, ``gd_step``
+and ``relative_change`` stay on the calling thread: the benchmark keeps
+each WC round's final stack, so a faster WC run reads a higher peak RSS
+there, and the step and the stopping rule are about 2% of an LHE run.
+
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
 tol``.  Near the fixed point the plain iteration ``a <- G(a)`` contracts
@@ -102,8 +115,8 @@ import numpy as np
 from scipy.fft import irfft2, rfft, rfft2
 
 from .cakes import lift
-from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
-from .core import project, relative_change
+from .core import BLOCK, LHE, WC, ModelConfig, as_stack, carve, check_fit
+from .core import pool_threads, project, relative_change, run_parts
 from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
 
 FIT_SAMPLES = 2001
@@ -206,25 +219,34 @@ def _evolved_powers(powers, prop, tau, product):
     ``powers`` is an ``(nmax, N, N, K)`` array holding ``a`` in
     ``powers[0]``; the higher powers are built in the rest of it, and
     reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
-    ``product`` is the evolution's mode-product buffer.  The evolved
-    stacks come back as a new array with the batch on the trailing
-    axis, ``(N, N, K, nmax)``.
+    ``product`` is the evolution's mode-product buffer.  The powers are
+    built a ``BLOCK`` of every power at a time, on the block pool.  The
+    evolved stacks come back as a new array with the batch on the
+    trailing axis, ``(N, N, K, nmax)``.
     """
-    a = powers[0]
-    for i in range(1, len(powers)):
-        np.multiply(powers[i - 1], a, out=powers[i])
+    flat = powers.reshape(len(powers), -1)
+
+    def block(part, _):
+        b = slice(part * BLOCK, (part + 1) * BLOCK)
+        for i in range(1, len(flat)):
+            np.multiply(flat[i - 1, b], flat[0, b], out=flat[i, b])
+
+    run_parts(block, -(-flat.shape[1] // BLOCK))
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _combine(a, weights, evolved, rows):
+def _combine(a, weights, evolved, rows, spare=None):
     """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's H.
 
-    One pass of ``BLOCK`` entries at a time, in a's dtype.  Each block's
-    rows ``R_p = sum_i W[p, i] E_i`` are one small matmul into ``rows``,
-    an ``(n + 1, min(BLOCK, a.size))`` scratch; a Horner pass in ``a``
-    over them gives the interaction, and one over ``R_q / (q + 1)`` gives
-    ``H = sum_q a^q R_q / (q + 1)``.  Both come back as new arrays of
-    a's shape; no full-size row is kept.
+    One pass of ``BLOCK`` entries at a time, in a's dtype, on the block
+    pool.  Each block's rows ``R_p = sum_i W[p, i] E_i`` are one small
+    matmul into a row scratch, an ``(n + 1, min(BLOCK, a.size))`` array:
+    ``rows`` on the calling thread, and for each helper one carved from
+    ``spare``, a buffer the caller does not read meanwhile (no helper
+    runs without one).  A Horner pass in ``a`` over the rows gives the
+    interaction, and one over ``R_q / (q + 1)`` gives ``H = sum_q a^q
+    R_q / (q + 1)``.  Both come back as new arrays of a's shape; no
+    full-size row is kept.
     """
     nmax = evolved.shape[-1]
     weights = weights.astype(a.dtype, copy=False)
@@ -232,16 +254,22 @@ def _combine(a, weights, evolved, rows):
     term, h = np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype)
     a_flat, term_flat, h_flat = a.ravel(), term.ravel(), h.ravel()
     e_flat = evolved.reshape(-1, nmax)
-    scratch = rows.ravel()
-    for start in range(0, a.size, BLOCK):
-        stop = min(start + BLOCK, a.size)
-        r = scratch[: len(weights) * (stop - start)].reshape(len(weights), -1)
+    blocks = -(-a.size // BLOCK)
+    scratch = [rows.ravel()]
+    if spare is not None:
+        scratch += carve(spare, pool_threads(blocks) - 1, (rows.size,), a.dtype)
+
+    def block(part, thread):
+        start, stop = part * BLOCK, min((part + 1) * BLOCK, a.size)
+        r = scratch[thread][: len(weights) * (stop - start)].reshape(len(weights), -1)
         np.matmul(weights[:, 1:], e_flat[start:stop].T, out=r)
         r += weights[:, :1]
         a_b = a_flat[start:stop]
         _horner(a_b, r, out=term_flat[start:stop])
         r /= divisors
         _horner(a_b, r, out=h_flat[start:stop])
+
+    run_parts(block, blocks, len(scratch))
     return term, h
 
 
@@ -326,14 +354,18 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     n = cfg.poly_degree
     powers = np.empty((n,) + forcing.shape, dtype)
     product = mode_product_buffer(prop, n, dtype)
+    # one power is gathered, and the slots no mode takes must stay zero
+    spare = product if n > 1 else None
     rows = np.empty((n + 1, min(BLOCK, forcing.size)), dtype)
 
     def lhe(a):
         np.copyto(powers[0], a, casting="same_kind")
         evolved = _evolved_powers(powers, prop, cfg.tau, product)
-        term, h = _combine(powers[0], weights, evolved, rows)
+        # the mode-product buffer is idle from here to the next call: the
+        # helpers' scratch in the combine and the energy is carved from it
+        term, h = _combine(powers[0], weights, evolved, rows, spare)
         del evolved  # the energy needs only H
-        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h)
+        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h, spare)
 
     return lhe
 
@@ -394,7 +426,7 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     return _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(as_stack(a))[1]
 
 
-def _energy_from_terms(a, forcing, constant, cfg, prim, h) -> float:
+def _energy_from_terms(a, forcing, constant, cfg, prim, h, spare=None) -> float:
     """Energy of ``a`` from the combine's ``H = sum_q a^q R_q / (q + 1)``.
 
     The fidelity terms ``w_a0/2 |a - a0|^2 + w_mu/2 |a - mu|^2`` are
@@ -411,22 +443,33 @@ def _energy_from_terms(a, forcing, constant, cfg, prim, h) -> float:
     polynomial in ``a * a``.  The double sum enters with half the
     interaction's scale, negated.  ``|a|^2``, ``a . forcing``, Sigma and
     ``a H`` are taken in one pass of ``BLOCK`` entries at a time, in
-    ``a``'s dtype.
+    ``a``'s dtype, on the block pool, and the blocks' sums are added in
+    block order.  Each helper's two float64 block scratches are carved
+    from ``spare``, a buffer the caller does not read meanwhile (no
+    helper runs without one).
     """
     w_a0, w_mu = cfg.fidelity_weights
     even = prim[::2]
-    size = min(BLOCK, a.size)
-    square, sigma = np.empty(size), np.empty(size)
+    shape = (2, min(BLOCK, a.size))
+    blocks = -(-a.size // BLOCK)
+    scratch = [np.empty(shape)]
+    if spare is not None:
+        scratch += carve(spare, pool_threads(blocks) - 1, shape, np.float64)
     flat = [x.ravel() for x in (a, forcing, h)]
-    norm = cross = double_sum = 0.0
-    for start in range(0, a.size, BLOCK):
-        a_b, f_b, h_b = (x[start : start + BLOCK] for x in flat)
-        norm += float(a_b @ a_b)
-        cross += float(a_b @ f_b)
-        d = np.multiply(a_b, a_b, out=square[: len(a_b)])
-        s = _horner(d, even, out=sigma[: len(a_b)])
+
+    def block(part, thread):
+        a_b, f_b, h_b = (x[part * BLOCK : (part + 1) * BLOCK] for x in flat)
+        square, sigma = scratch[thread][:, : len(a_b)]
+        d = np.multiply(a_b, a_b, out=square)
+        s = _horner(d, even, out=sigma)
         s += np.multiply(a_b, h_b, out=d)
-        double_sum += float(s.sum())
+        return float(a_b @ a_b), float(a_b @ f_b), float(s.sum())
+
+    norm = cross = double_sum = 0.0
+    for norm_b, cross_b, double_b in run_parts(block, blocks, len(scratch)):
+        norm += norm_b
+        cross += cross_b
+        double_sum += double_b
     inter = -0.5 * INTERACTION_SCALE * double_sum
     return 0.5 * (w_a0 + w_mu) * norm - cross + constant + inter
 
@@ -535,8 +578,10 @@ class _AndersonHistory:
     a time, and ``Phi(x)`` is float64; the correction ``dphi^T gamma``
     is taken in ``RUN_DTYPE``, like the rows it combines, and vanishes
     at the fixed point.  An update reads ``x`` and ``G(x)`` once, a
-    block of ``BLOCK`` entries at a time, and its one new stack is the
-    returned iterate.
+    block of ``BLOCK`` entries at a time on the block pool, and its one
+    new stack is the returned iterate.  Each thread's block scratch
+    (the widened df rows, the new df row and f, then the correction) is
+    made per call by the calling thread and not kept between updates.
     """
 
     def __init__(self, size: int, cfg: ModelConfig):
@@ -546,10 +591,6 @@ class _AndersonHistory:
         self.f_prev = np.empty(size, RUN_DTYPE)
         self.x_prev = np.empty(size, RUN_DTYPE)
         self.gram = np.empty((ANDERSON_WINDOW, ANDERSON_WINDOW))
-        block = min(BLOCK, size)
-        self.rows = np.empty((ANDERSON_WINDOW, block))  # one block of df, widened
-        self.pair = np.empty((2, block))  # one block of the new df row and of f
-        self.correction = np.empty(block, self.dphi.dtype)
         self.pairs = 0  # valid pairs, in slots 0 .. pairs-1 until the ring wraps
         self.slot = 0  # the slot the next pair overwrites
         self.recorded = False  # whether f_prev and x_prev hold an iterate
@@ -575,15 +616,21 @@ class _AndersonHistory:
         if self.recorded:
             self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
         pairs, slot = self.pairs, self.slot
-        dots = np.zeros((pairs, 2))  # df . df[slot] and df . f
         out = np.empty(x_flat.size)
-        for start in range(0, out.size, BLOCK):
-            stop = min(start + BLOCK, out.size)
-            x_b, pair = x_flat[start:stop], self.pair[:, : stop - start]
+        blocks = -(-out.size // BLOCK)
+        threads = pool_threads(blocks)
+        # per thread, one block of the df rows widened, of the new df row and of f
+        scratch = np.empty((threads, ANDERSON_WINDOW + 2, min(BLOCK, out.size)))
+
+        def record(part, thread):
+            start, stop = part * BLOCK, min((part + 1) * BLOCK, out.size)
+            x_b = x_flat[start:stop]
+            rows, pair = np.split(scratch[thread, :, : stop - start], [ANDERSON_WINDOW])
             f_b = np.subtract(g_flat[start:stop], x_b, out=pair[1])
             out_b = np.multiply(f_b, self.beta, out=out[start:stop])
             out_b += x_b  # Phi(x)
             f_prev, x_prev = self.f_prev[start:stop], self.x_prev[start:stop]
+            dots = None  # df . df[slot] and df . f
             if pairs:
                 d = np.subtract(f_b, f_prev, out=pair[0])
                 self.df[slot, start:stop] = d
@@ -591,22 +638,33 @@ class _AndersonHistory:
                 d += x_b
                 d -= x_prev  # dx + beta df
                 self.dphi[slot, start:stop] = d
-                rows = self.rows[:pairs, : stop - start]
+                rows = rows[:pairs]
                 rows[...] = self.df[:pairs, start:stop]
                 d[...] = rows[slot]  # the stored df row
-                dots += rows @ pair.T
+                dots = rows @ pair.T
             f_prev[...] = f_b
             x_prev[...] = x_b
+            return dots
+
+        partial = run_parts(record, blocks, threads)
         self.recorded = True
         if pairs:
+            dots = np.zeros((pairs, 2))
+            for block_dots in partial:
+                dots += block_dots
             self.gram[slot, :pairs] = self.gram[:pairs, slot] = dots[:, 0]
             self.slot = (slot + 1) % ANDERSON_WINDOW
             gram = self.gram[:pairs, :pairs]
             gamma = np.linalg.lstsq(gram, dots[:, 1], rcond=None)[0].astype(self.dphi.dtype)
-            for start in range(0, out.size, BLOCK):
-                out_b = out[start : start + BLOCK]
-                out_b -= np.matmul(gamma, self.dphi[:pairs, start : start + BLOCK],
-                                   out=self.correction[: len(out_b)])
+
+            def correct(part, thread):
+                b = slice(part * BLOCK, (part + 1) * BLOCK)
+                out_b = out[b]
+                # the correction in RUN_DTYPE, over the thread's first scratch row
+                c = scratch[thread, 0].view(self.dphi.dtype)[: len(out_b)]
+                out_b -= np.matmul(gamma, self.dphi[:pairs, b], out=c)
+
+            run_parts(correct, blocks, threads)
         return out.reshape(x.shape)
 
 
@@ -638,7 +696,8 @@ def _single_blas_thread():
     thread pool, the idle workers spin on the cores the FFT threads and
     sibling sweep processes need, and a dot product split over threads
     sums in an order that depends on the machine's core count.  The
-    count is process-wide.  Without OpenBLAS this does nothing.
+    count is process-wide, so it also keeps the block pool's helpers'
+    BLAS calls on one thread each.  Without OpenBLAS this does nothing.
     """
     functions = _blas_thread_functions()
     if functions is None:

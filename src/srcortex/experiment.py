@@ -5,7 +5,8 @@ bank and the heat propagator, runs the model loop, writes the artifacts
 (input/output/crop images, per-iteration trace and ``report.json``, the
 run's one record) and measures the completion offset.  ``run_sweep``
 repeats an experiment over a parameter list in worker processes, one per
-value up to four; it writes no file beyond each value's run.
+value up to four, each on its share of the CPUs; it writes no file
+beyond each value's run.
 
 The completion offset is the signed perpendicular displacement, in
 pixels at the bar's right edge, of the completed dark path inside the
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .cakes import build_cake_bank, check_bank_sizes
-from .core import ModelConfig, as_image, renormalize
+from .core import ModelConfig, as_image, cpu_count, renormalize, set_pool_width
 from .dynamics import RunResult, fit_polynomial, run_model
 from .heat import build_propagator
 from .imgio import read_image, write_pgm
@@ -306,11 +307,26 @@ def _write_report(out: Path, report: dict) -> None:
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured parameter sweep in worker processes, one per value up to four.
 
-    Returns the reports in ``sweep_values`` order; each value writes its
+    Each worker's block pool gets its share of this process's CPUs,
+    ``max(1, cpus // workers)`` threads, so that the workers do not
+    contend for the cores (three values on two CPUs run one thread
+    each).  Returns the reports in ``sweep_values`` order; each value writes its
     run to ``<out_dir>/<param>=<value:g>/`` and the sweep nothing else.
     """
     if cfg.sweep_param is None:
         raise ValueError("config has no sweep specification")
     subcfgs = _sweep_configs(cfg)
-    with ProcessPoolExecutor(max_workers=min(len(subcfgs), 4)) as pool:
-        return list(pool.map(run_experiment, subcfgs))
+    workers = min(len(subcfgs), 4)
+    share = max(1, cpu_count() // workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_sweep_worker, subcfgs, [share] * len(subcfgs)))
+
+
+def _sweep_worker(cfg: ExperimentConfig, width: int) -> dict:
+    """One sweep value, in a worker process whose block pool runs on ``width`` threads.
+
+    ``run_experiment`` is looked up in this module's namespace at call
+    time, so a wrapper installed there runs in the workers too.
+    """
+    set_pool_width(width)
+    return run_experiment(cfg)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import run_spans
+
 SUBGRID = 4  # anti-aliasing subsamples per axis
 CLASSIC, GRATINGS = "classic", "gratings"
 STIMULUS_KINDS = (CLASSIC, GRATINGS)
@@ -123,14 +125,18 @@ def _line_coverage(spec: StimulusSpec, periodic: bool) -> np.ndarray:
     idx = np.arange(n, dtype=float)
     offsets = (np.arange(SUBGRID) + 0.5) / SUBGRID - 0.5
     inside = np.zeros((n, n), dtype=np.uint16)
-    for dr in offsets:
-        rowpart = cos_a * (idx + dr - c)
-        for dc in offsets:
-            colpart = sin_a * (idx + dc - c)
-            dist = rowpart[:, None] + colpart[None, :]
-            if periodic:
-                dist = (dist + wrap / 2.0) % wrap - wrap / 2.0
-            inside += np.abs(dist) <= half
+
+    def cover(start, stop):
+        for dr in offsets:
+            rowpart = cos_a * (idx[start:stop] + dr - c)
+            for dc in offsets:
+                colpart = sin_a * (idx + dc - c)
+                dist = rowpart[:, None] + colpart[None, :]
+                if periodic:
+                    dist = (dist + wrap / 2.0) % wrap - wrap / 2.0
+                inside[start:stop] += np.abs(dist) <= half
+
+    run_spans(cover, n, n)  # rows, on the block pool
     return inside.astype(float) / SUBGRID**2
 
 

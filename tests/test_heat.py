@@ -335,7 +335,7 @@ class TestPropagator:
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
         build_propagator(n, k, 0.05, 0.01)
-        assert sizes == [factored]
+        assert sum(sizes) == factored  # in contiguous parts, one call each
 
     @pytest.mark.parametrize("n", [3, 7, 101, 199, 8, 10, 200])
     def test_mirrored_modes_have_negated_sines_bitwise(self, n):
