@@ -148,16 +148,23 @@ def run_spans(fn, count: int, entries: int) -> list:
     return run_parts(lambda part, _: fn(*spans[part]), len(spans))
 
 
-def carve(buffer, count: int, shape, dtype) -> list:
-    """Up to ``count`` arrays of ``shape`` and ``dtype`` over the memory of ``buffer``.
+def thread_scratch(buffer, threads: int, shape, dtype, own=None) -> list:
+    """Scratch arrays of ``shape`` and ``dtype``: the calling thread's, then its helpers'.
 
     ``buffer`` is a C-contiguous array that its owner does not read
-    while the arrays are in use; as many arrays are returned as fit.
+    while the arrays are in use, or None.  Where its memory holds
+    ``threads`` arrays, all of them are carved from it.  Otherwise the
+    calling thread takes ``own``, or a new array, and the helpers as
+    many carved ones as fit: a helper runs only on memory the buffer
+    lends, and never gives way to the calling thread.
     """
-    raw = buffer.reshape(-1).view(np.uint8)
+    raw = np.empty(0, np.uint8) if buffer is None else buffer.reshape(-1).view(np.uint8)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    count = max(0, min(count, raw.size // nbytes))
-    return [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(count)]
+    fit = min(threads, raw.size // nbytes)
+    carved = [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(fit)]
+    if fit == threads:
+        return carved
+    return [np.empty(shape, dtype) if own is None else own] + carved[: threads - 1]
 
 
 def as_image(arr) -> np.ndarray:

@@ -63,11 +63,18 @@ fixed point.  The state, the descent step, the WC secant pair, the
 stopping rule and the energy's fidelity terms, Sigma, the product a H
 and the sums stay float64.
 ``model_drift`` and ``lhe_energy`` evaluate wholly in float64.  An
-evaluation keeps the arrays it hands the heat layer for as long as it
-lives (a whole run in ``run_model``): the evolution's complex
-mode-product buffer (for WC, the modes gathered by generator and their
-product), and the sigmoid stack (WC) or the n powers and the combine's
-``(n + 1, BLOCK)`` row scratch (LHE).  No evaluation keeps a0 or mu, so
+evaluation keeps one working array for as long as it lives (a whole run
+in ``run_model``): the evolution's complex mode-product buffer (for WC,
+the modes gathered by generator and their product).  The sigmoid stack
+(WC) or the n powers (LHE) are staged in the part of it that the mode
+product overwrites in full, since only the forward transform reads
+them; from the inverse transform until the next call stages them, the
+same memory holds every thread's scratch: the combine's (a block's
+rows and its block of ``a`` cast to ``RUN_DTYPE``, since the first
+power is overwritten by then), the energy's and, between calls, the
+Anderson update's.  Only on grids
+of a few blocks, where it cannot hold every thread's combine scratch,
+does the calling thread keep its own.  No evaluation keeps a0 or mu, so
 a run holds mu only until the forcing and C are formed and a0 only as
 its first state.  The evolved stacks are the one large array a call allocates
 besides the forward spectrum; the LHE ones take over its memory.
@@ -76,10 +83,10 @@ Threads: the LHE evaluation's blocked passes (the powers, the batched
 mode product, the combine and the energy) and both passes of the
 Anderson update run on ``core``'s block pool, a block of ``BLOCK``
 entries per part, and the blocks' sums are added in block order, so
-runs are equal bit for bit at any width.  A helper's scratch is carved
-from the mode-product buffer, which is idle from the inverse transform
-to the next evaluation (the combine's rows and the energy's blocks), or
-made per call by the calling thread (the Anderson update's rows).
+runs are equal bit for bit at any width.  Every thread's scratch is
+carved from the mode-product buffer, which is idle from the inverse
+transform to the next evaluation (``core.thread_scratch``); a helper
+runs only on memory the buffer lends.
 The WC sigmoid, its one-stack product, ``_SecantPair``, ``gd_step``
 and ``relative_change`` stay on the calling thread: the benchmark keeps
 each WC round's final stack, so a faster WC run reads a higher peak RSS
@@ -115,9 +122,9 @@ import numpy as np
 from scipy.fft import irfft2, rfft, rfft2
 
 from .cakes import lift
-from .core import BLOCK, LHE, WC, ModelConfig, as_stack, carve, check_fit
-from .core import pool_threads, project, relative_change, run_parts
-from .heat import HeatPropagator, _evolve_batch, mode_product_buffer
+from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
+from .core import pool_threads, project, relative_change, run_parts, thread_scratch
+from .heat import HeatPropagator, _evolve_batch, mode_product_buffer, staged_stacks
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
@@ -219,7 +226,8 @@ def _evolved_powers(powers, prop, tau, product):
     ``powers`` is an ``(nmax, N, N, K)`` array holding ``a`` in
     ``powers[0]``; the higher powers are built in the rest of it, and
     reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
-    ``product`` is the evolution's mode-product buffer.  The powers are
+    ``product`` is the evolution's mode-product buffer, in which
+    ``powers`` may be staged (``staged_stacks``).  The powers are
     built a ``BLOCK`` of every power at a time, on the block pool.  The
     evolved stacks come back as a new array with the batch on the
     trailing axis, ``(N, N, K, nmax)``.
@@ -235,36 +243,44 @@ def _evolved_powers(powers, prop, tau, product):
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _combine(a, weights, evolved, rows, spare=None):
+def _row_scratch(size: int, degree: int) -> int:
+    """Entries of one thread's combine scratch: a block's degree + 1 rows and its cast of ``a``."""
+    return (degree + 2) * min(BLOCK, size)
+
+
+def _combine(a, weights, evolved, spare=None, own=None):
     """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's H.
 
-    One pass of ``BLOCK`` entries at a time, in a's dtype, on the block
-    pool.  Each block's rows ``R_p = sum_i W[p, i] E_i`` are one small
-    matmul into a row scratch, an ``(n + 1, min(BLOCK, a.size))`` array:
-    ``rows`` on the calling thread, and for each helper one carved from
-    ``spare``, a buffer the caller does not read meanwhile (no helper
-    runs without one).  A Horner pass in ``a`` over the rows gives the
+    One pass of ``BLOCK`` entries at a time, in the evolved stacks'
+    dtype, on the block pool.  Each block of ``a`` is cast to that dtype,
+    and its rows ``R_p = sum_i W[p, i] E_i`` are one small matmul; both
+    go to the thread's ``_row_scratch`` entries, carved from ``spare``,
+    a buffer the caller does not read meanwhile (``thread_scratch``;
+    ``own`` is the calling thread's where ``spare`` cannot hold every
+    thread's).  A Horner pass in ``a`` over the rows gives the
     interaction, and one over ``R_q / (q + 1)`` gives ``H = sum_q a^q
     R_q / (q + 1)``.  Both come back as new arrays of a's shape; no
     full-size row is kept.
     """
-    nmax = evolved.shape[-1]
-    weights = weights.astype(a.dtype, copy=False)
-    divisors = np.arange(1, len(weights) + 1, dtype=a.dtype)[:, None]
-    term, h = np.empty(a.shape, a.dtype), np.empty(a.shape, a.dtype)
+    dtype, nmax = evolved.dtype, evolved.shape[-1]
+    weights = weights.astype(dtype, copy=False)
+    divisors = np.arange(1, len(weights) + 1, dtype=dtype)[:, None]
+    term, h = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
     a_flat, term_flat, h_flat = a.ravel(), term.ravel(), h.ravel()
     e_flat = evolved.reshape(-1, nmax)
+    width = min(BLOCK, a.size)
     blocks = -(-a.size // BLOCK)
-    scratch = [rows.ravel()]
-    if spare is not None:
-        scratch += carve(spare, pool_threads(blocks) - 1, (rows.size,), a.dtype)
+    scratch = thread_scratch(spare, pool_threads(blocks), (_row_scratch(a.size, nmax),), dtype,
+                             own)
 
     def block(part, thread):
         start, stop = part * BLOCK, min((part + 1) * BLOCK, a.size)
-        r = scratch[thread][: len(weights) * (stop - start)].reshape(len(weights), -1)
+        s = scratch[thread]
+        r = s[: len(weights) * (stop - start)].reshape(len(weights), -1)
         np.matmul(weights[:, 1:], e_flat[start:stop].T, out=r)
         r += weights[:, :1]
-        a_b = a_flat[start:stop]
+        a_b = s[-width:][: stop - start]
+        np.copyto(a_b, a_flat[start:stop], casting="same_kind")
         _horner(a_b, r, out=term_flat[start:stop])
         r /= divisors
         _horner(a_b, r, out=h_flat[start:stop])
@@ -321,18 +337,22 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     the LHE energy's fidelity terms are ``(w_a0 + w_mu) |a|^2 / 2 -
     a . forcing + constant``, so the evaluation holds neither a0 nor mu
     (WC reads only the forcing's shape).  The kernel terms
-    are computed from ``a`` cast to ``dtype`` in a kept array (the WC
-    sigmoid stack, which the sigmoid writes from ``a`` in the same pass,
-    or the first LHE power), and ``term`` comes back in ``dtype``: the WC
+    are computed from ``a`` cast to ``dtype`` (by the sigmoid in the
+    same pass for WC; into the first LHE power, and block by block in
+    the combine), and ``term`` comes back in ``dtype``: the WC
     sigmoid and its evolution, or the LHE powers, their evolutions and
     the combine.  The LHE energy's fidelity terms,
     primitive and sums take ``a`` itself.  The LHE fit and its weight
     table are built here, once.
 
-    The evaluation allocates the arrays it hands the heat layer once,
-    here: the mode-product buffer, and the sigmoid stack (WC) or the
-    powers and the combine's row scratch (LHE).  Each call returns a new
-    ``term``; an LHE call also makes a new H, which only its energy reads.
+    The evaluation allocates one working array, here: the heat layer's
+    mode-product buffer.  The stacks it hands the heat layer (the
+    sigmoid stack, or the powers) are staged in it (``staged_stacks``),
+    and the same memory, idle from the inverse transform to the next
+    call, holds every thread's scratch of the combine and the energy;
+    an LHE evaluation offers it as ``spare`` for the Anderson update's
+    scratch between calls.  Each call returns a new ``term``; an LHE
+    call also makes a new H, which only its energy reads.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
     first.  In ``run_model`` a WC state is ``a0`` or a step whose
     relative change was found finite, and a non-finite LHE state gives a
@@ -340,33 +360,36 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     """
     if cfg.model == WC:
         m = prop.step_count(cfg.tau)
-        stack = np.empty(forcing.shape + (1,), dtype)
         product = mode_product_buffer(prop, 1, dtype)
+        stack = staged_stacks(prop, product, 1)
 
         def wc(a):
-            sigmoid(a, cfg.alpha, out=stack[..., 0])
-            return _evolve_batch(stack, prop, m, product)[..., 0], None
+            sigmoid(a, cfg.alpha, out=stack[0])
+            return _evolve_batch(np.moveaxis(stack, 0, -1), prop, m, product)[..., 0], None
 
         return wc
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
     n = cfg.poly_degree
-    powers = np.empty((n,) + forcing.shape, dtype)
     product = mode_product_buffer(prop, n, dtype)
-    # one power is gathered, and the slots no mode takes must stay zero
-    spare = product if n > 1 else None
-    rows = np.empty((n + 1, min(BLOCK, forcing.size)), dtype)
+    powers = staged_stacks(prop, product, n)
+    # where the powers' memory cannot hold every thread's combine scratch
+    # (grids of a few blocks), the calling thread keeps its own
+    threads = pool_threads(-(-forcing.size // BLOCK))
+    entries = _row_scratch(forcing.size, n)
+    own = np.empty(entries, dtype) if powers.size < threads * entries else None
 
     def lhe(a):
         np.copyto(powers[0], a, casting="same_kind")
         evolved = _evolved_powers(powers, prop, cfg.tau, product)
-        # the mode-product buffer is idle from here to the next call: the
-        # helpers' scratch in the combine and the energy is carved from it
-        term, h = _combine(powers[0], weights, evolved, rows, spare)
+        # the powers' memory is idle from here to the next call: every
+        # thread's scratch in the combine and the energy is carved from it
+        term, h = _combine(a, weights, evolved, powers, own)
         del evolved  # the energy needs only H
-        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h, spare)
+        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h, powers)
 
+    lhe.spare = powers
     return lhe
 
 
@@ -444,17 +467,14 @@ def _energy_from_terms(a, forcing, constant, cfg, prim, h, spare=None) -> float:
     interaction's scale, negated.  ``|a|^2``, ``a . forcing``, Sigma and
     ``a H`` are taken in one pass of ``BLOCK`` entries at a time, in
     ``a``'s dtype, on the block pool, and the blocks' sums are added in
-    block order.  Each helper's two float64 block scratches are carved
-    from ``spare``, a buffer the caller does not read meanwhile (no
-    helper runs without one).
+    block order.  Each thread's two float64 block scratches are carved
+    from ``spare``, a buffer the caller does not read meanwhile
+    (``thread_scratch``).
     """
     w_a0, w_mu = cfg.fidelity_weights
     even = prim[::2]
-    shape = (2, min(BLOCK, a.size))
     blocks = -(-a.size // BLOCK)
-    scratch = [np.empty(shape)]
-    if spare is not None:
-        scratch += carve(spare, pool_threads(blocks) - 1, shape, np.float64)
+    scratch = thread_scratch(spare, pool_threads(blocks), (2, min(BLOCK, a.size)), np.float64)
     flat = [x.ravel() for x in (a, forcing, h)]
 
     def block(part, thread):
@@ -581,10 +601,13 @@ class _AndersonHistory:
     block of ``BLOCK`` entries at a time on the block pool, and its one
     new stack is the returned iterate.  Each thread's block scratch
     (the widened df rows, the new df row and f, then the correction) is
-    made per call by the calling thread and not kept between updates.
+    carved per call from ``spare``, a buffer that nothing reads between
+    the caller's updates (``thread_scratch``; ``run_model`` hands the
+    history its evaluation's idle memory).
     """
 
-    def __init__(self, size: int, cfg: ModelConfig):
+    def __init__(self, size: int, cfg: ModelConfig, spare=None):
+        self.spare = spare
         self.beta = 1.0 / ((1.0 + cfg.lam) * cfg.dt)
         self.df = np.empty((ANDERSON_WINDOW, size), RUN_DTYPE)
         self.dphi = np.empty((ANDERSON_WINDOW, size), RUN_DTYPE)
@@ -620,12 +643,14 @@ class _AndersonHistory:
         blocks = -(-out.size // BLOCK)
         threads = pool_threads(blocks)
         # per thread, one block of the df rows widened, of the new df row and of f
-        scratch = np.empty((threads, ANDERSON_WINDOW + 2, min(BLOCK, out.size)))
+        scratch = thread_scratch(self.spare, threads, (ANDERSON_WINDOW + 2, min(BLOCK, out.size)),
+                                 np.float64)
+        threads = len(scratch)
 
         def record(part, thread):
             start, stop = part * BLOCK, min((part + 1) * BLOCK, out.size)
             x_b = x_flat[start:stop]
-            rows, pair = np.split(scratch[thread, :, : stop - start], [ANDERSON_WINDOW])
+            rows, pair = np.split(scratch[thread][:, : stop - start], [ANDERSON_WINDOW])
             f_b = np.subtract(g_flat[start:stop], x_b, out=pair[1])
             out_b = np.multiply(f_b, self.beta, out=out[start:stop])
             out_b += x_b  # Phi(x)
@@ -661,7 +686,7 @@ class _AndersonHistory:
                 b = slice(part * BLOCK, (part + 1) * BLOCK)
                 out_b = out[b]
                 # the correction in RUN_DTYPE, over the thread's first scratch row
-                c = scratch[thread, 0].view(self.dphi.dtype)[: len(out_b)]
+                c = scratch[thread][0].view(self.dphi.dtype)[: len(out_b)]
                 out_b -= np.matmul(gamma, self.dphi[:pairs, b], out=c)
 
             run_parts(correct, blocks, threads)
@@ -751,7 +776,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     lhe = cfg.model == LHE
     interaction = _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a, mu), RUN_DTYPE)
     del mu  # no evaluation keeps a0 or mu; a0 lives on only as the first state
-    history = _AndersonHistory(a.size, cfg) if lhe else _SecantPair(a.size)
+    history = _AndersonHistory(a.size, cfg, interaction.spare) if lhe else _SecantPair(a.size)
 
     g = None  # G of the last accepted state: where a rejection restarts
     extrapolated = False

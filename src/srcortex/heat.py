@@ -90,12 +90,17 @@ place in the mode-product buffer (for one stack, in the forward
 spectrum the products were scattered into), then the real axis into a
 new array.  A caller that evolves the same shapes on every iteration
 (the WC and LHE evaluations) holds the mode-product buffer for the
-whole run; then the forward spectrum and the real result are the only
-arrays a call allocates, and for a batch the result takes the memory
-the spectrum has just released.  Measured at N=100 and N=200 (float32,
-nine stacks), no call after the first faults in fresh pages; an LHE run
-at N=100 takes about 10k minor page faults in all, most of them in
-set-up.
+whole run, and it is the one working array such a caller keeps: the
+stacks it hands the heat layer are staged in the part of that buffer
+the mode product overwrites in full (``staged_stacks``), since they
+are dead once the forward transform has read them, and from the
+inverse transform until the next stacks are staged the same memory
+serves as scratch.  Then the forward spectrum and the real result are
+the only arrays a call allocates, and for a batch the result takes the
+memory the spectrum has just released.  Measured at N=100 and N=200
+(float32, nine stacks), no call after the first faults in fresh pages;
+an LHE run at N=100 takes about 10k minor page faults in all, most of
+them in set-up.
 
 The batched mode product, the factoring and the propagator's assembly
 run on ``core``'s block pool; the gathered one-stack product stays on
@@ -416,6 +421,24 @@ def mode_product_buffer(prop: HeatPropagator, batch: int, dtype) -> np.ndarray:
     return np.empty((n, n // 2 + 1, prop.n_orient, batch), ctype)
 
 
+def staged_stacks(prop: HeatPropagator, product, batch: int) -> np.ndarray:
+    """``(batch, N, N, K)`` real stacks over the memory of ``product``, a ``mode_product_buffer``.
+
+    They lie in the part of ``product`` that the mode product overwrites
+    in full: for a batch the whole buffer, for one stack the product
+    half ``product[1]``, since the gathered half must keep its untaken
+    slots zero.  Either part holds every half-spectrum mode, so at
+    least N^2 K reals.  Stacks staged here may be handed to
+    ``_evolve_batch`` with ``product`` (its forward transform is their
+    only reader), and the memory may serve as scratch from the inverse
+    transform until the next stacks are staged.
+    """
+    part = product[1] if batch == 1 else product
+    n, k = prop.n_pixels, prop.n_orient
+    real = part.reshape(-1).view(part.real.dtype)
+    return real[: batch * n * n * k].reshape(batch, n, n, k)
+
+
 def _evolve_batch(stacks, prop, m, product=None):
     """Evolve (N, N, K, B) real stacks by m steps into a new array of the same shape.
 
@@ -432,7 +455,9 @@ def _evolve_batch(stacks, prop, m, product=None):
     for a batch of one (measured crossover in the module docstring).
     A batch's blocks run on the block pool, the one stack's on the
     calling thread.  ``product``, a ``mode_product_buffer``, is
-    overwritten; None allocates it.
+    overwritten; None allocates it.  The stacks may alias the part of
+    ``product`` that ``staged_stacks`` views: only the forward
+    transform reads them, before the mode product overwrites that part.
     """
     if m == 0:
         return stacks.copy()

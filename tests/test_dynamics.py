@@ -73,8 +73,9 @@ def lhe_interaction(a, prop, tau, poly):
     n = len(poly.coeffs) - 1
     powers = np.empty((n,) + a.shape)
     powers[0] = a
-    evolved = _evolved_powers(powers, prop, tau, mode_product_buffer(prop, n, a.dtype))
-    return _combine(a, _weights(poly.coeffs), evolved, np.empty((n + 1, min(BLOCK, a.size))))[0]
+    product = mode_product_buffer(prop, n, a.dtype)
+    evolved = _evolved_powers(powers, prop, tau, product)
+    return _combine(a, _weights(poly.coeffs), evolved, product)[0]
 
 
 def unblocked_combine(a, weights, evolved):
@@ -912,8 +913,7 @@ class TestBlockedCombine:
         powers[0] = a
         product = mode_product_buffer(prop, degree, dtype)
         evolved = _evolved_powers(powers, prop, 0.5, product)
-        rows = np.empty((degree + 1, BLOCK), dtype)
-        term, h = _combine(powers[0], weights, evolved, rows)
+        term, h = _combine(a, weights, evolved, product)
         expected_term, expected_h = unblocked_combine(powers[0], weights, evolved)
         assert term.dtype == h.dtype == dtype
         np.testing.assert_array_equal(term, expected_term)
@@ -938,10 +938,12 @@ class TestBlockedCombine:
 
 
 class TestKeptArrays:
-    """Each evaluation keeps the arrays it hands the heat layer between calls.
+    """Each evaluation keeps its mode-product buffer between calls.
 
-    WC keeps its sigmoid stack and product buffer; LHE its powers,
-    product buffer and rows.  Each test runs both models.
+    The stacks it hands the heat layer are staged in that buffer, and on
+    a grid too small for the buffer to hold every thread's combine
+    scratch (as here, 32 x 32 x 8) LHE keeps the calling thread's.  Each
+    test runs both models.
     """
 
     def _case(self, model):

@@ -1,8 +1,9 @@
-"""What an LHE run keeps: no a0 or mu, a single-precision Anderson history, a bounded peak.
+"""What a run keeps: one working array per evaluation, no a0 or mu, a
+single-precision Anderson history, a bounded peak.
 
 numpy reports its arrays to ``tracemalloc``, so the peak of a run counts
-every stack it allocates.  The bound is in float64 stacks of the run's
-grid, so it does not depend on the grid's size once a stack exceeds
+every stack it allocates.  The bounds are in float64 stacks of the run's
+grid, so they do not depend on the grid's size once a stack exceeds
 ``BLOCK`` entries (below that, the kept block scratches count as whole
 stacks).
 """
@@ -28,11 +29,28 @@ from srcortex.core import BLOCK
 from srcortex.dynamics import _fidelity_constant, _forcing, _interaction
 
 
-def _lhe_case(n, k, tau=0.5):
-    cfg = dataclasses.replace(ModelConfig.paper("lhe"), tau=tau)
+def _case(model, n, k, tau=0.5):
+    cfg = dataclasses.replace(ModelConfig.paper(model), tau=tau)
     prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
     f0 = poggendorff_gratings(StimulusSpec.paper(n))
     return f0, cfg, build_cake_bank(n, k, 5), prop
+
+
+def _lhe_case(n, k, tau=0.5):
+    return _case("lhe", n, k, tau)
+
+
+def _peak_in_stacks(case):
+    """Traced peak of ``run_model`` on ``case``, its propagator built, in float64 stacks."""
+    f0, cfg, bank, prop = case
+    run_model(f0, dataclasses.replace(cfg, max_iters=1), bank, prop)  # builds the propagator
+    tracemalloc.start()
+    try:
+        res = run_model(*case)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return res, peak / (f0.size * prop.n_orient * np.dtype(np.float64).itemsize)
 
 
 def test_lhe_evaluation_holds_neither_a0_nor_mu():
@@ -93,25 +111,90 @@ def test_anderson_history_is_stored_in_run_dtype():
     assert history.pairs == 2
 
 
+def test_anderson_update_allocates_only_its_iterate(monkeypatch):
+    # lent a buffer that holds every thread's block scratch (run_model
+    # lends the evaluation's idle one), an update allocates only the
+    # iterate it returns, and its iterates equal a history's without one
+    monkeypatch.setattr(core, "_width", 2)
+    size = 3 * BLOCK
+    cfg = ModelConfig.paper("lhe")
+    spare = np.empty(2 * (dynamics.ANDERSON_WINDOW + 2) * BLOCK)
+    lent, own = dynamics._AndersonHistory(size, cfg, spare), dynamics._AndersonHistory(size, cfg)
+    rng = np.random.default_rng(34)
+    for _ in range(4):
+        x = rng.random(size)
+        g = x + rng.random(size)
+        tracemalloc.start()
+        try:
+            nxt = lent.extrapolate(x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # beyond the iterate, under one float64 block: numpy's casting
+        # buffers (about 72 kB), against 1.8 MB for a thread's scratch
+        assert peak < nxt.nbytes + BLOCK * np.dtype(np.float64).itemsize, peak - nxt.nbytes
+        assert nxt.tobytes() == own.extrapolate(x, g).tobytes()
+    assert lent.pairs == 3
+
+
 @pytest.mark.parametrize("width", [1, 2])
 def test_lhe_run_peak_in_stacks(monkeypatch, width):
     # 64 x 64 x 16 = two blocks.  Measured peaks: 34.2 float64 stacks with
     # float64 rings and an evaluation that kept a0 and mu, 29.9 with
-    # float32 rings and neither kept; the bound leaves 1.1 stacks (4%)
-    # above the latter and fails the former.  With the Anderson update's
-    # block scratch made per call and the helpers' carved from idle
-    # buffers, one thread reads 26.2 and two 28.9
+    # float32 rings and neither kept, then 26.2 on one thread and 28.9 on
+    # two with the helpers' scratch carved from the idle mode-product
+    # buffer.  With the powers staged in that buffer and every thread's
+    # scratch carved from it, 19.2 and 21.9: there the buffer holds one
+    # thread's combine scratch, so on two threads the calling thread
+    # keeps its own.  The bounds leave 4% and 5% above those
     monkeypatch.setattr(core, "_width", width)
-    n, k = 64, 16
-    case = _lhe_case(n, k)
-    f0, cfg, bank, prop = case
-    run_model(f0, dataclasses.replace(cfg, max_iters=1), bank, prop)  # builds the propagator
+    res, stacks = _peak_in_stacks(_lhe_case(64, 16))
+    assert res.converged and res.iterations > dynamics.ANDERSON_WINDOW
+    assert stacks <= {1: 20.0, 2: 23.0}[width], stacks
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_wc_run_peak_in_stacks(monkeypatch, width):
+    # 64 x 64 x 16, tau = 5 as in the WC figure.  Measured peak 7.62
+    # float64 stacks with the sigmoid stack kept beside the mode-product
+    # buffer, 7.12 with it staged in the buffer's product half, at either
+    # width (the WC evaluation runs on the calling thread); the bound
+    # leaves 4% above the latter
+    monkeypatch.setattr(core, "_width", width)
+    res, stacks = _peak_in_stacks(_case("wc", 64, 16, tau=5.0))
+    assert res.converged and res.rejected_steps >= 1
+    assert stacks <= 7.4, stacks
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@pytest.mark.parametrize("model", ["wc", "lhe"])
+def test_an_evaluation_keeps_one_working_array(monkeypatch, model, width):
+    # past its calls, the only memory of more than a block an evaluation
+    # holds is its mode-product buffer: the stacks it hands the heat layer
+    # and every thread's scratch live in that buffer.  80 x 80 x 16 is
+    # 3.1 blocks, enough for the buffer to hold two threads' combine scratch
+    monkeypatch.setattr(core, "_width", width)
+    f0, cfg, bank, prop = _case(model, 80, 16)
+    prop.single_propagator(prop.step_count(cfg.tau))  # cached before tracing
+    rng = np.random.default_rng(33)
+    states = [0.2 + 0.6 * rng.random((80, 80, 16)) for _ in range(2)]
+    buffers = []
+    make = dynamics.mode_product_buffer
+
+    def kept(*args):
+        buffers.append(make(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(dynamics, "mode_product_buffer", kept)
+    forcing = states[0].copy()
     tracemalloc.start()
     try:
-        res = run_model(*case)
-        peak = tracemalloc.get_traced_memory()[1]
+        evaluate = _interaction(cfg, prop, forcing, 0.0, dynamics.RUN_DTYPE)
+        for a in states:
+            evaluate(a)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert res.converged and res.iterations > dynamics.ANDERSON_WINDOW
-    stacks = peak / (n * n * k * np.dtype(np.float64).itemsize)
-    assert stacks <= 31.0, stacks
+    [buffer] = buffers
+    assert buffer.nbytes <= held < buffer.nbytes + BLOCK * np.dtype(dynamics.RUN_DTYPE).itemsize
