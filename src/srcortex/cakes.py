@@ -39,9 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft2
+from scipy.fft import rfft2
 
-from .core import as_image
+from .core import as_image, pool_width
+from .heat import irfft2
 
 TAPER_START = 0.9  # fraction of the Nyquist radius where the roll-off begins
 
@@ -175,9 +176,8 @@ def lift(f, bank: WaveletBank) -> np.ndarray:
     n = bank.n_pixels
     if img.shape[0] != n:
         raise ValueError(f"image size {img.shape[0]} does not match bank size {n}")
-    spec = bank.filters * rfft2(img)
-    responses = irfft2(spec, s=(n, n), axes=(1, 2), overwrite_x=True)
-    return np.ascontiguousarray(responses.transpose(1, 2, 0))
+    spec = np.moveaxis(bank.filters, 0, -1) * rfft2(img, workers=pool_width())[..., None]
+    return irfft2(spec, n)
 
 
 def pou_check(bank: WaveletBank) -> float:

@@ -8,7 +8,8 @@ theta + pi).  The stack operations are pure functions of their arguments.
 
 The block pool runs the blocked passes of the other modules on this
 process's threads.  Each process has one width: the CPUs it may run on
-(``os.sched_getaffinity``), or a ``run_sweep`` worker's share of them.
+(``os.sched_getaffinity``), or a ``run_sweep`` worker's share of them;
+every FFT in the package runs on that many threads too.
 The calling thread works alongside ``width - 1`` helper threads; each
 claims the next part (a ``BLOCK`` of a stack, or a contiguous run of
 items) from a shared counter, and the results come back in part order.
@@ -54,7 +55,7 @@ def cpu_count() -> int:
 
 
 def pool_width() -> int:
-    """Threads the block pool runs on in this process, the caller's included."""
+    """Threads the block pool and every FFT run on in this process, the caller's included."""
     global _width
     if _width is None:
         _width = cpu_count()

@@ -119,12 +119,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft2, rfft, rfft2
+from scipy.fft import rfft2
 
 from .cakes import lift
 from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
-from .core import pool_threads, project, relative_change, run_parts, thread_scratch
-from .heat import HeatPropagator, _evolve_batch, mode_product_buffer, staged_stacks
+from .core import pool_threads, pool_width, project, relative_change, run_parts, thread_scratch
+from .heat import HeatPropagator, _evolve_batch, irfft2, mode_product_buffer, staged_stacks
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
@@ -297,8 +297,8 @@ def local_mean(a0, sigma_mu: float):
     the periodic N-pixel axis (a kernel longer than the axis wraps more
     than once): ``scipy.ndimage.gaussian_filter``'s with ``mode="wrap"``
     and ``truncate=4``.  The blur multiplies each slice's ``rfft2`` half
-    spectrum by the kernel's DFT along both axes, which is real since
-    the kernel is even.
+    spectrum by that of the separable 2D kernel, which is real since the
+    kernel is even, and inverts the product with ``heat.irfft2``.
     """
     if sigma_mu <= 0:
         raise ValueError("sigma_mu must be > 0")
@@ -307,12 +307,10 @@ def local_mean(a0, sigma_mu: float):
     radius = int(4.0 * sigma_mu + 0.5)
     taps = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 * (taps / sigma_mu) ** 2)
-    gain = rfft(np.bincount(taps % n, weights / weights.sum(), minlength=n)).real
-    # the first axis's gain at the DFT frequencies 0 .. N-1, by evenness
-    rows = gain[np.minimum(np.arange(n), n - np.arange(n))]
-    spec = rfft2(a, axes=(0, 1))
-    spec *= (rows[:, None] * gain)[..., None]
-    return irfft2(spec, s=(n, n), axes=(0, 1), overwrite_x=True)
+    kernel = np.bincount(taps % n, weights / weights.sum(), minlength=n)
+    spec = rfft2(a, axes=(0, 1), workers=pool_width())
+    spec *= rfft2(np.outer(kernel, kernel), workers=pool_width()).real[..., None]
+    return irfft2(spec, n)
 
 
 def _forcing(cfg: ModelConfig, a0, mu):

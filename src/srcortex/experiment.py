@@ -307,9 +307,9 @@ def _write_report(out: Path, report: dict) -> None:
 def run_sweep(cfg: ExperimentConfig) -> list[dict]:
     """Run the configured parameter sweep in worker processes, one per value up to four.
 
-    Each worker's block pool gets its share of this process's CPUs,
-    ``max(1, cpus // workers)`` threads, so that the workers do not
-    contend for the cores (three values on two CPUs run one thread
+    Each worker's block pool and FFTs get its share of this process's
+    CPUs, ``max(1, cpus // workers)`` threads, so that the workers do
+    not contend for the cores (three values on two CPUs run one thread
     each).  Returns the reports in ``sweep_values`` order; each value writes its
     run to ``<out_dir>/<param>=<value:g>/`` and the sweep nothing else.
     """

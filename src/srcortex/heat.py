@@ -66,14 +66,16 @@ N=200, whose call overhead dominates, so it is gathered instead: each
 block copies its modes into its slot of a ``(U, V, K, S)`` complex
 array, one matmul applies each distinct generator to its (K, 2S)
 right-hand side (5,151 products at N=200), and the blocks are
-scattered back.  Measured on one thread of a 2-vCPU machine (float32,
-K=16), per-block then gathered: one stack 1.17 -> 0.58 ms at N=100
-and 4.5 -> 2.3 ms at N=200; two stacks 1.2 -> 2.2 ms at N=100; nine
-2.3 -> 4.0 ms at N=100 and 11 -> 25 ms at N=200, where copying the
-wider chunks costs more than the calls it saves.  So only a batch of
-one is gathered.  In float32 the two products are equal bit for bit;
-in float64 OpenBLAS may sum a (K, 2S) right-hand side in another order
-than a (K, 2) one (seen at K >= 16), which moves results by an ulp.
+scattered back.  On 2 vCPUs (float32, K=16), one stack took 0.6-0.9 ms
+at N=100 and 1.8-2.4 ms at N=200 gathered on the calling thread,
+against 1.4-1.6 and 2.8-3.1 ms per-block on the pool at width 2 and
+2.4-2.6 and 4.0-5.5 ms at width 1.  On one thread, per-block then
+gathered: two stacks 1.2 -> 2.2 ms at N=100; nine 2.3 -> 4.0 ms at
+N=100 and 11 -> 25 ms at N=200, where copying the wider chunks costs
+more than the calls it saves.  So only a batch of one is gathered.  In
+float32 the two products are equal bit for bit; in float64 OpenBLAS may
+sum a (K, 2S) right-hand side in another order than a (K, 2) one (seen
+at K >= 16), which moves results by an ulp.
 
 The evolution computes in the dtype of the stacks it is handed: float64
 stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
@@ -85,16 +87,15 @@ N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
 2.1 ms flushed and 3.9 ms in float64 (one thread of a 2-vCPU machine).
 The dropped entries lie far below float32's resolution of the results.
 
-The inverse transform, ``irfft2`` here, inverts the complex axis in
-place in the mode-product buffer (for one stack, in the forward
-spectrum the products were scattered into), then the real axis into a
-new array.  A caller that evolves the same shapes on every iteration
-(the WC and LHE evaluations) holds the mode-product buffer for the
-whole run, and it is the one working array such a caller keeps: the
-stacks it hands the heat layer are staged in the part of that buffer
-the mode product overwrites in full (``staged_stacks``), since they
-are dead once the forward transform has read them, and from the
-inverse transform until the next stacks are staged the same memory
+The inverse transform (``irfft2``) starts in place in the mode-product
+buffer (for one stack, in the forward spectrum the products were
+scattered into).  A caller that evolves the same shapes on every
+iteration (the WC and LHE evaluations) holds the mode-product buffer
+for the whole run, and it is the one working array such a caller
+keeps: the stacks it hands the heat layer are staged in the part of
+that buffer the mode product overwrites in full (``staged_stacks``),
+since they are dead once the forward transform has read them, and from
+the inverse transform until the next stacks are staged the same memory
 serves as scratch.  Then the forward spectrum and the real result are
 the only arrays a call allocates, and for a batch the result takes the
 memory the spectrum has just released.  Measured at N=100 and N=200
@@ -121,7 +122,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import ifft, irfft, rfft2
 
-from .core import as_stack, run_parts, run_spans, steps_of
+from .core import as_stack, pool_width, run_parts, run_spans, steps_of
 
 # single-precision propagator entries below this are set to zero
 SINGLE_FLUSH = float(np.finfo(np.float32).eps) ** 2
@@ -462,7 +463,7 @@ def _evolve_batch(stacks, prop, m, product=None):
     if m == 0:
         return stacks.copy()
     pm = prop.single_propagator(m) if stacks.dtype == np.float32 else prop.propagator(m)
-    spec = rfft2(stacks, axes=(0, 1), workers=-1)
+    spec = rfft2(stacks, axes=(0, 1), workers=pool_width())
     if product is None:
         product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)
     if stacks.shape[-1] == 1:
@@ -487,13 +488,13 @@ def _evolve_batch(stacks, prop, m, product=None):
 def irfft2(spec, n):
     """Real inverse of ``rfft2`` over axes (0, 1), for an N x N grid.
 
-    The complex axis 0 is inverted in place in ``spec``, which is
-    overwritten, then the real axis 1 into a new array, both on every
-    core.  (scipy's one-call ``irfft2`` copies the whole spectrum for
-    its complex axis.)
+    The one inverse real FFT of the lift, the local mean and the heat
+    layer.  Axis 0 is inverted in place in ``spec``, which is overwritten,
+    then axis 1 into a new C-contiguous array, on ``pool_width()``
+    threads; scipy's one-call ``irfft2`` copies the whole spectrum.
     """
-    spec = ifft(spec, axis=0, overwrite_x=True, workers=-1)
-    return irfft(spec, n=n, axis=1, overwrite_x=True, workers=-1)
+    spec = ifft(spec, axis=0, overwrite_x=True, workers=pool_width())
+    return irfft(spec, n=n, axis=1, overwrite_x=True, workers=pool_width())
 
 
 def kernel_column(prop: HeatPropagator, i: int, j: int, k: int, tau: float):

@@ -128,7 +128,10 @@ def test_lift_is_the_real_part_of_the_full_plane_lift(n, k):
     img = np.random.default_rng(n + k).random((n, n))
     full = ifft2(shifted_filters(n, k, 5, 2) * fft2(img), axes=(1, 2))
     expected = np.real(full).transpose(1, 2, 0)
-    err = np.abs(lift(img, bank) - expected).max()
+    got = lift(img, bank)
+    # the blocked passes ravel the state, so the stack must be laid out as indexed
+    assert got.shape == (n, n, k) and got.dtype == np.float64 and got.flags.c_contiguous
+    err = np.abs(got - expected).max()
     assert err <= 1e-12 * np.abs(expected).max()
 
 

@@ -369,7 +369,9 @@ class TestLocalMean:
         # axis (n = 8, 9 and 32 at sigma 20) and odd n included
         a = np.random.default_rng(n).random((n, n, 2))
         expected = gaussian_filter(a, (sigma, sigma, 0.0), mode="wrap", truncate=4.0)
-        err = np.abs(local_mean(a, sigma) - expected).max()
+        got = local_mean(a, sigma)
+        assert got.shape == a.shape and got.dtype == np.float64 and got.flags.c_contiguous
+        err = np.abs(got - expected).max()
         assert err <= 1e-13 * np.abs(expected).max()
 
 

@@ -1,4 +1,4 @@
-"""The block pool: equal results at any width, a fresh pool in forked workers.
+"""The block pool: equal results at any width, a fresh pool in forked workers, FFTs on the width.
 
 Widths are forced by setting ``core._width``.  The run grid, 72 x 72 x
 16, is 2.53 blocks, so the threads get uneven shares and the last block
@@ -21,11 +21,12 @@ import numpy as np
 import pytest
 
 import srcortex.experiment as experiment
-from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, build_propagator, core, dynamics
-from srcortex import heat, poggendorff_gratings, run_experiment
+from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, build_propagator, cakes, core
+from srcortex import dynamics, heat, poggendorff_gratings, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 WIDTHS = (1, 2, 3)
+FFT_MODULES = (heat, cakes, dynamics)  # the modules that call scipy.fft
 
 
 def _config(model, out_dir):
@@ -231,6 +232,37 @@ def test_a_gathered_buffer_keeps_its_empty_slots_zero(monkeypatch):
             monkeypatch.undo()
 
 
+def _record_fft_workers(monkeypatch) -> list:
+    """Wrap the scipy.fft names bound in ``FFT_MODULES``; each call appends (module, workers)."""
+    calls = []
+    for module in FFT_MODULES:
+        for name, fn in list(vars(module).items()):
+            if getattr(fn, "__module__", "").startswith("scipy.fft"):
+                def wrapper(*args, _fn=fn, _module=module.__name__, **kwargs):
+                    calls.append((_module, kwargs.get("workers")))
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("width", (1, 2))
+def test_every_fft_runs_on_the_pool_width(monkeypatch, width):
+    # scipy reads workers=-1 as os.cpu_count(), not the CPUs this process
+    # may use nor a sweep worker's share, and no argument as one thread
+    calls = _record_fft_workers(monkeypatch)
+    monkeypatch.setattr(core, "_width", width)
+    n, k = 32, 8
+    bank = cakes.build_cake_bank(n, k, 3)
+    a = cakes.lift(np.random.default_rng(3).random((n, n)), bank)
+    dynamics.local_mean(a, 6.5)
+    for model in ("wc", "lhe"):
+        cfg = dataclasses.replace(ModelConfig.paper(model), tau=0.1)
+        prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
+        dynamics._interaction(cfg, prop, a, 0.0, dynamics.RUN_DTYPE)(a)
+    assert {module for module, _ in calls} == {module.__name__ for module in FFT_MODULES}
+    assert {workers for _, workers in calls} == {core.pool_width()}
+
+
 def test_traced_names_are_entered_from_the_main_thread_only(monkeypatch, tmp_path):
     spec = importlib.util.spec_from_file_location("bench_recorder", ROOT / "bench" / "recorder.py")
     recorder = importlib.util.module_from_spec(spec)
@@ -260,14 +292,27 @@ def test_traced_names_are_entered_from_the_main_thread_only(monkeypatch, tmp_pat
 FORK_PROBE = """
 import json, sys, threading
 import srcortex.experiment as experiment
-from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, core
+from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, cakes, core, dynamics, heat
 
 core.set_pool_width(2)
 core.run_parts(lambda part, thread: thread, 4)  # starts the parent's helper threads
 experiment.cpu_count = lambda: 4  # two sweep values: each worker's share is two
 run_experiment = experiment.run_experiment
+fft_workers = set()  # the workers argument of every scipy.fft call in this process
+
+def recording(fn):
+    def wrapper(*args, **kwargs):
+        fft_workers.add(kwargs.get("workers"))
+        return fn(*args, **kwargs)
+    return wrapper
+
+for module in (heat, cakes, dynamics):
+    for name, fn in list(vars(module).items()):
+        if getattr(fn, "__module__", "").startswith("scipy.fft"):
+            setattr(module, name, recording(fn))
 
 def reporting(cfg):
+    fft_workers.clear()
     report = run_experiment(cfg)
     barrier = threading.Barrier(2, timeout=60)  # both of the worker's threads at once
 
@@ -277,20 +322,23 @@ def reporting(cfg):
 
     report["threads"] = sorted(core.run_parts(part, 2))
     report["width"] = core.pool_width()
+    report["fft_workers"] = sorted(fft_workers, key=str)
     return report
 
 experiment.run_experiment = reporting
 spec = StimulusSpec(n_pixels=32, bar_width=8, grating_period=8, line_thickness=3)
 cfg = ExperimentConfig(model_cfg=ModelConfig.paper("lhe"), out_dir=sys.argv[1], stimulus=spec,
                        n_orient=8, sweep_param="tau", sweep_values=(0.05, 0.1))
-print(json.dumps([[r["width"], r["threads"]] for r in experiment.run_sweep(cfg)]))
+reports = experiment.run_sweep(cfg)
+print(json.dumps([[r["width"], r["threads"], r["fft_workers"]] for r in reports]))
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="sweep workers are forked on Linux")
 def test_forked_sweep_workers_make_their_own_pool(tmp_path):
     # the parent's helper threads are not inherited; a worker that used
-    # the inherited executor would wait for them forever
+    # the inherited executor would wait for them forever.  Each worker's
+    # FFTs run on its share of the CPUs too
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH"))
                                         if p)
@@ -304,4 +352,4 @@ def test_forked_sweep_workers_make_their_own_pool(tmp_path):
         proc.communicate()
         pytest.fail("the sweep did not finish")
     assert proc.returncode == 0, err
-    assert out.strip() == "[[2, [0, 1]], [2, [0, 1]]]"
+    assert out.strip() == "[[2, [0, 1], [2]], [2, [0, 1], [2]]]"
