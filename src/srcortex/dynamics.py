@@ -64,12 +64,12 @@ stopping rule and the energy's fidelity terms, Sigma, the product a H
 and the sums stay float64.
 ``model_drift`` and ``lhe_energy`` evaluate wholly in float64.  An
 evaluation keeps one working array for as long as it lives (a whole run
-in ``run_model``): the evolution's complex mode-product buffer (for WC,
-the modes gathered by generator and their product).  The sigmoid stack
-(WC) or the n powers (LHE) are staged in the part of it that the mode
-product overwrites in full, since only the forward transform reads
-them; from the inverse transform until the next call stages them, the
-same memory holds every thread's scratch: the combine's (a block's
+in ``run_model``): the evolution's complex mode-product buffer, the
+half spectrum of its stacks.  The sigmoid stack (WC) or the n powers
+(LHE) are staged in it, since the mode product overwrites all of it
+and only the forward transform reads them; from the inverse transform
+until the next call stages them, the same memory holds every thread's
+scratch: the combine's (a block's
 rows and its block of ``a`` cast to ``RUN_DTYPE``, since the first
 power is overwritten by then), the energy's and, between calls, the
 Anderson update's.  Only on grids
@@ -77,18 +77,18 @@ of a few blocks, where it cannot hold every thread's combine scratch,
 does the calling thread keep its own.  No evaluation keeps a0 or mu, so
 a run holds mu only until the forcing and C are formed and a0 only as
 its first state.  The evolved stacks are the one large array a call allocates
-besides the forward spectrum; the LHE ones take over its memory.
+besides the forward spectrum, and they take over its memory.
 
-Threads: the LHE evaluation's blocked passes (the powers, the batched
-mode product, the combine and the energy) and both passes of the
-Anderson update run on ``core``'s block pool, a block of ``BLOCK``
-entries per part, and the blocks' sums are added in block order, so
-runs are equal bit for bit at any width.  Every thread's scratch is
-carved from the mode-product buffer, which is idle from the inverse
-transform to the next evaluation (``core.thread_scratch``); a helper
-runs only on memory the buffer lends.
-The WC sigmoid, its one-stack product, ``_SecantPair``, ``gd_step``
-and ``relative_change`` stay on the calling thread: the benchmark keeps
+Threads: the mode product of both models, the LHE evaluation's
+blocked passes (the powers, the combine and the energy) and both passes
+of the Anderson update run on ``core``'s block pool, a block of
+``BLOCK`` entries (or of the heat layer's ``pieces``) per part, and the
+blocks' sums are added in block order, so runs are equal bit for bit at
+any width.  Every thread's scratch is carved from the mode-product
+buffer, which is idle from the inverse transform to the next evaluation
+(``core.thread_scratch``); a helper runs only on memory the buffer
+lends.  The WC sigmoid, ``_SecantPair``, ``gd_step`` and
+``relative_change`` stay on the calling thread: the benchmark keeps
 each WC round's final stack, so a faster WC run reads a higher peak RSS
 there, and the step and the stopping rule are about 2% of an LHE run.
 
@@ -359,7 +359,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     if cfg.model == WC:
         m = prop.step_count(cfg.tau)
         product = mode_product_buffer(prop, 1, dtype)
-        stack = staged_stacks(prop, product, 1)
+        stack = staged_stacks(product)
 
         def wc(a):
             sigmoid(a, cfg.alpha, out=stack[0])
@@ -371,7 +371,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     prim = _primitive_coeffs(coeffs)
     n = cfg.poly_degree
     product = mode_product_buffer(prop, n, dtype)
-    powers = staged_stacks(prop, product, n)
+    powers = staged_stacks(product)
     # where the powers' memory cannot hold every thread's combine scratch
     # (grids of a few blocks), the calling thread keeps its own
     threads = pool_threads(-(-forcing.size // BLOCK))

@@ -55,27 +55,18 @@ each axis a mode's index on the distinct grid runs in steps of +1 or
 -1, so the half spectrum splits into a few blocks, each taking a
 strided block of the distinct propagators.
 
-Each block also keeps one partner slot.  For even N the rows r and
-N/2 - r share a generator, and so do the columns s and N/2 - s, so a
-generator serves up to four modes; the slot says which of them a mode
-is (S = 4 slots, 8 blocks at N=100 and N=200).  For odd N every
-generator serves one mode (S = 1).  A batch of stacks, the LHE powers,
-takes one (K, K) @ (K, 2B) product per mode, one batched matmul per
-block.  One stack would make that 20,200 (K, K) @ (K, 2) BLAS calls at
-N=200, whose call overhead dominates, so it is gathered instead: each
-block copies its modes into its slot of a ``(U, V, K, S)`` complex
-array, one matmul applies each distinct generator to its (K, 2S)
-right-hand side (5,151 products at N=200), and the blocks are
-scattered back.  On 2 vCPUs (float32, K=16), one stack took 0.6-0.9 ms
-at N=100 and 1.8-2.4 ms at N=200 gathered on the calling thread,
-against 1.4-1.6 and 2.8-3.1 ms per-block on the pool at width 2 and
-2.4-2.6 and 4.0-5.5 ms at width 1.  On one thread, per-block then
-gathered: two stacks 1.2 -> 2.2 ms at N=100; nine 2.3 -> 4.0 ms at
-N=100 and 11 -> 25 ms at N=200, where copying the wider chunks costs
-more than the calls it saves.  So only a batch of one is gathered.  In
-float32 the two products are equal bit for bit; in float64 OpenBLAS may
-sum a (K, 2S) right-hand side in another order than a (K, 2) one (seen
-at K >= 16), which moves results by an ulp.
+A batch of B stacks, one stack included, takes one (K, K) @ (K, 2B)
+product per mode, one batched matmul per block, on the block pool.
+Even N from 6 up has 6 blocks (the first axis runs up, down and up on
+the distinct grid, the second up and down), odd N 2.  Measured on 2 vCPUs
+(float32, K=16, the product alone, medians of 41 calls in two runs),
+width 1 then 2: one stack 0.75-0.77 and 0.72-0.75 ms at N=100, 3.1
+and 1.8-2.0 ms at N=200; nine stacks 1.6-2.0 and 0.95-1.04 ms at
+N=100, 5.9-6.1 and 3.2-3.6 ms at N=200.  Gathering one stack's modes
+by generator into a second buffer for one matmul over the distinct
+generators took 0.6 and 1.9-2.4 ms on the calling thread, so it would
+pay only where one stack runs on one thread, which no benchmark
+workload does.
 
 The evolution computes in the dtype of the stacks it is handed: float64
 stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
@@ -88,25 +79,23 @@ N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
 The dropped entries lie far below float32's resolution of the results.
 
 The inverse transform (``irfft2``) starts in place in the mode-product
-buffer (for one stack, in the forward spectrum the products were
-scattered into).  A caller that evolves the same shapes on every
-iteration (the WC and LHE evaluations) holds the mode-product buffer
-for the whole run, and it is the one working array such a caller
-keeps: the stacks it hands the heat layer are staged in the part of
-that buffer the mode product overwrites in full (``staged_stacks``),
-since they are dead once the forward transform has read them, and from
-the inverse transform until the next stacks are staged the same memory
-serves as scratch.  Then the forward spectrum and the real result are
-the only arrays a call allocates, and for a batch the result takes the
-memory the spectrum has just released.  Measured at N=100 and N=200
+buffer.  A caller that evolves the same shapes on every iteration (the
+WC and LHE evaluations) holds the mode-product buffer for the whole
+run, and it is the one working array such a caller keeps: the stacks
+it hands the heat layer are staged in that buffer, which the mode
+product overwrites in full (``staged_stacks``), since they are dead
+once the forward transform has read them, and from the inverse
+transform until the next stacks are staged the same memory serves as
+scratch.  Then the forward spectrum and the real result are the only
+arrays a call allocates, and the result takes the memory the spectrum
+has just released.  Measured at N=100 and N=200
 (float32, nine stacks), no call after the first faults in fresh pages;
 an LHE run at N=100 takes about 10k minor page faults in all, most of
 them in set-up.
 
-The batched mode product, the factoring and the propagator's assembly
-run on ``core``'s block pool; the gathered one-stack product stays on
-the calling thread.  A batch takes one part per block of ``pieces``.
-``build_propagator`` diagonalizes the canonical generators in
+The mode product, the factoring and the propagator's assembly run on
+``core``'s block pool; a batch of any size takes one part per block of
+``pieces``.  ``build_propagator`` diagonalizes the canonical generators in
 contiguous parts, one ``eigh`` call each, and ``propagator(m)`` both
 multiplies out and gathers in contiguous parts, each written into an
 array the calling thread made.  Every generator and every mode is
@@ -154,9 +143,8 @@ class HeatPropagator:
     canon: np.ndarray
     map_index: np.ndarray
     maps: np.ndarray
-    # (rows, cols, us, vs, slot): half-spectrum modes [rows, cols] take the
-    # generators [us, vs] of the distinct grid (us, vs of step +1 or -1),
-    # as partner ``slot`` of those that share a generator (``_pieces``)
+    # (rows, cols, us, vs): half-spectrum modes [rows, cols] take the
+    # generators [us, vs] of the distinct grid (us, vs of step +1 or -1)
     pieces: list
     _prop_cache: dict = field(default_factory=dict, repr=False)
 
@@ -342,37 +330,20 @@ def _symmetry_classes(rows, cols, k):
 
 
 def _pieces(r_grid, s_grid):
-    """The half spectrum as blocks ``(rows, cols, us, vs, slot)``.
+    """The half spectrum as blocks ``(rows, cols, us, vs)``.
 
     Modes ``[rows, cols]`` take the generators ``[us, vs]`` of the
-    distinct grid, and each block keeps one partner slot: which of the
-    up to four modes sharing a generator (two rows times two columns,
-    for even N) it is.  No two modes share a generator and a slot.
+    distinct grid.
     """
-    row_runs, col_runs = _runs(r_grid), _runs(s_grid)
-    col_slots = 1 + max(slot for _, _, slot in col_runs)
-    return [
-        (rs, cs, us, vs, r_slot * col_slots + c_slot)
-        for rs, us, r_slot in row_runs
-        for cs, vs, c_slot in col_runs
-    ]
+    return [(rs, cs, us, vs) for rs, us in _runs(r_grid) for cs, vs in _runs(s_grid)]
 
 
 def _runs(index):
-    """Split an index map into runs of step +1 or -1 that keep one partner slot.
-
-    The slot of a source is how many earlier sources share its target:
-    0, or 1 for the second of two partners.  Returns (source slice,
-    target slice, slot) per run.
-    """
+    """Split an index map into runs of step +1 or -1: (source slice, target slice) per run."""
     index = index.tolist()
-    slot, seen = [], {}
-    for target in index:
-        slot.append(seen.get(target, 0))
-        seen[target] = slot[-1] + 1
 
     def extends(i, step):
-        return i < len(index) and slot[i] == slot[i - 1] and index[i] - index[i - 1] == step
+        return i < len(index) and index[i] - index[i - 1] == step
 
     runs, start = [], 0
     while start < len(index):
@@ -382,7 +353,7 @@ def _runs(index):
             stop += 1
         end = index[start] + step * (stop - start)
         target = slice(index[start], end if end >= 0 else None, step)
-        runs.append((slice(start, stop), target, slot[start]))
+        runs.append((slice(start, stop), target))
         start = stop
     return runs
 
@@ -407,36 +378,26 @@ def _check_shape(a, prop):
 
 
 def mode_product_buffer(prop: HeatPropagator, batch: int, dtype) -> np.ndarray:
-    """The complex buffer ``_evolve_batch`` takes for ``batch`` real stacks of ``dtype``.
+    """The half spectrum ``(N, N//2 + 1, K, batch)`` that ``_evolve_batch`` takes.
 
-    For a batch, the half spectrum ``(N, N//2 + 1, K, batch)``.  For one
-    stack, ``(2, U, V, K, S)``: the half-spectrum modes gathered by
-    generator into S partner slots, and their product.  It is
-    zero-filled, so the slots that no mode takes only ever hold zeros.
+    Complex, of the precision of real stacks of ``dtype``.
     """
-    ctype = np.result_type(dtype, np.complex64)
-    if batch == 1:
-        slots = 1 + max(piece[-1] for piece in prop.pieces)
-        return np.zeros((2,) + prop.canon.shape + (prop.n_orient, slots), ctype)
     n = prop.n_pixels
-    return np.empty((n, n // 2 + 1, prop.n_orient, batch), ctype)
+    return np.empty((n, n // 2 + 1, prop.n_orient, batch), np.result_type(dtype, np.complex64))
 
 
-def staged_stacks(prop: HeatPropagator, product, batch: int) -> np.ndarray:
-    """``(batch, N, N, K)`` real stacks over the memory of ``product``, a ``mode_product_buffer``.
+def staged_stacks(product) -> np.ndarray:
+    """``(B, N, N, K)`` real stacks over the memory of ``product``, a ``mode_product_buffer``.
 
-    They lie in the part of ``product`` that the mode product overwrites
-    in full: for a batch the whole buffer, for one stack the product
-    half ``product[1]``, since the gathered half must keep its untaken
-    slots zero.  Either part holds every half-spectrum mode, so at
-    least N^2 K reals.  Stacks staged here may be handed to
+    The batch B and the grid come from the buffer's ``(N, N//2 + 1, K,
+    B)`` shape.  The mode product overwrites all of ``product``, which
+    holds at least N^2 K B reals.  Stacks staged here may be handed to
     ``_evolve_batch`` with ``product`` (its forward transform is their
     only reader), and the memory may serve as scratch from the inverse
     transform until the next stacks are staged.
     """
-    part = product[1] if batch == 1 else product
-    n, k = prop.n_pixels, prop.n_orient
-    real = part.reshape(-1).view(part.real.dtype)
+    n, _, k, batch = product.shape
+    real = product.reshape(-1).view(product.real.dtype)
     return real[: batch * n * n * k].reshape(batch, n, n, k)
 
 
@@ -446,38 +407,24 @@ def _evolve_batch(stacks, prop, m, product=None):
     The result has the stacks' dtype, float64 or float32.  m = 0 is the
     identity and returns a copy.  Each mode's real propagator multiplies
     the complex spectrum viewed as interleaved (re, im) reals, so one
-    real product serves both parts.  A batch takes one batched matmul
-    per block of ``prop.pieces``, a (K, K) @ (K, 2B) product per mode,
-    into the half spectrum ``product``.  One stack is gathered by
-    generator instead: each block copies its modes into its partner
-    slot of ``product[0]``, one matmul applies every distinct generator
-    to its (K, 2S) right-hand side into ``product[1]``, and the blocks
-    are scattered back into the forward spectrum.  Gathering pays only
-    for a batch of one (measured crossover in the module docstring).
-    A batch's blocks run on the block pool, the one stack's on the
-    calling thread.  ``product``, a ``mode_product_buffer``, is
-    overwritten; None allocates it.  The stacks may alias the part of
-    ``product`` that ``staged_stacks`` views: only the forward
-    transform reads them, before the mode product overwrites that part.
+    real product serves both parts.  Each block of ``prop.pieces`` takes
+    one batched matmul, a (K, K) @ (K, 2B) product per mode, into the
+    half spectrum ``product``; the blocks run on the block pool.
+    ``product``, a ``mode_product_buffer``, is overwritten; None
+    allocates it.  The stacks may be staged in ``product``
+    (``staged_stacks``): only the forward transform reads them, before
+    the mode product overwrites it.
     """
     if m == 0:
         return stacks.copy()
     pm = prop.single_propagator(m) if stacks.dtype == np.float32 else prop.propagator(m)
-    spec = rfft2(stacks, axes=(0, 1), workers=pool_width())
+    spec = rfft2(stacks, axes=(0, 1), workers=pool_width()).view(stacks.dtype)
     if product is None:
         product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)
-    if stacks.shape[-1] == 1:
-        gathered, evolved = product
-        for rows, cols, us, vs, slot in prop.pieces:
-            gathered[us, vs, :, slot] = spec[rows, cols, :, 0]
-        np.matmul(pm, gathered.view(stacks.dtype), out=evolved.view(stacks.dtype))
-        for rows, cols, us, vs, slot in prop.pieces:
-            spec[rows, cols, :, 0] = evolved[us, vs, :, slot]
-        return irfft2(spec, prop.n_pixels)
-    spec, real = spec.view(stacks.dtype), product.view(stacks.dtype)
+    real = product.view(stacks.dtype)
 
     def multiply(part, _):
-        rows, cols, us, vs = prop.pieces[part][:4]
+        rows, cols, us, vs = prop.pieces[part]
         np.matmul(pm[us, vs], spec[rows, cols], out=real[rows, cols])
 
     run_parts(multiply, len(prop.pieces))

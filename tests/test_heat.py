@@ -84,7 +84,7 @@ def cn_step_matrix(mat, dtau):
 
 def grid_entry(prop, r, s):
     """Index of half-spectrum mode (r, s) on the propagator's distinct grid."""
-    for rows, cols, us, vs, _ in prop.pieces:
+    for rows, cols, us, vs in prop.pieces:
         if rows.start <= r < rows.stop and cols.start <= s < cols.stop:
             return (
                 us.start + (r - rows.start) * us.step,
@@ -123,7 +123,7 @@ def distinct_generators(prop):
     ang = angular_second_difference(np.eye(k), prop.beta, math.pi / k)
     symbol = full_symbol(prop.n_pixels, k)
     d2h = np.empty(prop.canon.shape + (k,))
-    for rows, cols, us, vs, _ in prop.pieces:
+    for rows, cols, us, vs in prop.pieces:
         d2h[us, vs] = symbol[rows, cols]
     return ang - d2h[..., None] * np.eye(k)
 
@@ -274,7 +274,7 @@ class TestPropagator:
         # comes back from the eigenpairs its canonical generator lends it
         prop = build_propagator(n, k, 0.8, 0.02)
         covered = np.zeros((n, n // 2 + 1), dtype=int)
-        for rows, cols, _, _, _ in prop.pieces:
+        for rows, cols, _, _ in prop.pieces:
             covered[rows, cols] += 1
         np.testing.assert_array_equal(covered, 1)
         symbol = full_symbol(n, k)
@@ -442,21 +442,21 @@ def per_piece_evolution(stack, prop, m):
     pm = prop.single_propagator(m) if stack.dtype == np.float32 else prop.propagator(m)
     spec = rfft2(stack, axes=(0, 1))[..., None]
     out = np.empty_like(spec)
-    for rows, cols, us, vs, _ in prop.pieces:
+    for rows, cols, us, vs in prop.pieces:
         np.matmul(pm[us, vs], spec.view(stack.dtype)[rows, cols],
                   out=out.view(stack.dtype)[rows, cols])
     return heat.irfft2(out, prop.n_pixels)[..., 0]
 
 
 class TestGroupedProduct:
-    """One stack: the modes gathered by generator, one matmul, scattered back."""
+    """The half spectrum grouped into the blocks of ``pieces``, one batched matmul each."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n, k", GRIDS + [(9, 16), (100, 16)])
     def test_matches_the_per_piece_product(self, n, k, dtype):
-        # float32, the runs' dtype, bit for bit.  In float64 OpenBLAS's
-        # dgemm may sum a (K, 2S) right-hand side in another order than a
-        # (K, 2) one (seen at K >= 16): equal to roundoff
+        # one stack takes the blocks as a batch does: float32, the runs'
+        # dtype, bit for bit; float64, which the runs never evolve, to
+        # roundoff (it reads equal bit for bit too)
         prop = build_propagator(n, k, 0.3, 0.01)
         stack = np.random.default_rng(46).random((n, n, k)).astype(dtype)
         got = _evolve_batch(stack[..., None], prop, 30)[..., 0]
@@ -469,57 +469,24 @@ class TestGroupedProduct:
                                        atol=16 * np.finfo(dtype).eps * np.abs(expected).max())
 
     @pytest.mark.parametrize("n, k", GRIDS + [(100, 16), (200, 16), (101, 15)])
-    def test_slots_take_each_mode_once_and_no_generator_twice(self, n, k):
+    def test_pieces_tile_the_half_spectrum_once(self, n, k):
+        # each mode lies in one piece, which takes its generator on the
+        # distinct grid in strides of +1 or -1 along both axes
         prop = build_propagator(n, k, 0.3, 0.01)
+        q, _ = _sines(n)
+        r_grid = np.unique(q, return_inverse=True)[1]
+        s_grid = np.unique(q[: n // 2 + 1], return_inverse=True)[1]
         covered = np.zeros((n, n // 2 + 1), dtype=int)
-        taken = set()
-        for rows, cols, us, vs, slot in prop.pieces:
+        for rows, cols, us, vs in prop.pieces:
+            assert us.step in (1, -1) and vs.step in (1, -1)
             covered[rows, cols] += 1
-            u = np.arange(prop.canon.shape[0])[us]
-            v = np.arange(prop.canon.shape[1])[vs]
-            assert len(u) == rows.stop - rows.start and len(v) == cols.stop - cols.start
-            taken.update((int(i), int(j), slot) for i in u for j in v)
+            np.testing.assert_array_equal(np.arange(prop.canon.shape[0])[us], r_grid[rows])
+            np.testing.assert_array_equal(np.arange(prop.canon.shape[1])[vs], s_grid[cols])
         np.testing.assert_array_equal(covered, 1)
-        assert len(taken) == covered.size
-        slots = mode_product_buffer(prop, 1, np.float32).shape[-1]
-        assert {slot for _, _, slot in taken} == set(range(slots))
-        # even N: rows r and N/2 - r, columns s and N/2 - s share a generator
-        assert slots == (4 if n % 2 == 0 else 1)
-        if n in (100, 200):
-            assert len(prop.pieces) == 8
-
-    def test_buffer_is_kept_zero_filled_and_grouped(self):
-        prop = build_propagator(12, 6, 0.3, 0.01)
-        product = mode_product_buffer(prop, 1, np.float32)
-        assert product.shape == (2,) + prop.canon.shape + (6, 4)
-        assert product.dtype == np.complex64 and not product.any()
-        stack = np.random.default_rng(47).random((12, 12, 6, 1)).astype(np.float32)
-        expected = _evolve_batch(stack, prop, 30)
-        for _ in range(2):
-            got = _evolve_batch(stack, prop, 30, product)
-            np.testing.assert_array_equal(got, expected)
-        # the slot no mode takes holds zeros: the DC row's partner r = N/2
-        # takes slot 0 of a generator no second row shares
-        free = np.ones(product.shape[1:], dtype=bool)
-        for _, _, us, vs, slot in prop.pieces:
-            free[us, vs, :, slot] = False
-        assert free.any() and not product[:, free].any()
-
-    def test_heat_evolve_and_kernel_column_take_the_grouped_path(self, monkeypatch):
-        built = []
-
-        def spy(prop, batch, dtype):
-            built.append(mode_product_buffer(prop, batch, dtype))
-            return built[-1]
-
-        monkeypatch.setattr(heat, "mode_product_buffer", spy)
-        prop = build_propagator(10, 4, 0.5, 0.01)
-        a = np.random.default_rng(48).standard_normal((10, 10, 4))
-        np.testing.assert_array_equal(heat_evolve(a, prop, 0.3),
-                                      per_piece_evolution(a, prop, 30))
-        col = kernel_column(prop, 3, 4, 1, 0.3)
-        assert col.sum() == pytest.approx(1.0, abs=1e-12)
-        assert [b.shape for b in built] == [(2,) + prop.canon.shape + (4, 4)] * 2
+        # even N: three row runs (up, down, up) by two column runs; odd N:
+        # two row runs by one column run
+        if n in (100, 200, 101):
+            assert len(prop.pieces) == (2 if n % 2 else 6)
 
 
 class TestSinglePrecision:

@@ -170,17 +170,14 @@ def test_setup_is_equal_byte_for_byte_at_any_width(monkeypatch, n, k):
         assert digest(width) == first, width
 
 
-def test_a_gathered_buffer_keeps_its_empty_slots_zero(monkeypatch):
+def test_stacks_staged_in_the_buffer_evaluate_as_fresh_arrays(monkeypatch):
     # an evaluation stages the stacks it hands the heat layer in its
-    # mode-product buffer, where the mode product overwrites them: for a
-    # batch anywhere, for one stack (WC, LHE at degree 1) in the product
-    # half only, since the modes are gathered by generator into the other
-    # half and the slots no mode takes must stay zero.  The idle buffer
-    # then lends every thread its scratch.  Over several calls at every
-    # width the results equal those of evaluations on fresh arrays.  Even
-    # N gives four partner slots, odd N one
+    # mode-product buffer, where the mode product overwrites them, one
+    # stack (WC, LHE at degree 1) as a batch.  The idle buffer then lends
+    # every thread its scratch.  Over several calls at every width the
+    # results equal those of evaluations on fresh arrays, on even and odd N
     k = 16
-    make, evolve = dynamics.mode_product_buffer, dynamics._evolve_batch
+    evolve = dynamics._evolve_batch
     for n in (72, 71):
         rng = np.random.default_rng(41)
         states = [0.2 + 0.6 * rng.random((n, n, k)) for _ in range(3)]
@@ -193,41 +190,24 @@ def test_a_gathered_buffer_keeps_its_empty_slots_zero(monkeypatch):
 
             with monkeypatch.context() as fresh:
                 fresh.setattr(dynamics, "staged_stacks",
-                              lambda prop, product, batch: np.zeros((batch, n, n, k),
-                                                                    dynamics.RUN_DTYPE))
+                              lambda product: np.zeros((product.shape[-1], n, n, k),
+                                                       dynamics.RUN_DTYPE))
                 expected = [evaluation()(a) for a in states]
-            buffers, inside = [], []
-
-            def kept(*args):
-                buffers.append(make(*args))
-                return buffers[-1]
+            inside = []
 
             def watched(stacks, prop, m, product):
-                if stacks.shape[-1] == 1:
-                    inside.append(np.shares_memory(stacks, product[1])
-                                  and not np.shares_memory(stacks, product[0]))
-                else:
-                    inside.append(np.shares_memory(stacks, product))
+                inside.append(np.shares_memory(stacks, product))
                 return evolve(stacks, prop, m, product)
 
-            monkeypatch.setattr(dynamics, "mode_product_buffer", kept)
             monkeypatch.setattr(dynamics, "_evolve_batch", watched)
-            one_stack = model == "wc" or degree == 1
-            taken = np.zeros(prop.canon.shape + (1 + max(p[-1] for p in prop.pieces),), bool)
-            for _, _, us, vs, slot in prop.pieces:
-                taken[us, vs, slot] = True
-            assert taken.all() == (n % 2 == 1)
             for width in WIDTHS:
                 monkeypatch.setattr(core, "_width", width)
-                buffers.clear()
                 evaluate = evaluation()
                 for a, (term, energy) in zip(states, expected):
                     got_term, got_energy = evaluate(a)
                     case = (n, model, degree, width)
                     assert got_term.tobytes() == term.tobytes(), case
                     assert got_energy == energy, case
-                    if one_stack:
-                        assert not np.any(np.moveaxis(buffers[0][0], -1, 2)[~taken]), case
             assert inside and all(inside)
             monkeypatch.undo()
 
