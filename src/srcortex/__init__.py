@@ -8,7 +8,7 @@ equalization (LHE) activation model to steady state.  Poggendorff-type
 test stimuli and a completion-offset probe are included.
 """
 
-from .core import ModelConfig, project, relative_change, renormalize
+from .core import ModelConfig, project, renormalize
 from .imgio import read_image
 from .cakes import WaveletBank, build_cake_bank, lift, pou_check
 from .heat import HeatPropagator, build_propagator, heat_evolve, kernel_column
@@ -26,7 +26,6 @@ from .experiment import ExperimentConfig, measure_offset, run_experiment, run_sw
 __all__ = [
     "ModelConfig",
     "project",
-    "relative_change",
     "renormalize",
     "read_image",
     "WaveletBank",

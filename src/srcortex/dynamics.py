@@ -47,8 +47,9 @@ because the kernel conserves mass (``sum K[f] = sum f``), and
 Sigma(-a) = Sigma(a).  So the double sum is ``sum_x (a H(a) +
 Sigma(a))`` and costs no evolution or product beyond the interaction's;
 in particular the degree-(n+1) term needs no evolved a^(n+1).  The
-finite-difference gradient of this energy matches the implemented
-drift.
+combine sums it, ``|a|^2`` and ``a . forcing`` block by block, so H
+never exists beyond a block.  The finite-difference gradient of this
+energy matches the implemented drift.
 
 Precision: ``run_model`` evaluates the kernel terms of both models in
 float32 (``RUN_DTYPE``), where the FFTs and the mode product are
@@ -71,16 +72,16 @@ and only the forward transform reads them; from the inverse transform
 until the next call stages them, the same memory holds every thread's
 scratch: the combine's (a block's
 rows and its block of ``a`` cast to ``RUN_DTYPE``, since the first
-power is overwritten by then), the energy's and, between calls, the
-Anderson update's.  Only on grids
+power is overwritten by then, then H's block and the energy's two
+float64 blocks) and, between calls, the Anderson update's.  Only on grids
 of a few blocks, where it cannot hold every thread's combine scratch,
 does the calling thread keep its own.  No evaluation keeps a0 or mu, so
 a run holds mu only until the forcing and C are formed and a0 only as
-its first state.  The evolved stacks are the one large array a call allocates
-besides the forward spectrum, and they take over its memory.
+its first state.  The large arrays a call allocates are the forward
+spectrum, the evolved stacks in its memory, and the interaction.
 
 Threads: the mode product of both models, the LHE evaluation's
-blocked passes (the powers, the combine and the energy) and both passes
+blocked passes (the powers and the combine) and both passes
 of the Anderson update run on ``core``'s block pool, a block of
 ``BLOCK`` entries (or of the heat layer's ``pieces``) per part, and the
 blocks' sums are added in block order, so runs are equal bit for bit at
@@ -200,7 +201,7 @@ def _weights(coeffs) -> np.ndarray:
 def _horner(a, rows, out=None):
     """``sum_p rows[p] a^p`` by Horner's rule, into ``out`` or a new array.
 
-    Rows are scalars or arrays of a's shape.
+    Rows are scalars or arrays of a's shape; ``out`` may be the last row.
     """
     if out is None:
         out = np.empty_like(a)
@@ -243,50 +244,70 @@ def _evolved_powers(powers, prop, tau, product):
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _row_scratch(size: int, degree: int) -> int:
-    """Entries of one thread's combine scratch: a block's degree + 1 rows and its cast of ``a``."""
-    return (degree + 2) * min(BLOCK, size)
+def _row_scratch(size: int, degree: int, dtype) -> int:
+    """Entries of one thread's combine scratch in ``dtype``: a block's rows and cast of ``a``.
+
+    Or, where more (float32 at degree 1), the energy's two float64 blocks and H's row.
+    """
+    energy = 2 * np.dtype(np.float64).itemsize // np.dtype(dtype).itemsize + 1
+    return max(degree + 2, energy) * min(BLOCK, size)
 
 
-def _combine(a, weights, evolved, spare=None, own=None):
-    """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's H.
+def _combine(a, weights, evolved, forcing, prim, spare=None, own=None):
+    """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's sums.
 
     One pass of ``BLOCK`` entries at a time, in the evolved stacks'
     dtype, on the block pool.  Each block of ``a`` is cast to that dtype,
     and its rows ``R_p = sum_i W[p, i] E_i`` are one small matmul; both
-    go to the thread's ``_row_scratch`` entries, carved from ``spare``,
-    a buffer the caller does not read meanwhile (``thread_scratch``;
-    ``own`` is the calling thread's where ``spare`` cannot hold every
-    thread's).  A Horner pass in ``a`` over the rows gives the
-    interaction, and one over ``R_q / (q + 1)`` gives ``H = sum_q a^q
-    R_q / (q + 1)``.  Both come back as new arrays of a's shape; no
-    full-size row is kept.
+    go to the end of the thread's ``_row_scratch`` entries, carved from
+    ``spare``, a buffer the caller does not read meanwhile
+    (``thread_scratch``; ``own`` is the calling thread's where ``spare``
+    cannot hold every thread's).  A Horner pass in ``a`` over the rows
+    gives the interaction, and one over ``R_q / (q + 1)`` gives ``H =
+    sum_q a^q R_q / (q + 1)`` over the last row.  The entries before it
+    then hold two float64 blocks, in which the energy's sums ``|a|^2``,
+    ``a . forcing`` and ``sum_x (Sigma(a) + a H)`` are taken (``prim``
+    holds Sigma's coefficients).  Returns the interaction, a new array of
+    a's shape, and the sums, each added in block order; no full-size row
+    or H is kept.
     """
     dtype, nmax = evolved.dtype, evolved.shape[-1]
     weights = weights.astype(dtype, copy=False)
     divisors = np.arange(1, len(weights) + 1, dtype=dtype)[:, None]
-    term, h = np.empty(a.shape, dtype), np.empty(a.shape, dtype)
-    a_flat, term_flat, h_flat = a.ravel(), term.ravel(), h.ravel()
+    term = np.empty(a.shape, dtype)
+    a_flat, f_flat, term_flat = a.ravel(), forcing.ravel(), term.ravel()
     e_flat = evolved.reshape(-1, nmax)
-    width = min(BLOCK, a.size)
     blocks = -(-a.size // BLOCK)
-    scratch = thread_scratch(spare, pool_threads(blocks), (_row_scratch(a.size, nmax),), dtype,
-                             own)
+    scratch = thread_scratch(spare, pool_threads(blocks), (_row_scratch(a.size, nmax, dtype),),
+                             dtype, own)
 
     def block(part, thread):
         start, stop = part * BLOCK, min((part + 1) * BLOCK, a.size)
-        s = scratch[thread]
-        r = s[: len(weights) * (stop - start)].reshape(len(weights), -1)
+        s, width = scratch[thread], stop - start
+        a_b, f_b = a_flat[start:stop], f_flat[start:stop]
+        r = s[s.size - len(weights) * width :].reshape(len(weights), -1)
         np.matmul(weights[:, 1:], e_flat[start:stop].T, out=r)
         r += weights[:, :1]
-        a_b = s[-width:][: stop - start]
-        np.copyto(a_b, a_flat[start:stop], casting="same_kind")
-        _horner(a_b, r, out=term_flat[start:stop])
+        cast = s[s.size - (len(weights) + 1) * width :][:width]
+        np.copyto(cast, a_b, casting="same_kind")
+        _horner(cast, r, out=term_flat[start:stop])
         r /= divisors
-        _horner(a_b, r, out=h_flat[start:stop])
+        h_b = _horner(cast, r, out=r[-1])
+        # the energy's two float64 blocks, 16 bytes an entry, end before H's
+        square, sigma = s.view(np.uint8)[: 16 * width].view(np.float64).reshape(2, -1)
+        d = np.multiply(a_b, a_b, out=square)
+        total = _horner(d, prim[::2], out=sigma)
+        # a H as H widened, then times a: a mixed-dtype product would take
+        # numpy's cast buffer
+        np.copyto(square, h_b)
+        square *= a_b
+        total += square
+        return float(a_b @ a_b), float(a_b @ f_b), float(total.sum())
 
-    run_parts(block, blocks, len(scratch))
-    return term, h
+    sums = [0.0, 0.0, 0.0]
+    for part in run_parts(block, blocks, len(scratch)):
+        sums = [total + b for total, b in zip(sums, part)]
+    return term, sums
 
 
 def local_mean(a0, sigma_mu: float):
@@ -347,10 +368,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     mode-product buffer.  The stacks it hands the heat layer (the
     sigmoid stack, or the powers) are staged in it (``staged_stacks``),
     and the same memory, idle from the inverse transform to the next
-    call, holds every thread's scratch of the combine and the energy;
-    an LHE evaluation offers it as ``spare`` for the Anderson update's
-    scratch between calls.  Each call returns a new ``term``; an LHE
-    call also makes a new H, which only its energy reads.
+    call, holds every thread's combine scratch; an LHE evaluation offers
+    it as ``spare`` for the Anderson update's scratch between calls.
+    Each call returns a new ``term``.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
     first.  In ``run_model`` a WC state is ``a0`` or a step whose
     relative change was found finite, and a non-finite LHE state gives a
@@ -375,17 +395,16 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     # where the powers' memory cannot hold every thread's combine scratch
     # (grids of a few blocks), the calling thread keeps its own
     threads = pool_threads(-(-forcing.size // BLOCK))
-    entries = _row_scratch(forcing.size, n)
+    entries = _row_scratch(forcing.size, n, dtype)
     own = np.empty(entries, dtype) if powers.size < threads * entries else None
 
     def lhe(a):
         np.copyto(powers[0], a, casting="same_kind")
         evolved = _evolved_powers(powers, prop, cfg.tau, product)
         # the powers' memory is idle from here to the next call: every
-        # thread's scratch in the combine and the energy is carved from it
-        term, h = _combine(a, weights, evolved, powers, own)
-        del evolved  # the energy needs only H
-        return term, _energy_from_terms(a, forcing, constant, cfg, prim, h, powers)
+        # thread's combine scratch is carved from it
+        term, sums = _combine(a, weights, evolved, forcing, prim, powers, own)
+        return term, _energy_from_terms(sums, constant, cfg)
 
     lhe.spare = powers
     return lhe
@@ -447,47 +466,23 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     return _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(as_stack(a))[1]
 
 
-def _energy_from_terms(a, forcing, constant, cfg, prim, h, spare=None) -> float:
-    """Energy of ``a`` from the combine's ``H = sum_q a^q R_q / (q + 1)``.
+def _energy_from_terms(sums, constant: float, cfg: ModelConfig) -> float:
+    """Energy of ``a`` from the combine's ``sums``: ``|a|^2``, ``a . forcing`` and the double sum.
 
     The fidelity terms ``w_a0/2 |a - a0|^2 + w_mu/2 |a - mu|^2`` are
     expanded as ``(w_a0 + w_mu)/2 |a|^2 - a . forcing + constant``, with
     ``forcing = w_a0 a0 + w_mu mu`` and ``constant = (w_a0 |a0|^2 + w_mu
-    |mu|^2) / 2`` formed once per run, so only ``a`` and the forcing are
-    read.  ``prim`` holds the coefficients of the even primitive Sigma.  Its
-    weight table is the combine's shifted by one degree,
+    |mu|^2) / 2`` formed once per run.  Sigma's weight table is the
+    combine's shifted by one degree,
     ``W_Sigma[p, i] = W[p - 1, i] / p`` for p >= 1, so the terms with
     p >= 1 of the double sum ``sum_{p,i} W_Sigma[p, i] <a^p, K a^i>`` are
     ``sum_x a H(a)``.  The terms with p = 0 are ``sum_i W_Sigma[0, i]
     sum_x K[a^i] = sum_x Sigma(-a)`` because K conserves mass, and Sigma
-    is even (``prim``'s odd entries are zero), so it is evaluated as a
-    polynomial in ``a * a``.  The double sum enters with half the
-    interaction's scale, negated.  ``|a|^2``, ``a . forcing``, Sigma and
-    ``a H`` are taken in one pass of ``BLOCK`` entries at a time, in
-    ``a``'s dtype, on the block pool, and the blocks' sums are added in
-    block order.  Each thread's two float64 block scratches are carved
-    from ``spare``, a buffer the caller does not read meanwhile
-    (``thread_scratch``).
+    is even, so the combine evaluates it as a polynomial in ``a * a``.
+    The double sum enters with half the interaction's scale, negated.
     """
     w_a0, w_mu = cfg.fidelity_weights
-    even = prim[::2]
-    blocks = -(-a.size // BLOCK)
-    scratch = thread_scratch(spare, pool_threads(blocks), (2, min(BLOCK, a.size)), np.float64)
-    flat = [x.ravel() for x in (a, forcing, h)]
-
-    def block(part, thread):
-        a_b, f_b, h_b = (x[part * BLOCK : (part + 1) * BLOCK] for x in flat)
-        square, sigma = scratch[thread][:, : len(a_b)]
-        d = np.multiply(a_b, a_b, out=square)
-        s = _horner(d, even, out=sigma)
-        s += np.multiply(a_b, h_b, out=d)
-        return float(a_b @ a_b), float(a_b @ f_b), float(s.sum())
-
-    norm = cross = double_sum = 0.0
-    for norm_b, cross_b, double_b in run_parts(block, blocks, len(scratch)):
-        norm += norm_b
-        cross += cross_b
-        double_sum += double_b
+    norm, cross, double_sum = sums
     inter = -0.5 * INTERACTION_SCALE * double_sum
     return 0.5 * (w_a0 + w_mu) * norm - cross + constant + inter
 

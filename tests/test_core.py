@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from srcortex import ModelConfig, project, relative_change, renormalize
-from srcortex.core import BLOCK
-from srcortex.core import steps_of
+from srcortex import ModelConfig, project, renormalize
+from srcortex.core import BLOCK, relative_change, steps_of
 from srcortex.imgio import read_pgm, to_bytes_image, write_pgm
 
 

@@ -24,11 +24,10 @@ from srcortex import (
     local_mean,
     model_drift,
     project,
-    relative_change,
     run_model,
 )
 from srcortex import dynamics
-from srcortex.core import BLOCK, as_stack
+from srcortex.core import BLOCK, as_stack, relative_change
 from srcortex.dynamics import (
     _combine,
     _evolved_powers,
@@ -75,11 +74,12 @@ def lhe_interaction(a, prop, tau, poly):
     powers[0] = a
     product = mode_product_buffer(prop, n, a.dtype)
     evolved = _evolved_powers(powers, prop, tau, product)
-    return _combine(a, _weights(poly.coeffs), evolved, product)[0]
+    prim = _primitive_coeffs(poly.coeffs)
+    return _combine(a, _weights(poly.coeffs), evolved, np.zeros_like(a), prim, product)[0]
 
 
 def unblocked_combine(a, weights, evolved):
-    """The interaction and H from full-size rows ``R = W[:, 1:] E^T + W[:, :1]``.
+    """The interaction and the energy's H from full-size rows ``R = W[:, 1:] E^T + W[:, :1]``.
 
     One row per degree over the whole stack, then Horner in ``a`` over
     R for the interaction and over ``R_q / (q + 1)`` for H.
@@ -672,24 +672,38 @@ class TestAnderson:
         assert rows == [f"{p},{rel!r},{res.energies[p - 1]!r}"
                         for p, rel in enumerate(res.rel_history, start=1)]
 
-    def _forced(self, monkeypatch, value):
-        """Run with the third energy, the first extrapolated state's, replaced."""
-        case = _tiny_run(6.0, 0.5)
-        base = run_model(*case)
-        energy, step = dynamics._energy_from_terms, dynamics.gd_step
+    @staticmethod
+    def _force_energy(monkeypatch, index, value):
+        """Replace the energy of the ``index``-th evaluated state (from 1) by ``value(energy)``.
+
+        Returns the evaluated states, as ``_combine`` receives them, and
+        the descent steps, as ``gd_step`` returns them.
+        """
+        combine, energy, step = dynamics._combine, dynamics._energy_from_terms, dynamics.gd_step
         evaluated, steps = [], []
 
-        def forced(a, *args):
+        def watched(a, *args):
             evaluated.append(a)
-            e = energy(a, *args)
-            return value(e) if len(evaluated) == 3 else e
+            return combine(a, *args)
+
+        def forced(*args):
+            e = energy(*args)
+            return value(e) if len(evaluated) == index else e
 
         def recorded(*args):
             steps.append(step(*args))
             return steps[-1]
 
+        monkeypatch.setattr(dynamics, "_combine", watched)
         monkeypatch.setattr(dynamics, "_energy_from_terms", forced)
         monkeypatch.setattr(dynamics, "gd_step", recorded)
+        return evaluated, steps
+
+    def _forced(self, monkeypatch, value):
+        """Run with the third energy, the first extrapolated state's, replaced."""
+        case = _tiny_run(6.0, 0.5)
+        base = run_model(*case)
+        evaluated, steps = self._force_energy(monkeypatch, 3, value)
         res = run_model(*case)
         assert base.rejected_steps == 0 and res.rejected_steps >= 1
         assert res.converged
@@ -702,20 +716,7 @@ class TestAnderson:
         # the second evaluated state is Phi(a0), extrapolated with no pair
         # recorded; its energy is forced up, and the next evaluated state
         # is the plain step G(a0)
-        energy, step = dynamics._energy_from_terms, dynamics.gd_step
-        evaluated, steps = [], []
-
-        def forced(a, *args):
-            evaluated.append(a)
-            e = energy(a, *args)
-            return e + 1e6 if len(evaluated) == 2 else e
-
-        def recorded(*args):
-            steps.append(step(*args))
-            return steps[-1]
-
-        monkeypatch.setattr(dynamics, "_energy_from_terms", forced)
-        monkeypatch.setattr(dynamics, "gd_step", recorded)
+        evaluated, steps = self._force_energy(monkeypatch, 2, lambda e: e + 1e6)
         res = run_model(*_tiny_run(6.0, 0.5))
         assert res.rejected_steps >= 1 and res.converged
         assert res.iterations == len(res.rel_history) + res.rejected_steps
@@ -896,7 +897,7 @@ class TestEnergy:
 
 
 class TestBlockedCombine:
-    """The combine and the energy pass over the stack in blocks of ``BLOCK``.
+    """The combine, the energy's sums included, passes over the stack in blocks of ``BLOCK``.
 
     70 x 70 x 8 = 39,200 entries: one full block and a ragged one.
     ``TestEnergy.test_energy_matches_all_powers_evolved`` checks the
@@ -904,22 +905,30 @@ class TestBlockedCombine:
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_interaction_and_h_equal_the_unblocked_rows(self, dtype):
+    def test_interaction_and_sums_equal_the_unblocked_rows(self, dtype):
+        # H's block and the energy's two float64 blocks share a thread's
+        # scratch; at degrees 1 and 3 they would overlap if laid out wrong
         n, k = 70, 8
         assert BLOCK < n * n * k < 2 * BLOCK
         prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
-        a = 0.2 + 0.6 * np.random.default_rng(23).random((n, n, k))
-        degree = 9
-        weights = _weights(fit_polynomial(6.0, degree).coeffs)
-        powers = np.empty((degree,) + a.shape, dtype)
-        powers[0] = a
-        product = mode_product_buffer(prop, degree, dtype)
-        evolved = _evolved_powers(powers, prop, 0.5, product)
-        term, h = _combine(a, weights, evolved, product)
-        expected_term, expected_h = unblocked_combine(powers[0], weights, evolved)
-        assert term.dtype == h.dtype == dtype
-        np.testing.assert_array_equal(term, expected_term)
-        np.testing.assert_array_equal(h, expected_h)
+        rng = np.random.default_rng(23)
+        a, forcing = (0.2 + 0.6 * rng.random((n, n, k)) for _ in range(2))
+        for degree in (1, 3, 9):
+            coeffs = fit_polynomial(6.0, degree).coeffs
+            weights, prim = _weights(coeffs), _primitive_coeffs(coeffs)
+            powers = np.empty((degree,) + a.shape, dtype)
+            powers[0] = a
+            product = mode_product_buffer(prop, degree, dtype)
+            evolved = _evolved_powers(powers, prop, 0.5, product)
+            term, sums = _combine(a, weights, evolved, forcing, prim, product)
+            expected_term, h = unblocked_combine(powers[0], weights, evolved)
+            assert term.dtype == dtype
+            np.testing.assert_array_equal(term, expected_term)
+            sigma = np.polyval(prim[::-1], a)
+            expected = ((a * a).sum(), (a * forcing).sum(), (sigma + a * h).sum())
+            assert all(type(got) is float for got in sums)
+            for got, want in zip(sums, expected):
+                assert abs(got - want) <= 1e-12 * abs(want), (degree, got, want)
 
     def test_energy_matches_the_dense_kernel_double_sum(self, monkeypatch, small_prop,
                                                        small_kernel):
@@ -975,11 +984,13 @@ class TestKeptArrays:
     def test_warm_evaluation_allocation_budget(self):
         # numpy reports its arrays to tracemalloc.  A warm float32 LHE
         # evaluation allocates the forward spectrum (about nine stacks),
-        # then in its place the nine evolved stacks, and a few single
-        # stacks.  A WC one holds about two stacks at a time: the forward
-        # spectrum, which the inverse works in, and the evolved stack
-        # (measured peak 2.11).  The kept arrays live in the closure
-        for model, budget in (("lhe", 12), ("wc", 3)):
+        # then in its place the nine evolved stacks, and one single stack,
+        # the interaction: measured peak 10.14 (11.13 while it also made a
+        # full-size H).  A WC one holds about one stack at a time: the
+        # forward spectrum, which the inverse works in, then the evolved
+        # stack (measured peak 1.22-1.30).  The kept arrays live in the
+        # closure
+        for model, budget in (("lhe", 11), ("wc", 3)):
             cfg, prop, a0, mu, a, _ = self._case(model)
             evaluate = evaluation(cfg, prop, a0, mu, np.float32)
             evaluate(a)  # builds the single-precision propagator

@@ -218,6 +218,18 @@ class TestRunExperiment:
         assert trace[0] == "p,relative_change"
         assert trace[-1] == f"{report['iterations']},{report['final_relative_change']!r}"
 
+    @pytest.mark.parametrize("model", ["lhe", "wc"])
+    def test_every_trace_field_parses_as_a_float(self, tmp_path, model):
+        # the trace is read back with float(), as bench/checks.py reads the
+        # energies; a numpy scalar would be written as "np.float64(...)"
+        report = run_experiment(quick_config(tmp_path, model_kw={"model": model}))
+        rows = (tmp_path / "run" / "trace.csv").read_text().splitlines()[1:]
+        assert len(rows) == report["iterations"] - report["rejected_steps"]
+        for row in rows:
+            p, *values = row.split(",")
+            assert int(p) >= 1 and len(values) == (2 if model == "lhe" else 1)
+            assert all(math.isfinite(float(value)) for value in values), row
+
     def test_deterministic_artifacts(self, tmp_path):
         cfg1 = quick_config(tmp_path, out_dir=str(tmp_path / "a"))
         cfg2 = quick_config(tmp_path, out_dir=str(tmp_path / "b"))

@@ -146,11 +146,13 @@ def test_lhe_run_peak_in_stacks(monkeypatch, width):
     # buffer.  With the powers staged in that buffer and every thread's
     # scratch carved from it, 19.2 and 21.9: there the buffer holds one
     # thread's combine scratch, so on two threads the calling thread
-    # keeps its own.  The bounds leave 4% and 5% above those
+    # keeps its own.  With no full-size H and the energy's sums taken in
+    # the combine's scratch, 18.7 and 21.4.  The bounds leave 3% above
+    # those
     monkeypatch.setattr(core, "_width", width)
     res, stacks = _peak_in_stacks(_lhe_case(64, 16))
     assert res.converged and res.iterations > dynamics.ANDERSON_WINDOW
-    assert stacks <= {1: 20.0, 2: 23.0}[width], stacks
+    assert stacks <= {1: 19.3, 2: 22.1}[width], stacks
 
 
 @pytest.mark.parametrize("width", [1, 2])
