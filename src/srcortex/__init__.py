@@ -9,44 +9,28 @@ test stimuli and a completion-offset probe are included.
 """
 
 from .core import ModelConfig, project, renormalize
-from .imgio import read_image
-from .cakes import WaveletBank, build_cake_bank, lift, pou_check
-from .heat import HeatPropagator, build_propagator, heat_evolve, kernel_column
-from .dynamics import (
-    PolyCoeffs,
-    fit_polynomial,
-    lhe_energy,
-    local_mean,
-    model_drift,
-    run_model,
-)
-from .stimuli import StimulusSpec, poggendorff_classic, poggendorff_gratings
-from .experiment import ExperimentConfig, measure_offset, run_experiment, run_sweep
+from .cakes import build_cake_bank, lift, pou_check
+from .heat import build_propagator, heat_evolve, kernel_column
+from .dynamics import fit_polynomial, local_mean, model_drift
+from .stimuli import StimulusSpec, poggendorff_gratings
+from .experiment import ExperimentConfig, run_experiment, run_sweep
 
 __all__ = [
     "ModelConfig",
     "project",
     "renormalize",
-    "read_image",
-    "WaveletBank",
     "build_cake_bank",
     "lift",
     "pou_check",
-    "HeatPropagator",
     "build_propagator",
     "heat_evolve",
     "kernel_column",
-    "PolyCoeffs",
     "fit_polynomial",
-    "lhe_energy",
     "local_mean",
     "model_drift",
-    "run_model",
     "StimulusSpec",
-    "poggendorff_classic",
     "poggendorff_gratings",
     "ExperimentConfig",
-    "measure_offset",
     "run_experiment",
     "run_sweep",
 ]

@@ -68,12 +68,18 @@ generators took 0.6 and 1.9-2.4 ms on the calling thread, so it would
 pay only where one stack runs on one thread, which no benchmark
 workload does.
 
-The evolution computes in the dtype of the stacks it is handed: float64
-stacks use ``propagator(m)`` as it is, float32 stacks (the WC and LHE
-evaluations') its single-precision copy.  That copy sets every entry
-below float32 eps^2 (about 1.4e-14) to zero.  Without the flush, 13% of
-the cast entries at N=100 (17% at N=200) are subnormal, and products of
-small entries with small spectral coefficients go subnormal too.  At
+The evolution computes in the dtype of the stacks it is handed: float32
+stacks (the WC and LHE evaluations') use ``propagator(m)``, float64
+stacks ``float64_propagator(m)``.  Both come from one build, which
+multiplies out the P canonical operators in float64; for float32 it
+casts them and sets every entry below float32 eps^2 (about 1.4e-14) to
+zero before the gather.  The gather only permutes entries, so this is
+the float64 operator cast and flushed, bit for bit, with no float64
+(U, V, K, K) operator made on the way (traced peak 8.1 MB at N=200,
+K=16, against 17.7 MB when it was cast from the float64 one).  Without
+the flush, 13% of the cast entries at N=100 (17% at N=200) are
+subnormal, and products of small entries with small spectral
+coefficients go subnormal too.  At
 N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
 2.1 ms flushed and 3.9 ms in float64 (one thread of a 2-vCPU machine).
 The dropped entries lie far below float32's resolution of the results.
@@ -96,13 +102,15 @@ them in set-up.
 The mode product, the factoring and the propagator's assembly run on
 ``core``'s block pool; a batch of any size takes one part per block of
 ``pieces``.  ``build_propagator`` diagonalizes the canonical generators in
-contiguous parts, one ``eigh`` call each, and ``propagator(m)`` both
+contiguous parts, one ``eigh`` call each, and the operator build both
 multiplies out and gathers in contiguous parts, each written into an
 array the calling thread made.  Every generator and every mode is
 computed alone, so the results are equal bit for bit at any width.
 Measured at N=200, K=16 on 2 vCPUs (medians of 21 calls, widths
 alternated in one process, shared machine), one thread then two:
-factoring 38-40 -> 25-26 ms, the 500-step operator 17-19 -> 12 ms.
+factoring 38-40 -> 25-26 ms; the 500-step float32 operator 12.5-19.5
+-> 9.0-11.9 ms in four processes (15.4-22.0 -> 12.3-14.7 ms when cast
+from the float64 one).
 """
 
 import math
@@ -157,14 +165,27 @@ class HeatPropagator:
         return ((1.0 + z) / (1.0 - z)) ** m
 
     def propagator(self, m: int) -> np.ndarray:
-        """Dense (U, V, K, K) m-step operator on the distinct grid.
+        """Dense (U, V, K, K) float32 m-step operator on the distinct grid.
 
-        Multiplied out for the P canonical generators, then each
-        distinct generator's operator is its canonical one with rows and
-        columns permuted; both steps run in contiguous parts on the
-        block pool.
+        The operator float32 stacks (the WC and LHE evaluations') evolve
+        with: entries below ``SINGLE_FLUSH`` are 0.  Cached under ``m``.
         """
-        cached = self._prop_cache.get(m)
+        return self._operator(m, np.float32)
+
+    def float64_propagator(self, m: int) -> np.ndarray:
+        """``propagator(m)`` in float64 and unflushed, for float64 stacks."""
+        return self._operator(m, np.float64)
+
+    def _operator(self, m: int, dtype) -> np.ndarray:
+        """The m-step operator in ``dtype``, built on first use and cached.
+
+        Multiplied out in float64 for the P canonical generators, which
+        float32 then casts and flushes; each distinct generator's
+        operator is its canonical one with rows and columns permuted.
+        Both steps run in contiguous parts on the block pool.
+        """
+        key = m if dtype == np.float32 else ("float64", m)
+        cached = self._prop_cache.get(key)
         if cached is None:
             rho = self.step_ratios(m)
             k = self.n_orient
@@ -179,9 +200,13 @@ class HeatPropagator:
                           out=canonical[start:stop])
 
             run_spans(multiply, len(canonical), k * k)
+            del scaled
+            if dtype == np.float32:
+                canonical = canonical.astype(np.float32)
+                canonical[np.abs(canonical) < SINGLE_FLUSH] = 0.0
             canon = self.canon.ravel()
             perm = self.maps[self.map_index].reshape(-1, k)
-            cached = np.empty(self.canon.shape + (k, k))
+            cached = np.empty(self.canon.shape + (k, k), dtype)
             flat = cached.reshape(-1, k, k)
 
             def gather(start, stop):
@@ -190,24 +215,6 @@ class HeatPropagator:
                                              p[:, None, :]]
 
             run_spans(gather, len(canon), k * k)
-            self._prop_cache[m] = cached
-        return cached
-
-    def single_propagator(self, m: int) -> np.ndarray:
-        """``propagator(m)`` in float32, entries below ``SINGLE_FLUSH`` set to 0.
-
-        Built on first use from ``propagator(m)`` and cached.  A float64
-        operator that this build added to the cache is dropped, so a
-        float32 run holds one operator; one already cached stays.
-        """
-        key = ("float32", m)
-        cached = self._prop_cache.get(key)
-        if cached is None:
-            added = m not in self._prop_cache
-            cached = self.propagator(m).astype(np.float32)
-            if added:
-                del self._prop_cache[m]
-            cached[np.abs(cached) < SINGLE_FLUSH] = 0.0
             self._prop_cache[key] = cached
         return cached
 
@@ -417,7 +424,7 @@ def _evolve_batch(stacks, prop, m, product=None):
     """
     if m == 0:
         return stacks.copy()
-    pm = prop.single_propagator(m) if stacks.dtype == np.float32 else prop.propagator(m)
+    pm = prop.propagator(m) if stacks.dtype == np.float32 else prop.float64_propagator(m)
     spec = rfft2(stacks, axes=(0, 1), workers=pool_width()).view(stacks.dtype)
     if product is None:
         product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)

@@ -23,14 +23,13 @@ from srcortex import (
     kernel_column,
     lift,
     local_mean,
-    measure_offset,
     model_drift,
-    poggendorff_classic,
     poggendorff_gratings,
     project,
-    run_model,
-    lhe_energy,
 )
+from srcortex.dynamics import lhe_energy, run_model
+from srcortex.experiment import measure_offset
+from srcortex.stimuli import poggendorff_classic
 
 from test_dynamics import expand_coefficients, lhe_interaction
 from test_heat import dense_generator

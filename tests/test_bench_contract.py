@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from srcortex import ModelConfig, StimulusSpec, build_cake_bank, build_propagator
-from srcortex import poggendorff_gratings, run_model
+from srcortex import poggendorff_gratings
+from srcortex.dynamics import run_model
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 

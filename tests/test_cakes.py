@@ -6,14 +6,8 @@ from scipy.fft import fft2, ifft2
 from scipy.interpolate import BSpline
 from scipy.ndimage import gaussian_filter
 
-from srcortex import (
-    WaveletBank,
-    build_cake_bank,
-    lift,
-    pou_check,
-    project,
-)
-from srcortex.cakes import _bspline_pieces, _radial_taper, retained_mask
+from srcortex import build_cake_bank, lift, pou_check, project
+from srcortex.cakes import WaveletBank, _bspline_pieces, _radial_taper, retained_mask
 
 
 @pytest.fixture(scope="module")

@@ -19,12 +19,10 @@ from srcortex import (
     fit_polynomial,
     heat_evolve,
     kernel_column,
-    lhe_energy,
     lift,
     local_mean,
     model_drift,
     project,
-    run_model,
 )
 from srcortex import dynamics
 from srcortex.core import BLOCK, as_stack, relative_change
@@ -38,6 +36,8 @@ from srcortex.dynamics import (
     _primitive_coeffs,
     _weights,
     gd_step,
+    lhe_energy,
+    run_model,
     sigmoid,
     sigmoid_hat,
 )
@@ -447,7 +447,8 @@ def _tiny_lhe(scale=1.0, max_iters=500):
 _THREAD_COUNT_RUN = """
 import json
 from srcortex import ModelConfig, StimulusSpec, build_cake_bank, build_propagator
-from srcortex import poggendorff_gratings, run_model
+from srcortex import poggendorff_gratings
+from srcortex.dynamics import run_model
 n, k = 48, 8
 f0 = poggendorff_gratings(StimulusSpec(n_pixels=n, bar_width=8, grating_period=6,
                                        line_thickness=1.5))
@@ -460,6 +461,18 @@ print(json.dumps([[x.hex() for x in res.rel_history], [x.hex() for x in res.ener
 
 
 class TestRunModel:
+    @pytest.mark.parametrize("model", ["wc", "lhe"])
+    def test_run_caches_only_the_operator_it_evolves_with(self, model):
+        # the float32 operator under the plain key m: what propagator(m)
+        # returns, built once per run
+        f0, cfg, bank, prop = _tiny_run(8.0, 0.5, model=model)
+        res = run_model(f0, dataclasses.replace(cfg, max_iters=3), bank, prop)
+        assert res.interaction_dtype == "float32"
+        m = prop.step_count(cfg.tau)
+        assert list(prop._prop_cache) == [m]
+        assert prop._prop_cache[m] is prop.propagator(m)
+        assert prop._prop_cache[m].dtype == np.float32
+
     def test_wc_large_lambda_reproduces_lift(self):
         f0, bank = _small_gratings()
         cfg = ModelConfig(model="wc", lam=1e3, alpha=20.0, sigma_mu=2.0,
@@ -809,6 +822,59 @@ class TestAnderson:
         # is the plain step of the last accepted one
         assert evaluated[2] is not steps[1]
         assert evaluated[3] is steps[1]
+
+
+class TestSecantPair:
+    """The WC solver's one-pair Anderson update, on flat stacks."""
+
+    @staticmethod
+    def _states(size, seed=52):
+        rng = np.random.default_rng(seed)
+        return [rng.random(size) for _ in range(4)]  # x0, g0, x1, g1
+
+    def test_first_call_returns_g_itself(self):
+        x0, g0, _, _ = self._states(100)
+        pair = dynamics._SecantPair(100)
+        assert pair.extrapolate(x0, g0) is g0
+        np.testing.assert_array_equal(pair.f_prev, g0 - x0)
+
+    def test_update_on_a_ragged_stack_equals_the_unblocked_one(self):
+        # 3 BLOCK / 2 entries: one whole block and a half one.  The dots
+        # are summed per block in block order, the update is taken whole
+        size = 3 * BLOCK // 2
+        x0, g0, x1, g1 = self._states(size)
+        g_prev, f = g0.copy(), g1 - x1
+        df = f - (g0 - x0)
+        pair = dynamics._SecantPair(size)
+        pair.extrapolate(x0, g0)
+        got = pair.extrapolate(x1, g1)  # written over g0
+        blocks = [slice(0, BLOCK), slice(BLOCK, size)]
+        dot_f = sum(float(df[b] @ f[b]) for b in blocks)
+        dot_df = sum(float(df[b] @ df[b]) for b in blocks)
+        np.testing.assert_array_equal(got, g1 - dot_f / dot_df * (g1 - g_prev))
+        np.testing.assert_array_equal(pair.f_prev, f)
+
+    def test_equal_residuals_return_the_plain_step(self):
+        # df = 0: the secant has no slope, so the update is g
+        x0, g0, _, _ = self._states(100)
+        pair = dynamics._SecantPair(100)
+        pair.extrapolate(x0, g0.copy())
+        assert pair.extrapolate(x0, g0) is g0
+
+    def test_update_writes_over_g_prev_and_allocates_no_stack(self):
+        size = 8 * BLOCK
+        x0, g0, x1, g1 = self._states(size)
+        pair = dynamics._SecantPair(size)
+        pair.extrapolate(x0, g0)
+        tracemalloc.start()
+        try:
+            got = pair.extrapolate(x1, g1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(got, g0) and not np.shares_memory(got, g1)
+        # the update's two block scratches, not a stack
+        assert peak < 3 * BLOCK * g0.itemsize < g0.nbytes
 
 
 class TestEnergy:

@@ -12,16 +12,15 @@ from srcortex import (
     build_cake_bank,
     build_propagator,
     fit_polynomial,
-    measure_offset,
-    poggendorff_classic,
     poggendorff_gratings,
     run_experiment,
-    run_model,
     run_sweep,
 )
 from srcortex.cli import build_parser, config_from_args, main
+from srcortex.dynamics import run_model
+from srcortex.experiment import measure_offset
 from srcortex.imgio import write_pgm
-from srcortex.stimuli import BACKGROUND, STIMULUS_KINDS
+from srcortex.stimuli import BACKGROUND, STIMULUS_KINDS, poggendorff_classic
 
 # every file a single run writes
 ARTIFACTS = ("input.pgm", "output.pgm", "crop.pgm", "trace.csv", "report.json")

@@ -297,17 +297,17 @@ class TestPropagator:
     def test_operator_equals_multiplying_out_every_distinct_generator(self, n, k):
         # oracle: each distinct generator's own eigenpairs, multiplied out as
         # V diag(rho^m) V^T; permuting the canonical operator gives the same
-        # bits, in float64 and in the flushed float32 copy
+        # bits, in float64 and in the flushed float32 operator
         prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
         vals, vecs = distinct_eigenpairs(prop)
         z = 0.5 * prop.dtau * vals
         for m in (1, 500):
             rho = ((1.0 + z) / (1.0 - z)) ** m
             expected = (vecs * rho[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-            np.testing.assert_array_equal(prop.propagator(m), expected)
+            np.testing.assert_array_equal(prop.float64_propagator(m), expected)
             single = expected.astype(np.float32)
             single[np.abs(single) < SINGLE_FLUSH] = 0.0
-            np.testing.assert_array_equal(prop.single_propagator(m), single)
+            np.testing.assert_array_equal(prop.propagator(m), single)
 
     @pytest.mark.parametrize("beta", [ModelConfig.beta_for(100, 16), 0.05])
     def test_matches_factoring_every_distinct_generator(self, beta):
@@ -318,7 +318,7 @@ class TestPropagator:
         for m in (1, 500):
             rho = ((1.0 + z) / (1.0 - z)) ** m
             expected = (vecs * rho[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-            assert np.abs(prop.propagator(m) - expected).max() <= 1e-11
+            assert np.abs(prop.float64_propagator(m) - expected).max() <= 1e-11
 
     @pytest.mark.parametrize("n, k, factored", [
         (200, 16, 1326),  # 51 angles a per axis: a <= b under the axis swap
@@ -409,7 +409,7 @@ class TestHeatEvolve:
         # real and imaginary parts of the spectrum as two separate products
         prop = build_propagator(16, 8, 0.5, 0.01)
         stacks = np.random.default_rng(43).random((16, 16, 8, batch))
-        pm = expanded(prop, prop.propagator(30))
+        pm = expanded(prop, prop.float64_propagator(30))
         hats = rfft2(stacks, axes=(0, 1))
         split = irfft2(pm @ hats.real + 1j * (pm @ hats.imag), s=(16, 16), axes=(0, 1))
         got = _evolve_batch(stacks, prop, 30)
@@ -439,7 +439,7 @@ class TestProductBuffer:
 
 def per_piece_evolution(stack, prop, m):
     """One (N, N, K) stack evolved with one (K, K) @ (K, 2) product per mode."""
-    pm = prop.single_propagator(m) if stack.dtype == np.float32 else prop.propagator(m)
+    pm = prop.propagator(m) if stack.dtype == np.float32 else prop.float64_propagator(m)
     spec = rfft2(stack, axes=(0, 1))[..., None]
     out = np.empty_like(spec)
     for rows, cols, us, vs in prop.pieces:
@@ -496,7 +496,7 @@ class TestSinglePrecision:
         return build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
 
     def test_propagator_has_no_subnormal_entries(self, prop):
-        single = prop.single_propagator(125)
+        single = prop.propagator(125)
         assert single.dtype == np.float32
         nonzero = np.abs(single[single != 0.0])
         assert SINGLE_FLUSH == np.finfo(np.float32).eps ** 2
@@ -504,15 +504,15 @@ class TestSinglePrecision:
         # flushed entries only; the rest is the float64 operator, rounded
         kept = single != 0.0
         np.testing.assert_array_equal(
-            single[kept], prop.propagator(125).astype(np.float32)[kept])
+            single[kept], prop.float64_propagator(125).astype(np.float32)[kept])
 
     def test_propagator_cached_without_the_float64_one_it_built(self, prop):
         # a float32 run holds one operator; a float64 one cached before stays
-        assert prop.single_propagator(60) is prop.single_propagator(60)
-        assert 60 not in prop._prop_cache
-        exact = prop.propagator(90)
-        assert prop.single_propagator(90) is prop.single_propagator(90)
-        assert prop._prop_cache[90] is exact
+        assert prop.propagator(60) is prop.propagator(60)
+        assert ("float64", 60) not in prop._prop_cache
+        exact = prop.float64_propagator(90)
+        assert prop.propagator(90) is prop.propagator(90)
+        assert prop._prop_cache[("float64", 90)] is exact
 
     def test_evolution_keeps_the_dtype(self, prop):
         stacks = np.random.default_rng(44).random((32, 32, 16, 3))

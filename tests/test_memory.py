@@ -22,11 +22,10 @@ from srcortex import (
     build_cake_bank,
     build_propagator,
     poggendorff_gratings,
-    run_model,
 )
 from srcortex import core, dynamics
 from srcortex.core import BLOCK
-from srcortex.dynamics import _fidelity_constant, _forcing, _interaction
+from srcortex.dynamics import _fidelity_constant, _forcing, _interaction, run_model
 
 
 def _case(model, n, k, tau=0.5):
@@ -168,6 +167,27 @@ def test_wc_run_peak_in_stacks(monkeypatch, width):
 
 
 @pytest.mark.parametrize("width", [1, 2])
+def test_operator_build_holds_no_float64_operator(monkeypatch, width):
+    # the float32 operator is gathered from the P canonical ones, cast and
+    # flushed: the build's peak is at most the result, the two float64
+    # (P, K, K) work arrays and a block, 11.0 MB at N=200, K=16, below
+    # the 15.8 MB of the result and a float64 (U, V, K, K) operator.
+    # Measured 8.1 MB
+    monkeypatch.setattr(core, "_width", width)
+    n, k = 200, 16
+    prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
+    tracemalloc.start()
+    try:
+        single = prop.propagator(500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert single.dtype == np.float32
+    bound = single.nbytes + 2 * prop.eigvecs.nbytes + BLOCK * prop.eigvecs.itemsize
+    assert peak <= bound < 3 * single.nbytes
+
+
+@pytest.mark.parametrize("width", [1, 2])
 @pytest.mark.parametrize("model", ["wc", "lhe"])
 def test_an_evaluation_keeps_one_working_array(monkeypatch, model, width):
     # past its calls, the only memory of more than a block an evaluation
@@ -176,7 +196,7 @@ def test_an_evaluation_keeps_one_working_array(monkeypatch, model, width):
     # 3.1 blocks, enough for the buffer to hold two threads' combine scratch
     monkeypatch.setattr(core, "_width", width)
     f0, cfg, bank, prop = _case(model, 80, 16)
-    prop.single_propagator(prop.step_count(cfg.tau))  # cached before tracing
+    prop.propagator(prop.step_count(cfg.tau))  # cached before tracing
     rng = np.random.default_rng(33)
     states = [0.2 + 0.6 * rng.random((80, 80, 16)) for _ in range(2)]
     buffers = []

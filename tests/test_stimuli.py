@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from srcortex import StimulusSpec, poggendorff_classic, poggendorff_gratings
+from srcortex import StimulusSpec, poggendorff_gratings
 from srcortex.imgio import to_bytes_image
-from srcortex.stimuli import BACKGROUND, CLASSIC
+from srcortex.stimuli import BACKGROUND, CLASSIC, poggendorff_classic
 
 
 def classic_spec(**kw):

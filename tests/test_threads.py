@@ -161,7 +161,7 @@ def test_setup_is_equal_byte_for_byte_at_any_width(monkeypatch, n, k):
         monkeypatch.setattr(core, "_width", width)
         prop = build_propagator(n, k, ModelConfig.beta_for(n, k), 0.01)
         m = prop.step_count(1.25)
-        arrays = (prop.eigvals, prop.eigvecs, prop.propagator(m), prop.single_propagator(m),
+        arrays = (prop.eigvals, prop.eigvecs, prop.float64_propagator(m), prop.propagator(m),
                   poggendorff_gratings(StimulusSpec.paper(n)))
         return [hashlib.sha256(np.ascontiguousarray(a)).hexdigest() for a in arrays]
 

@@ -93,6 +93,19 @@ def test_no_definition_only_tests_use():
     assert unused == CALLED_BY_LIBRARY
 
 
+def test_package_exports_only_what_users_import():
+    """Every name in the package's ``__all__`` is imported from ``srcortex``
+    in ``src/``, ``demos/`` or ``bench/``; tests import the rest from
+    their modules."""
+    imported = {alias.name for node in _user_nodes()
+                if isinstance(node, ast.ImportFrom) and node.module == "srcortex"
+                and not node.level for alias in node.names}
+    [exported] = [{elt.value for elt in node.value.elts}
+                  for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+                  if _is_all(node)]
+    assert exported - imported == set()
+
+
 def _dataclass_fields(path: Path) -> dict[str, str]:
     """``module.Class.field`` of each field of a ``@dataclass``, mapped to its name."""
     fields = {}
