@@ -32,7 +32,9 @@ modulo K, and its position y in the B-spline's unit knot interval is
 the same for all of them.  So the bank is built from the spline's
 order + 1 polynomial pieces, each evaluated once at every frequency
 and added to the wedge it belongs to; no wedge is evaluated off its
-angular support.
+angular support.  Each piece is added through one flat index into the
+bank, ``wedge * size + point``: a 1-D scatter, which takes about half
+the time of one through a (wedge, point) index.
 """
 
 import math
@@ -127,11 +129,12 @@ def _wedges(u, v, n, k, bw) -> np.ndarray:
     first = below.astype(np.intp).ravel() + 1
     pieces = _bspline_pieces(bw, shifted - below)
     filters = np.zeros((k,) + taper.shape)
-    flat = filters.reshape(k, -1)
+    flat = filters.reshape(-1)
     points = np.arange(taper.size)
-    # wedge first + m sits at x = y + (bw - m) - (bw + 1)/2: piece bw - m
+    # wedge first + m sits at x = y + (bw - m) - (bw + 1)/2: piece bw - m;
+    # below K = bw + 1 a point's pieces wrap onto one wedge, and add there
     for m, piece in enumerate(reversed(pieces)):
-        flat[(first + m) % k, points] += (piece * taper).ravel()
+        flat[(first + m) % k * taper.size + points] += (piece * taper).ravel()
     return filters
 
 

@@ -89,9 +89,14 @@ any width.  Every thread's scratch is carved from the mode-product
 buffer, which is idle from the inverse transform to the next evaluation
 (``core.thread_scratch``); a helper runs only on memory the buffer
 lends.  The WC sigmoid, ``_SecantPair``, ``gd_step`` and
-``relative_change`` stay on the calling thread: the benchmark keeps
-each WC round's final stack, so a faster WC run reads a higher peak RSS
-there, and the step and the stopping rule are about 2% of an LHE run.
+``relative_change`` stay on the calling thread.  Moved onto the pool
+they keep every output bit for bit, and the WC figure's benchmark run
+(``wc-gratings-n200``, five alternated pairs of 8 s runs on 2 vCPUs)
+read ``run_s`` 0.457 -> 0.409 s, lower in 5 of 5 pairs, and
+``peak_rss_mb`` 197 -> 208 MB.  The peak moves with the rounds, not
+the code: the benchmark keeps each round's final stack, so a faster run
+fits more rounds and reads higher (202 MB on both sides at 19 rounds).
+The step and the stopping rule are about 2% of an LHE run.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <

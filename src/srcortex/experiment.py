@@ -271,8 +271,17 @@ def _write_trace(path, result: RunResult) -> None:
 
 
 def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> dict:
-    """The run's settings, outcome and numerics health, all a pure function of the config."""
+    """The run's settings, outcome and numerics health, all a pure function of the config.
+
+    ``angular_coupling`` is ``tau beta^2 / dtheta^2``, the kernel's
+    angular diffusion over the run's tau (``heat``'s docstring);
+    ``state_range`` the final stack's ``[min, max]``, whose width bounds
+    the LHE contrasts that the fit must cover on [-1, 1]; and, for a
+    stimulus, ``transversal_channel`` the orientation of its transversal,
+    ``(alpha + pi/2) mod pi``, in channels of ``dtheta = pi/K``.
+    """
     mc = cfg.model_cfg
+    dtheta = math.pi / cfg.n_orient
     report = {
         "stimulus": stimulus_kind,
         "n_pixels": prop.n_pixels,
@@ -288,6 +297,8 @@ def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> 
         "offset_px": offset,
         "pou_residual": bank.pou_residual,
         "interaction_dtype": result.interaction_dtype,
+        "angular_coupling": mc.tau * prop.beta**2 / dtheta**2,
+        "state_range": [float(result.stack.min()), float(result.stack.max())],
     }
     if result.energies is not None:  # LHE
         report["energy_initial"] = result.energies[0]
@@ -295,6 +306,8 @@ def _build_report(cfg, stimulus_kind, bank, prop, result: RunResult, offset) -> 
         report["poly_sup_error"] = fit_polynomial(mc.alpha, mc.poly_degree).sup_error
     if cfg.stimulus is not None:
         report["stimulus_spec"] = dataclasses.asdict(cfg.stimulus)
+        transversal = (cfg.stimulus.incidence_angle + math.pi / 2.0) % math.pi
+        report["transversal_channel"] = transversal / dtheta
     return report
 
 

@@ -75,8 +75,10 @@ multiplies out the P canonical operators in float64; for float32 it
 casts them and sets every entry below float32 eps^2 (about 1.4e-14) to
 zero before the gather.  The gather only permutes entries, so this is
 the float64 operator cast and flushed, bit for bit, with no float64
-(U, V, K, K) operator made on the way (traced peak 8.1 MB at N=200,
-K=16, against 17.7 MB when it was cast from the float64 one).  Without
+(U, V, K, K) operator made on the way (traced peak 7.2 MB on one
+thread and 7.6 MB on two at N=200, K=16, against 7.8 and 8.1 MB while
+the gather held a whole int64 (U V, K) table of orientation maps, and
+17.7 MB when it was cast from the float64 one).  Without
 the flush, 13% of the cast entries at N=100 (17% at N=200) are
 subnormal, and products of small entries with small spectral
 coefficients go subnormal too.  At
@@ -102,15 +104,21 @@ them in set-up.
 The mode product, the factoring and the propagator's assembly run on
 ``core``'s block pool; a batch of any size takes one part per block of
 ``pieces``.  ``build_propagator`` diagonalizes the canonical generators in
-contiguous parts, one ``eigh`` call each, and the operator build both
-multiplies out and gathers in contiguous parts, each written into an
-array the calling thread made.  Every generator and every mode is
-computed alone, so the results are equal bit for bit at any width.
-Measured at N=200, K=16 on 2 vCPUs (medians of 21 calls, widths
-alternated in one process, shared machine), one thread then two:
-factoring 38-40 -> 25-26 ms; the 500-step float32 operator 12.5-19.5
--> 9.0-11.9 ms in four processes (15.4-22.0 -> 12.3-14.7 ms when cast
-from the float64 one).
+contiguous parts, one ``eigh`` call each, on generators each part forms
+for itself, and the operator build both multiplies out and gathers in
+contiguous parts.  A gather part reads its operators' entries through
+one flat index into the canonical ones, made from its span's
+orientation maps and a (4, K^2) table of where each map takes every
+entry: a 1-D ``take``, which at N=200 takes about a third of the time
+of indexing rows and columns.  Every part writes into an array the
+calling thread made.  Every generator and every mode is computed
+alone, so the results are equal bit for bit at any width.  Measured at
+N=200, K=16 on 2 vCPUs (shared machine, widths alternated, two
+processes), one thread then two: factoring 23.8-23.9 -> 16.4-16.5 ms
+(24.8-27.8 -> 18.1-18.5 ms while it copied a whole (P, K, K) generator
+stack up front; medians of 21 calls); the 500-step float32 operator
+10.7-11.2 -> 8.7-8.8 ms (14.8-16.2 -> 11.0 ms while it indexed rows and
+columns through a whole (U V, K) table of maps; medians of 15 calls).
 """
 
 import math
@@ -204,15 +212,18 @@ class HeatPropagator:
             if dtype == np.float32:
                 canonical = canonical.astype(np.float32)
                 canonical[np.abs(canonical) < SINGLE_FLUSH] = 0.0
-            canon = self.canon.ravel()
-            perm = self.maps[self.map_index].reshape(-1, k)
+            canon, map_index = self.canon.ravel(), self.map_index.ravel()
+            # entry (i, j) of a distinct operator is entry (map[i], map[j]) of
+            # its canonical one: per map, the flat index of each such entry
+            entries = (self.maps[:, :, None] * k + self.maps[:, None, :]).reshape(-1, k * k)
+            source = canonical.reshape(-1)
             cached = np.empty(self.canon.shape + (k, k), dtype)
-            flat = cached.reshape(-1, k, k)
+            flat = cached.reshape(-1, k * k)
 
             def gather(start, stop):
-                p = perm[start:stop]
-                flat[start:stop] = canonical[canon[start:stop, None, None], p[:, :, None],
-                                             p[:, None, :]]
+                index = entries[map_index[start:stop]]  # a block of indices
+                index += canon[start:stop, None] * (k * k)
+                np.take(source, index, out=flat[start:stop])
 
             run_spans(gather, len(canon), k * k)
             self._prop_cache[key] = cached
@@ -256,15 +267,16 @@ def build_propagator(n_pixels: int, n_orient: int, beta: float, dtau: float) -> 
         + np.sin(theta) * sines[s_first[pairs[1]], None]
     )
     d2h = (d / h) ** 2
-    generators = np.broadcast_to(ang, (len(pairs[0]), k, k)).copy()
-    eye = np.arange(k)
-    generators[:, eye, eye] -= d2h
-    vals, vecs = np.empty((len(generators), k)), np.empty(generators.shape)
+    count, eye = len(d2h), np.arange(k)
+    vals, vecs = np.empty((count, k)), np.empty((count, k, k))
 
     def factor(start, stop):
-        vals[start:stop], vecs[start:stop] = np.linalg.eigh(generators[start:stop])
+        # each part forms its own generators: a block, not the whole stack
+        generators = np.broadcast_to(ang, (stop - start, k, k)).copy()
+        generators[:, eye, eye] -= d2h[start:stop]
+        vals[start:stop], vecs[start:stop] = np.linalg.eigh(generators)
 
-    run_spans(factor, len(generators), k * k)
+    run_spans(factor, count, k * k)
     np.minimum(vals, 0.0, out=vals)
 
     return HeatPropagator(

@@ -14,6 +14,18 @@ Lines are drawn with coverage anti-aliasing (4 x 4 subpixel area
 sampling) because staircase edges would leak into spurious orientation
 responses downstream.  Generation is deterministic: equal specs give
 bitwise-equal images.
+
+Only pixels near a line edge take the 16 subsample tests.  A pixel's
+subsamples lie within ``s = 0.375 (|cos alpha| + |sin alpha|)`` of its
+centre along the lines' normal, and the (wrapped) distance d to the
+nearest line is 1-Lipschitz, so a pixel whose centre has d < half - s
+(half the line thickness) lies wholly on a line and one with d > half
++ s wholly off every line.  The band in between, widened by 1e-9
+against rounding of about 1e-13, runs the tests through the same
+expressions as a test of every pixel would, so every count and the
+image are the same bit for bit.  The band holds 9.4% of the pixels of
+the N = 200 gratings figure, 18.9% at N = 100 and 1.2% of the classic
+figure.
 """
 
 import math
@@ -21,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import run_spans
-
 SUBGRID = 4  # anti-aliasing subsamples per axis
+# slack of the edge band (``_line_coverage``) over the distances' rounding, about 1e-13
+EDGE_MARGIN = 1e-9
 CLASSIC, GRATINGS = "classic", "gratings"
 STIMULUS_KINDS = (CLASSIC, GRATINGS)
 BACKGROUND = 1.0  # gray of the background
@@ -122,21 +134,29 @@ def _line_coverage(spec: StimulusSpec, periodic: bool) -> np.ndarray:
     wrap = spec.grating_period * sin_a
     half = spec.line_thickness / 2.0
 
+    def distance(rowpart, colpart):
+        """Signed distance to the nearest line, from its row and column parts."""
+        dist = rowpart + colpart
+        if periodic:
+            dist = (dist + wrap / 2.0) % wrap - wrap / 2.0
+        return dist
+
     idx = np.arange(n, dtype=float)
+    # a subsample lies at most ``reach`` from its pixel centre along the
+    # lines' normal; the margin covers the distances' rounding
+    reach = (SUBGRID - 1) / (2 * SUBGRID) * (abs(cos_a) + abs(sin_a)) + EDGE_MARGIN
+    centre = np.abs(distance(cos_a * (idx - c)[:, None], sin_a * (idx - c)[None, :]))
+    inside = np.where(centre < half - reach, SUBGRID**2, 0).astype(np.uint16)
+    # only pixels in the band around an edge have subsamples on both sides
+    rows, cols = np.nonzero(np.abs(centre - half) <= reach)
+    band = np.zeros(len(rows), np.uint16)
     offsets = (np.arange(SUBGRID) + 0.5) / SUBGRID - 0.5
-    inside = np.zeros((n, n), dtype=np.uint16)
-
-    def cover(start, stop):
-        for dr in offsets:
-            rowpart = cos_a * (idx[start:stop] + dr - c)
-            for dc in offsets:
-                colpart = sin_a * (idx + dc - c)
-                dist = rowpart[:, None] + colpart[None, :]
-                if periodic:
-                    dist = (dist + wrap / 2.0) % wrap - wrap / 2.0
-                inside[start:stop] += np.abs(dist) <= half
-
-    run_spans(cover, n, n)  # rows, on the block pool
+    for dr in offsets:
+        rowpart = cos_a * (idx + dr - c)
+        for dc in offsets:
+            colpart = sin_a * (idx + dc - c)
+            band += np.abs(distance(rowpart[rows], colpart[cols])) <= half
+    inside[rows, cols] = band
     return inside.astype(float) / SUBGRID**2
 
 

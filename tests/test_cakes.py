@@ -6,7 +6,7 @@ from scipy.fft import fft2, ifft2
 from scipy.interpolate import BSpline
 from scipy.ndimage import gaussian_filter
 
-from srcortex import build_cake_bank, lift, pou_check, project
+from srcortex import build_cake_bank, cakes, lift, pou_check, project
 from srcortex.cakes import WaveletBank, _bspline_pieces, _radial_taper, retained_mask
 
 
@@ -101,6 +101,35 @@ def test_bank_sums_every_shift_that_reaches_the_support(k, needed):
     assert np.array_equal(shifted_filters(n, k, bw, needed), every)
     if needed:
         assert not np.array_equal(shifted_filters(n, k, bw, needed - 1), every)
+
+
+def scattered_by_wedge_and_point(u, v, n, k, bw):
+    """``cakes._wedges`` adding each piece through a 2-D (wedge, point) index: its reference."""
+    phi = np.arctan2(v, u)
+    taper = _radial_taper(np.hypot(u, v), n)
+    t = (phi - np.pi / 2.0) % np.pi / (np.pi / k)
+    shifted = t - (bw + 1) / 2.0
+    below = np.floor(shifted)
+    first = below.astype(np.intp).ravel() + 1
+    pieces = _bspline_pieces(bw, shifted - below)
+    filters = np.zeros((k,) + taper.shape)
+    flat = filters.reshape(k, -1)
+    points = np.arange(taper.size)
+    for m, piece in enumerate(reversed(pieces)):
+        flat[(first + m) % k, points] += (piece * taper).ravel()
+    return filters
+
+
+@pytest.mark.parametrize("k, order", [(2, 5), (3, 5), (4, 5), (6, 5), (16, 5), (16, 1),
+                                      (16, 3), (16, 7)])
+@pytest.mark.parametrize("n", [32, 200])
+def test_flat_scatter_gives_the_wedge_and_point_scatter_bits(monkeypatch, n, k, order):
+    # below K = order + 1 a point's pieces wrap onto one wedge and add up there
+    bank = build_cake_bank(n, k, order)
+    monkeypatch.setattr(cakes, "_wedges", scattered_by_wedge_and_point)
+    reference = build_cake_bank(n, k, order)
+    assert bank.filters.tobytes() == reference.filters.tobytes()
+    assert bank.pou_residual == reference.pou_residual
 
 
 @pytest.mark.parametrize("n, k", [(200, 16), (64, 8)])

@@ -16,9 +16,10 @@ from srcortex import (
     run_experiment,
     run_sweep,
 )
+from srcortex import experiment
 from srcortex.cli import build_parser, config_from_args, main
-from srcortex.dynamics import run_model
-from srcortex.experiment import measure_offset
+from srcortex.dynamics import RunResult, run_model
+from srcortex.experiment import _build_report, measure_offset
 from srcortex.imgio import write_pgm
 from srcortex.stimuli import BACKGROUND, STIMULUS_KINDS, poggendorff_classic
 
@@ -260,6 +261,46 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report["stimulus"] == "file"
         assert report["offset_px"] is None  # no geometry to probe
+        assert "transversal_channel" not in report and "angular_coupling" in report
+
+    def test_report_places_the_run_on_its_grids(self, tmp_path, monkeypatch):
+        # the final stack's range, the coupling of the orientations over tau
+        # and the transversal's orientation in channels
+        results = []
+
+        def recorded(*args):
+            results.append(run_model(*args))
+            return results[-1]
+
+        monkeypatch.setattr(experiment, "run_model", recorded)
+        report = run_experiment(quick_config(tmp_path))
+        stack = results[0].stack
+        assert report["state_range"] == [stack.min(), stack.max()]
+        beta = ModelConfig.beta_for(48, 8)
+        assert report["angular_coupling"] == 0.25 * beta**2 / (math.pi / 8) ** 2
+        # pi/3 + pi/2 in channels of pi/8
+        assert report["transversal_channel"] == pytest.approx(20 / 3, rel=1e-15)
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        for key in ("state_range", "angular_coupling", "transversal_channel"):
+            assert written[key] == report[key]
+
+
+@pytest.mark.parametrize("model, n, tau, coupling", [
+    ("wc", 200, 5.0, 1.04e-5),  # the WC figure
+    ("lhe", 100, 1.25, 4.15e-5),  # the half-size LHE figure
+])
+def test_figures_report_their_coupling_and_channel(model, n, tau, coupling):
+    mc = dataclasses.replace(ModelConfig.paper(model), tau=tau)
+    cfg = ExperimentConfig(model_cfg=mc, out_dir="unused", stimulus=StimulusSpec.paper(n))
+    prop = build_propagator(n, 16, mc.beta_for(n, 16), mc.dtau)
+    stack = np.array([[[-0.5, 0.25]]])
+    result = RunResult(image=stack.sum(axis=2), stack=stack, iterations=1, converged=True,
+                       rel_history=[0.0])
+    report = _build_report(cfg, "gratings", build_cake_bank(n, 16, 5), prop, result, None)
+    assert report["angular_coupling"] == pytest.approx(coupling, rel=5e-3)
+    # the transversal at 150 degrees lies a third of the way from channel 13 to 14
+    assert report["transversal_channel"] == pytest.approx(13 + 1 / 3, rel=1e-15)
+    assert report["state_range"] == [-0.5, 0.25]
 
 
 class TestSweep:

@@ -200,11 +200,14 @@ class TestSpectralSymbol:
         for s in range(n // 2 + 1):
             np.testing.assert_array_equal(d2h[:, n // 2 - s], d2h[:, s])
 
-    @pytest.mark.parametrize("n, k", [(100, 16), (200, 16), (200, 15), (101, 16)])
+    @pytest.mark.parametrize("n, k", [(100, 16), (200, 16), (200, 15), (101, 16), (64, 15),
+                                      (32, 8)])
     def test_propagator_keeps_the_canonical_rows_and_their_factoring(self, n, k):
         # prop.d2h is the full table on the canonical pairs, bit for bit, and
-        # factoring the generators built from the full table gives the
-        # propagator's eigenpairs bit for bit
+        # factoring the generators built from the full table, stacked up
+        # front and in one eigh call, gives the propagator's eigenpairs bit
+        # for bit; gathering their operators through an int64 (U V, K) table
+        # of orientation maps gives its operators
         beta = ModelConfig.beta_for(n, k)
         prop = build_propagator(n, k, beta, 0.01)
         q, _ = _sines(n)
@@ -225,6 +228,17 @@ class TestSpectralSymbol:
         np.testing.assert_array_equal(prop.canon, canon)
         np.testing.assert_array_equal(prop.map_index, map_index)
         np.testing.assert_array_equal(prop.maps, maps)
+        perm = maps[map_index].reshape(-1, k)
+        index = canon.ravel()[:, None, None], perm[:, :, None], perm[:, None, :]
+        z = 0.5 * prop.dtau * vals
+        for m in (1, 500):
+            rho = ((1.0 + z) / (1.0 - z)) ** m
+            double = (vecs * rho[:, None, :]) @ np.swapaxes(vecs, -1, -2)
+            single = double.astype(np.float32)
+            single[np.abs(single) < SINGLE_FLUSH] = 0.0
+            shape = canon.shape + (k, k)
+            assert prop.float64_propagator(m).tobytes() == double[index].reshape(shape).tobytes()
+            assert prop.propagator(m).tobytes() == single[index].reshape(shape).tobytes()
 
 
 class TestPropagator:

@@ -5,7 +5,14 @@ import pytest
 
 from srcortex import StimulusSpec, poggendorff_gratings
 from srcortex.imgio import to_bytes_image
-from srcortex.stimuli import BACKGROUND, CLASSIC, poggendorff_classic
+from srcortex.stimuli import (
+    BACKGROUND,
+    CLASSIC,
+    GRATINGS,
+    SUBGRID,
+    _line_coverage,
+    poggendorff_classic,
+)
 
 
 def classic_spec(**kw):
@@ -137,3 +144,70 @@ class TestGratings:
         cols = np.arange(200)
         outside = np.abs(cols - spec.center) >= spec.bar_width / 2
         assert np.array_equal(img[:, outside], visible[:, outside])
+
+
+def every_subsample_coverage(spec, periodic):
+    """Line coverage from all 16 subsample tests at every pixel: ``_line_coverage``'s reference."""
+    n, c = spec.n_pixels, spec.center
+    cos_a, sin_a = math.cos(spec.incidence_angle), math.sin(spec.incidence_angle)
+    wrap = spec.grating_period * sin_a
+    half = spec.line_thickness / 2.0
+    idx = np.arange(n, dtype=float)
+    offsets = (np.arange(SUBGRID) + 0.5) / SUBGRID - 0.5
+    inside = np.zeros((n, n), dtype=np.uint16)
+    for dr in offsets:
+        rowpart = cos_a * (idx + dr - c)
+        for dc in offsets:
+            colpart = sin_a * (idx + dc - c)
+            dist = rowpart[:, None] + colpart[None, :]
+            if periodic:
+                dist = (dist + wrap / 2.0) % wrap - wrap / 2.0
+            inside += np.abs(dist) <= half
+    return inside.astype(float) / SUBGRID**2
+
+
+def assert_reference_coverage(spec):
+    periodic = spec.kind == GRATINGS
+    got = _line_coverage(spec, periodic)
+    assert got.tobytes() == every_subsample_coverage(spec, periodic).tobytes(), spec
+
+
+class TestEdgeBand:
+    """Only pixels near a line edge take the subsample tests; the coverage keeps its bits."""
+
+    @pytest.mark.parametrize("kind", [CLASSIC, GRATINGS])
+    @pytest.mark.parametrize("n", [8, 32, 100, 101, 200])
+    def test_coverage_is_every_subsample_tested(self, n, kind):
+        for alpha in (0.3, math.pi / 3, 1.2, 2.0, 2.8):
+            for thickness in (0.5, 1.5, 2.0, 6.0):
+                period = 25.0 * n / 200 if kind == GRATINGS else 0.0
+                assert_reference_coverage(StimulusSpec(
+                    n_pixels=n, bar_width=0.15 * n, incidence_angle=alpha,
+                    line_thickness=thickness, grating_period=period,
+                ))
+
+    @pytest.mark.parametrize("n", [8, 32, 100, 101, 200])
+    def test_overlapping_edge_bands(self, n):
+        # 2.6 px between lines: the bands of neighbouring edges overlap
+        for thickness in (0.5, 1.5, 2.0):
+            assert_reference_coverage(StimulusSpec(
+                n_pixels=n, bar_width=0.15 * n, incidence_angle=math.pi / 3,
+                line_thickness=thickness, grating_period=3.0,
+            ))
+
+    @pytest.mark.parametrize("alpha", [0.3, math.pi / 3, 1.2, 2.0, 2.8])
+    def test_edge_through_a_subsample(self, alpha):
+        # lines whose edge passes exactly through the subsample of a pixel
+        # nearest to them: that pixel's centre lies a full subsample reach
+        # out, on the band's outer boundary up to rounding
+        n, c = 9, 4.0
+        cos_a, sin_a = math.cos(alpha), math.sin(alpha)
+        dr = -math.copysign(0.375, cos_a)
+        for i in range(n):
+            for j in range(n):
+                d = cos_a * (i + dr - c) + sin_a * (j - 0.375 - c)
+                if d > 0.25:
+                    assert_reference_coverage(StimulusSpec(
+                        n_pixels=n, bar_width=1.0, incidence_angle=alpha,
+                        line_thickness=2.0 * d, grating_period=0.0,
+                    ))
