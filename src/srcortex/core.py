@@ -199,21 +199,29 @@ def relative_change(a, b) -> float:
     """``||a - b|| / ||a||`` with the Euclidean norm over all entries.
 
     Returns 0 when both arguments vanish and +inf when only ``a`` does.
-    Both arrays are read once, a block of ``BLOCK`` entries at a time,
-    with no full-size difference array.
+    Both arrays are read once, a block of ``BLOCK`` entries at a time on
+    the block pool, with no full-size difference array: each thread
+    forms its block's difference in a block of scratch that the calling
+    thread allocates, and the blocks' squared norms are added in block
+    order.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.ravel(), b.ravel()
-    scratch = np.empty(min(BLOCK, a.size))
+    blocks = -(-a.size // BLOCK)
+    scratch = np.empty((pool_threads(blocks), min(BLOCK, a.size)))
+
+    def block(part, thread):
+        x = a[part * BLOCK : (part + 1) * BLOCK]
+        d = np.subtract(x, b[part * BLOCK : (part + 1) * BLOCK], out=scratch[thread, : x.size])
+        return float(d @ d), float(x @ x)
+
     diff = denom = 0.0
-    for start in range(0, a.size, BLOCK):
-        x = a[start : start + BLOCK]
-        d = np.subtract(x, b[start : start + BLOCK], out=scratch[: x.size])
-        diff += float(d @ d)
-        denom += float(x @ x)
+    for d, x in run_parts(block, blocks, len(scratch)):
+        diff += d
+        denom += x
     if denom == 0.0:
         return 0.0 if diff == 0.0 else math.inf
     return math.sqrt(diff) / math.sqrt(denom)

@@ -70,33 +70,29 @@ half spectrum of its stacks.  The sigmoid stack (WC) or the n powers
 (LHE) are staged in it, since the mode product overwrites all of it
 and only the forward transform reads them; from the inverse transform
 until the next call stages them, the same memory holds every thread's
-scratch: the combine's (a block's
-rows and its block of ``a`` cast to ``RUN_DTYPE``, since the first
-power is overwritten by then, then H's block and the energy's two
-float64 blocks) and, between calls, the Anderson update's.  Only on grids
-of a few blocks, where it cannot hold every thread's combine scratch,
-does the calling thread keep its own.  No evaluation keeps a0 or mu, so
-a run holds mu only until the forcing and C are formed and a0 only as
-its first state.  The large arrays a call allocates are the forward
-spectrum, the evolved stacks in its memory, and the interaction.
+scratch: the combine's (a block's rows and its block of ``a`` cast to
+``RUN_DTYPE``, since the first power is overwritten by then, then H's
+block and the energy's two float64 blocks) and, between calls, the
+descent step's and the accelerator's.  Only on grids of a few blocks,
+where it cannot hold every thread's scratch, does the calling thread
+keep its own.  No evaluation keeps a0 or mu, so a run holds mu only
+until the forcing and C are formed and a0 only as its first state.
+The large arrays a call allocates are the forward spectrum, the
+evolved stacks in its memory, and the interaction.
 
-Threads: the mode product of both models, the LHE evaluation's
-blocked passes (the powers and the combine) and both passes
-of the Anderson update run on ``core``'s block pool, a block of
-``BLOCK`` entries (or of the heat layer's ``pieces``) per part, and the
-blocks' sums are added in block order, so runs are equal bit for bit at
-any width.  Every thread's scratch is carved from the mode-product
-buffer, which is idle from the inverse transform to the next evaluation
-(``core.thread_scratch``); a helper runs only on memory the buffer
-lends.  The WC sigmoid, ``_SecantPair``, ``gd_step`` and
-``relative_change`` stay on the calling thread.  Moved onto the pool
-they keep every output bit for bit, and the WC figure's benchmark run
-(``wc-gratings-n200``, five alternated pairs of 8 s runs on 2 vCPUs)
-read ``run_s`` 0.457 -> 0.409 s, lower in 5 of 5 pairs, and
-``peak_rss_mb`` 197 -> 208 MB.  The peak moves with the rounds, not
-the code: the benchmark keeps each round's final stack, so a faster run
-fits more rounds and reads higher (202 MB on both sides at 19 rounds).
-The step and the stopping rule are about 2% of an LHE run.
+Threads: every full-stack pass of the descent loop runs on ``core``'s
+block pool, a block of ``BLOCK`` entries (or of the heat layer's
+``pieces``) per part: the WC sigmoid, the LHE cast of the state and its
+powers, the mode product of both models, the combine, the descent step
+(``gd_step``), the stopping rule (``relative_change``) and both passes
+of either accelerator.  The blocks' sums are added in block order, so
+runs are equal bit for bit at any width.  Every thread's scratch is
+carved from the mode-product buffer, which is idle from the inverse
+transform to the next evaluation (``core.thread_scratch``); a helper
+runs only on memory the buffer lends.  The stopping rule, which takes
+only the two states, is the exception: its calling thread allocates
+every thread's block.  Only the calling thread enters the functions
+the benchmark's recorder wraps, once per evaluation each.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -112,8 +108,9 @@ first Picard step included) that does not lower it is rejected, and the
 run restarts from the plain step with the history cleared.  So the
 accepted energies never rise, as long as the plain step descends (dt in
 the stable range).  WC has no energy.  It extrapolates G itself from one
-secant pair (3-4 ms per update at N=200, K=16, against 12-16 ms for five
-pairs and about 10 ms for an evaluation), guarded by the relative
+secant pair (1.4-1.8 ms per update at N=200, K=16 on one thread,
+against 6.9-7.7 ms for the sigmoid and the heat layer of an
+evaluation), guarded by the relative
 change: an extrapolated state whose step changes it no less than the
 last accepted state's did is rejected in the same way.
 """
@@ -147,18 +144,26 @@ _BLAS_THREAD_SYMBOLS = (
 def sigmoid(r, alpha: float, out=None):
     """Decreasing saturation of activity: -clamp(alpha * (r - 1/2), -1, 1).
 
-    Computes in ``out``'s dtype into ``out`` if given (which may be ``r``
-    itself), else in float32 for a float32 ``r`` and float64 otherwise
-    into a new array.  The cast and the shift are one pass, and the
-    negation rides on the slope: clamping is odd, so ``clip(-alpha x)``
-    is the negated clamp bit for bit.
+    Computes in ``out``'s dtype into ``out`` if given (a C-contiguous
+    array, which may be ``r`` itself), else in float32 for a float32
+    ``r`` and float64 otherwise into a new array.  The cast and the
+    shift are one pass, and the negation rides on the slope: clamping is
+    odd, so ``clip(-alpha x)`` is the negated clamp bit for bit.  The
+    pass takes a block of ``BLOCK`` entries at a time, on the block pool.
     """
     r = np.asarray(r)
     if out is None:
         out = np.empty(r.shape, np.float32 if r.dtype == np.float32 else np.float64)
-    np.subtract(r, 0.5, out=out, dtype=out.dtype)
-    out *= -alpha
-    return np.clip(out, -1.0, 1.0, out=out)
+    r_flat, out_flat = r.reshape(-1), out.reshape(-1)
+
+    def block(part, _):
+        b = slice(part * BLOCK, (part + 1) * BLOCK)
+        out_b = np.subtract(r_flat[b], 0.5, out=out_flat[b], dtype=out.dtype)
+        out_b *= -alpha
+        np.clip(out_b, -1.0, 1.0, out=out_b)
+
+    run_parts(block, -(-out.size // BLOCK))
+    return out
 
 
 def sigmoid_hat(r, alpha: float):
@@ -226,22 +231,23 @@ def _primitive_coeffs(coeffs) -> np.ndarray:
     return prim
 
 
-def _evolved_powers(powers, prop, tau, product):
-    """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in a's dtype.
+def _evolved_powers(a, powers, prop, tau, product):
+    """Heat evolutions E_1 .. E_nmax of the monomials a^1 .. a^nmax, in the powers' dtype.
 
-    ``powers`` is an ``(nmax, N, N, K)`` array holding ``a`` in
-    ``powers[0]``; the higher powers are built in the rest of it, and
-    reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
+    ``powers`` is a C-contiguous ``(nmax, N, N, K)`` array: ``a`` is
+    cast into ``powers[0]``, the higher powers are built in the rest of
+    it, and they reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
     ``product`` is the evolution's mode-product buffer, in which
-    ``powers`` may be staged (``staged_stacks``).  The powers are
-    built a ``BLOCK`` of every power at a time, on the block pool.  The
-    evolved stacks come back as a new array with the batch on the
-    trailing axis, ``(N, N, K, nmax)``.
+    ``powers`` may be staged (``staged_stacks``).  The cast and the
+    powers are done a ``BLOCK`` of every power at a time, on the block
+    pool.  The evolved stacks come back as a new array with the batch on
+    the trailing axis, ``(N, N, K, nmax)``.
     """
-    flat = powers.reshape(len(powers), -1)
+    flat, a_flat = powers.reshape(len(powers), -1), a.reshape(-1)
 
     def block(part, _):
         b = slice(part * BLOCK, (part + 1) * BLOCK)
+        np.copyto(flat[0, b], a_flat[b], casting="same_kind")
         for i in range(1, len(flat)):
             np.multiply(flat[i - 1, b], flat[0, b], out=flat[i, b])
 
@@ -351,19 +357,19 @@ def _fidelity_constant(cfg: ModelConfig, a0, mu) -> float:
     return 0.5 * (w_a0 * float(a0 @ a0) + w_mu * float(mu @ mu))
 
 
-def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: float,
+def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: float | None,
                  dtype=np.float64):
     """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
     is the energy of ``a`` for LHE and None for WC.  ``forcing`` is the
-    run's ``_forcing`` array and ``constant`` its ``_fidelity_constant``:
-    the LHE energy's fidelity terms are ``(w_a0 + w_mu) |a|^2 / 2 -
-    a . forcing + constant``, so the evaluation holds neither a0 nor mu
-    (WC reads only the forcing's shape).  The kernel terms
-    are computed from ``a`` cast to ``dtype`` (by the sigmoid in the
-    same pass for WC; into the first LHE power, and block by block in
-    the combine), and ``term`` comes back in ``dtype``: the WC
+    run's ``_forcing`` array and ``constant`` its ``_fidelity_constant``
+    (LHE only; WC reads neither, and callers pass None): the LHE
+    energy's fidelity terms are ``(w_a0 + w_mu) |a|^2 / 2 - a . forcing
+    + constant``, so the evaluation holds neither a0 nor mu.  The kernel
+    terms are computed from ``a`` cast to ``dtype`` (by the sigmoid in
+    the same pass for WC; into the first LHE power, and block by block
+    in the combine), and ``term`` comes back in ``dtype``: the WC
     sigmoid and its evolution, or the LHE powers, their evolutions and
     the combine.  The LHE energy's fidelity terms,
     primitive and sums take ``a`` itself.  The LHE fit and its weight
@@ -373,8 +379,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     mode-product buffer.  The stacks it hands the heat layer (the
     sigmoid stack, or the powers) are staged in it (``staged_stacks``),
     and the same memory, idle from the inverse transform to the next
-    call, holds every thread's combine scratch; an LHE evaluation offers
-    it as ``spare`` for the Anderson update's scratch between calls.
+    call, holds every thread's combine scratch; the evaluation offers it
+    as ``spare`` for the descent step's and the accelerator's scratch
+    between calls.
     Each call returns a new ``term``.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
     first.  In ``run_model`` a WC state is ``a0`` or a step whose
@@ -390,6 +397,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
             sigmoid(a, cfg.alpha, out=stack[0])
             return _evolve_batch(np.moveaxis(stack, 0, -1), prop, m, product)[..., 0], None
 
+        wc.spare = stack
         return wc
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
@@ -404,8 +412,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     own = np.empty(entries, dtype) if powers.size < threads * entries else None
 
     def lhe(a):
-        np.copyto(powers[0], a, casting="same_kind")
-        evolved = _evolved_powers(powers, prop, cfg.tau, product)
+        evolved = _evolved_powers(a, powers, prop, cfg.tau, product)
         # the powers' memory is idle from here to the next call: every
         # thread's combine scratch is carved from it
         term, sums = _combine(a, weights, evolved, forcing, prim, powers, own)
@@ -426,22 +433,29 @@ def _drift(a, forcing, inter, cfg: ModelConfig, out=None, scaled=None):
     return g
 
 
-def gd_step(a, forcing, inter, cfg: ModelConfig) -> np.ndarray:
+def gd_step(a, forcing, inter, cfg: ModelConfig, spare=None) -> np.ndarray:
     """One explicit descent update from precomputed forcing and interaction.
 
     ``a + dt * drift`` into a new float64 array, a block of ``BLOCK``
     entries at a time: each block's drift and update are done while it
     is in cache, so every array is read from memory once.  The scaled
-    interaction of each block goes to one block scratch of inter's dtype.
+    interaction of each block goes to a block scratch of inter's dtype,
+    one per thread, carved from ``spare``, a buffer the caller does not
+    read meanwhile (``thread_scratch``).  With no ``spare`` the pass
+    runs on the calling thread.
     """
     g = np.empty(a.shape)
-    scaled = np.empty(min(BLOCK, g.size), inter.dtype)
+    blocks = -(-g.size // BLOCK)
+    scratch = thread_scratch(spare, pool_threads(blocks), (min(BLOCK, g.size),), inter.dtype)
     flat = [x.ravel() for x in (g, a, forcing, inter)]
-    for start in range(0, g.size, BLOCK):
-        out, a_b, f_b, i_b = (x[start : start + BLOCK] for x in flat)
-        _drift(a_b, f_b, i_b, cfg, out, scaled[: len(out)])
+
+    def block(part, thread):
+        out, a_b, f_b, i_b = (x[part * BLOCK : (part + 1) * BLOCK] for x in flat)
+        _drift(a_b, f_b, i_b, cfg, out, scratch[thread][: len(out)])
         out *= cfg.dt
         out += a_b
+
+    run_parts(block, blocks, len(scratch))
     return g
 
 
@@ -449,7 +463,8 @@ def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray
     """Right-hand side of the evolution at state ``a``."""
     a = as_stack(a)
     forcing = _forcing(cfg, a0, mu)
-    inter, _ = _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(a)
+    constant = _fidelity_constant(cfg, a0, mu) if cfg.model == LHE else None
+    inter, _ = _interaction(cfg, prop, forcing, constant)(a)
     return _drift(a, forcing, inter, cfg)
 
 
@@ -524,13 +539,20 @@ class _SecantPair:
     With ``f = G(x) - x`` and ``df = f - f_prev`` the next iterate is
     ``G(x) - gamma (G(x) - g_prev)``, ``gamma = (df . f) / (df . df)``:
     ``_AndersonHistory``'s update with one pair.  The dots and the
-    update each take one pass of ``BLOCK`` entries at a time, as
-    ``gd_step`` does.  ``f_prev`` is overwritten in place, and the next
-    iterate is written over ``g_prev``, the caller's previous G(x),
-    which the caller no longer reads, so an update allocates no stack.
+    update each take one pass of ``BLOCK`` entries at a time on the
+    block pool, as ``gd_step`` does, and the blocks' dots are added in
+    block order.  Each block's ``df`` is formed in ``f_prev``, which
+    then takes ``f``, so a thread's only scratch is a block of ``f``,
+    carved from ``spare``, a buffer that nothing reads between the
+    caller's updates (``thread_scratch``; ``run_model`` lends the
+    evaluation's idle memory).  With no ``spare`` the update runs on the
+    calling thread.  The next iterate is written over ``g_prev``, the
+    caller's previous G(x), which the caller no longer reads, so an
+    update allocates no stack.
     """
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, spare=None):
+        self.spare = spare
         self.f_prev = np.empty(size)
         self.g_prev = None  # None until an iterate is recorded
 
@@ -549,23 +571,35 @@ class _SecantPair:
         if g_prev is None:
             np.subtract(g_flat, x_flat, out=self.f_prev)
             return g
-        f, df = np.empty(BLOCK), np.empty(BLOCK)
-        dot_f = dot_df = 0.0
-        for start in range(0, g_flat.size, BLOCK):
-            g_b, x_b, fp_b = (v[start : start + BLOCK] for v in (g_flat, x_flat, self.f_prev))
-            f_b = np.subtract(g_b, x_b, out=f[: len(g_b)])
-            df_b = np.subtract(f_b, fp_b, out=df[: len(g_b)])
-            dot_f += float(df_b @ f_b)
-            dot_df += float(df_b @ df_b)
+        blocks = -(-g_flat.size // BLOCK)
+        scratch = thread_scratch(self.spare, pool_threads(blocks), (min(BLOCK, g_flat.size),),
+                                 np.float64)
+
+        def record(part, thread):
+            g_b, x_b, fp_b = (v[part * BLOCK : (part + 1) * BLOCK]
+                              for v in (g_flat, x_flat, self.f_prev))
+            f_b = np.subtract(g_b, x_b, out=scratch[thread][: len(g_b)])
+            df_b = np.subtract(f_b, fp_b, out=fp_b)
+            dots = float(df_b @ f_b), float(df_b @ df_b)
             fp_b[...] = f_b
+            return dots
+
+        dot_f = dot_df = 0.0
+        for block_f, block_df in run_parts(record, blocks, len(scratch)):
+            dot_f += block_f
+            dot_df += block_df
         if dot_df == 0.0:
             return g
         gamma = dot_f / dot_df
-        for start in range(0, g_flat.size, BLOCK):
-            g_b, out_b = g_flat[start : start + BLOCK], g_prev[start : start + BLOCK]
+
+        def update(part, _):
+            b = slice(part * BLOCK, (part + 1) * BLOCK)
+            g_b, out_b = g_flat[b], g_prev[b]
             out_b -= g_b
             out_b *= gamma
             out_b += g_b  # g - gamma (g - g_prev)
+
+        run_parts(update, blocks, len(scratch))
         return g_prev.reshape(g.shape)
 
 
@@ -772,9 +806,11 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     mu = local_mean(a, cfg.sigma_mu)
     forcing = _forcing(cfg, a, mu)
     lhe = cfg.model == LHE
-    interaction = _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a, mu), RUN_DTYPE)
+    constant = _fidelity_constant(cfg, a, mu) if lhe else None  # the WC evaluation has no energy
+    interaction = _interaction(cfg, prop, forcing, constant, RUN_DTYPE)
     del mu  # no evaluation keeps a0 or mu; a0 lives on only as the first state
-    history = _AndersonHistory(a.size, cfg, interaction.spare) if lhe else _SecantPair(a.size)
+    spare = interaction.spare  # idle between evaluations: the step's and history's scratch
+    history = _AndersonHistory(a.size, cfg, spare) if lhe else _SecantPair(a.size, spare)
 
     g = None  # G of the last accepted state: where a rejection restarts
     extrapolated = False
@@ -792,7 +828,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
                     a, extrapolated = g, False
                     continue
             energies.append(energy)
-        step = gd_step(a, forcing, inter, cfg)
+        step = gd_step(a, forcing, inter, cfg, spare)
         del inter  # the kernel term is not needed past the step
         rel = relative_change(step, a)
         if not math.isfinite(rel):

@@ -71,9 +71,8 @@ def lhe_interaction(a, prop, tau, poly):
     a = as_stack(a)
     n = len(poly.coeffs) - 1
     powers = np.empty((n,) + a.shape)
-    powers[0] = a
     product = mode_product_buffer(prop, n, a.dtype)
-    evolved = _evolved_powers(powers, prop, tau, product)
+    evolved = _evolved_powers(a, powers, prop, tau, product)
     prim = _primitive_coeffs(poly.coeffs)
     return _combine(a, _weights(poly.coeffs), evolved, np.zeros_like(a), prim, product)[0]
 
@@ -577,6 +576,33 @@ class TestRunModel:
             runs.append(json.loads(proc.stdout))
         assert runs[0] == runs[1]
 
+    def test_wc_forms_no_fidelity_constant(self, monkeypatch):
+        # the WC evaluation has no energy, so neither a run nor the drift
+        # forms the constant, and their bytes equal those of calls that
+        # hand the evaluation the run's constant
+        f0, cfg, bank, prop = case = _tiny_wc()
+        constant, interaction = dynamics._fidelity_constant, dynamics._interaction
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return constant(*args)
+
+        monkeypatch.setattr(dynamics, "_fidelity_constant", counted)
+        a0 = lift(f0, bank)
+        mu = local_mean(a0, cfg.sigma_mu)
+        skipped = run_model(*case), model_drift(a0, a0, mu, cfg, prop)
+        assert calls == []
+
+        def handed(cfg, prop, forcing, _, dtype=np.float64):
+            return interaction(cfg, prop, forcing, constant(cfg, a0, mu), dtype)
+
+        monkeypatch.setattr(dynamics, "_interaction", handed)
+        res, drift = run_model(*case), model_drift(a0, a0, mu, cfg, prop)
+        assert res.stack.tobytes() == skipped[0].stack.tobytes()
+        assert (res.rel_history, res.iterations) == (skipped[0].rel_history, skipped[0].iterations)
+        assert drift.tobytes() == skipped[1].tobytes()
+
     def test_wc_residual_bounded_by_stopping_rule(self):
         f0, bank = _small_gratings()
         cfg = ModelConfig(model="wc", lam=0.5, alpha=4.0, sigma_mu=2.0,
@@ -873,7 +899,7 @@ class TestSecantPair:
         finally:
             tracemalloc.stop()
         assert np.shares_memory(got, g0) and not np.shares_memory(got, g1)
-        # the update's two block scratches, not a stack
+        # with no spare buffer, the update's one block scratch, not a stack
         assert peak < 3 * BLOCK * g0.itemsize < g0.nbytes
 
 
@@ -983,9 +1009,8 @@ class TestBlockedCombine:
             coeffs = fit_polynomial(6.0, degree).coeffs
             weights, prim = _weights(coeffs), _primitive_coeffs(coeffs)
             powers = np.empty((degree,) + a.shape, dtype)
-            powers[0] = a
             product = mode_product_buffer(prop, degree, dtype)
-            evolved = _evolved_powers(powers, prop, 0.5, product)
+            evolved = _evolved_powers(a, powers, prop, 0.5, product)
             term, sums = _combine(a, weights, evolved, forcing, prim, product)
             expected_term, h = unblocked_combine(powers[0], weights, evolved)
             assert term.dtype == dtype

@@ -159,7 +159,10 @@ def test_wc_run_peak_in_stacks(monkeypatch, width):
     # 64 x 64 x 16, tau = 5 as in the WC figure.  Measured peak 6.53-6.54
     # float64 stacks at either width with the sigmoid stack staged in the
     # half-spectrum buffer every batch takes (7.11-7.12 with one stack
-    # gathered by generator into a second layout); the bound leaves 4%
+    # gathered by generator into a second layout); the bound leaves 4%.
+    # With the step and the secant update carving their block scratch
+    # from that buffer, 6.17 on one thread; on two the buffer holds one
+    # block, so the calling thread keeps its own: 6.54
     monkeypatch.setattr(core, "_width", width)
     res, stacks = _peak_in_stacks(_case("wc", 64, 16, tau=5.0))
     assert res.converged and res.rejected_steps >= 1

@@ -9,6 +9,7 @@ it wraps must be entered from the calling thread only.
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import os
 import signal
 import subprocess
@@ -168,6 +169,177 @@ def test_setup_is_equal_byte_for_byte_at_any_width(monkeypatch, n, k):
     first = digest(WIDTHS[0])
     for width in WIDTHS[1:]:
         assert digest(width) == first, width
+
+
+def serial_sigmoid(r, alpha, out):
+    """The WC sigmoid in one pass over the whole array, into ``out``."""
+    np.subtract(r, 0.5, out=out, dtype=out.dtype)
+    out *= -alpha
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def serial_gd_step(a, forcing, inter, cfg):
+    """``a + dt (-(1 + lam) a + forcing + inter / 2)`` over whole arrays, in that order."""
+    g = np.multiply(a, -(1.0 + cfg.lam))
+    g += forcing
+    g += np.multiply(inter, dynamics.INTERACTION_SCALE)
+    g *= cfg.dt
+    g += a
+    return g
+
+
+def serial_relative_change(a, b, order=list):
+    """``||a - b|| / ||a||`` on one thread, the blocks' squared norms added in ``order``."""
+    a, b = a.ravel(), b.ravel()
+    diff = denom = 0.0
+    for start in order(range(0, a.size, core.BLOCK)):
+        x = a[start : start + core.BLOCK]
+        d = x - b[start : start + core.BLOCK]
+        diff += float(d @ d)
+        denom += float(x @ x)
+    if denom == 0.0:
+        return 0.0 if diff == 0.0 else math.inf
+    return math.sqrt(diff) / math.sqrt(denom)
+
+
+class SerialSecantPair:
+    """The one-pair update on one thread, on copies: ``g - gamma (g - g_prev)``.
+
+    ``gamma = (df . f) / (df . df)``, each dot summed a block at a time
+    in block order; None before a pair exists, and g itself where ``df``
+    vanishes.
+    """
+
+    def __init__(self):
+        self.f_prev = self.g_prev = None
+
+    def extrapolate(self, x, g):
+        f = g - x
+        f_prev, g_prev, self.f_prev, self.g_prev = self.f_prev, self.g_prev, f, g.copy()
+        if f_prev is None:
+            return None
+        df = f - f_prev
+        blocks = [slice(start, start + core.BLOCK) for start in range(0, f.size, core.BLOCK)]
+        dot_f = dot_df = 0.0
+        for b in blocks:
+            dot_f += float(df[b] @ f[b])
+            dot_df += float(df[b] @ df[b])
+        if dot_df == 0.0:
+            return g
+        out = g_prev - g
+        out *= dot_f / dot_df
+        out += g
+        return out
+
+
+# below one block; one block and a ragged one; four blocks, where the
+# blocks' sums added in another order than block order change the bits
+POOLED_SIZES = (1000, 3 * core.BLOCK // 2 + 7, 7 * core.BLOCK // 2 + 7)
+
+
+class TestPooledPasses:
+    """The descent loop's full-stack passes equal their serial references at every width."""
+
+    @staticmethod
+    def _arrays(size, count, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.random(size) for _ in range(count)]
+
+    @pytest.mark.parametrize("size", POOLED_SIZES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_sigmoid(self, monkeypatch, width, size):
+        monkeypatch.setattr(core, "_width", width)
+        [r] = self._arrays(size, 1, 61)
+        for dtype in (np.float64, np.float32):
+            expected = serial_sigmoid(r, 20.0, np.empty(size, dtype))
+            assert dynamics.sigmoid(r.astype(dtype), 20.0).tobytes() == expected.tobytes()
+            out = np.empty(size, dtype)
+            assert dynamics.sigmoid(r, 20.0, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+        in_place = r.copy()
+        dynamics.sigmoid(in_place, 20.0, out=in_place)
+        assert in_place.tobytes() == serial_sigmoid(r, 20.0, np.empty(size)).tobytes()
+
+    @pytest.mark.parametrize("size", POOLED_SIZES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_gd_step(self, monkeypatch, width, size):
+        monkeypatch.setattr(core, "_width", width)
+        cfg = dataclasses.replace(ModelConfig.paper("wc"), lam=0.7, dt=0.3)
+        a, forcing, inter = self._arrays(size, 3, 62)
+        inter = (inter - 0.5).astype(dynamics.RUN_DTYPE)
+        expected = serial_gd_step(a, forcing, inter, cfg).tobytes()
+        spare = np.empty(width * min(core.BLOCK, size), inter.dtype)
+        assert dynamics.gd_step(a, forcing, inter, cfg, spare).tobytes() == expected
+        assert dynamics.gd_step(a, forcing, inter, cfg).tobytes() == expected
+
+    @pytest.mark.parametrize("size", POOLED_SIZES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_relative_change(self, monkeypatch, width, size):
+        # blocks of unequal scale: on four blocks the ratio reads the order
+        # in which their sums are added
+        monkeypatch.setattr(core, "_width", width)
+        scale = np.repeat([1.0, 1e-5, 1e3, 1e-2], core.BLOCK)[:size]
+        a, b = self._arrays(size, 2, 67)
+        a, b = a * scale, b * scale * 1.1
+        expected = serial_relative_change(a, b)
+        if size > 3 * core.BLOCK:
+            assert serial_relative_change(a, b, reversed) != expected
+        assert core.relative_change(a, b) == expected
+        zero = np.zeros(size)
+        assert core.relative_change(zero, zero) == 0.0
+        assert core.relative_change(zero, b) == math.inf
+
+    @pytest.mark.parametrize("size", POOLED_SIZES)
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_secant_pair(self, monkeypatch, width, size):
+        # the first call, two updates (the second writes over the first
+        # update's g_prev), then a repeated residual: df = 0
+        monkeypatch.setattr(core, "_width", width)
+        pair = dynamics._SecantPair(size, np.empty(width * min(core.BLOCK, size)))
+        reference = SerialSecantPair()
+        x0, g0, x1, g1, x2, g2 = self._arrays(size, 6, 64)
+        assert pair.extrapolate(x0, g0) is g0
+        reference.extrapolate(x0, g0)
+        for x, g in ((x1, g1), (x2, g2)):
+            expected = reference.extrapolate(x, g)
+            assert pair.extrapolate(x, g).tobytes() == expected.tobytes()
+            assert pair.f_prev.tobytes() == reference.f_prev.tobytes()
+        same = g2.copy()  # the last residual again
+        assert pair.extrapolate(x2, same) is same
+
+    @pytest.mark.parametrize("width", WIDTHS[1:])
+    def test_passes_run_on_every_thread(self, monkeypatch, width):
+        # with a spare buffer to carve from (the stopping rule allocates its
+        # own), every pass hands parts to the helpers.  The first parts of
+        # each pass wait until every thread holds one
+        monkeypatch.setattr(core, "_width", width)
+        size = 7 * core.BLOCK // 2 + 7
+        run_parts, seen = core.run_parts, {}
+
+        def recorded(fn, parts, threads=None):
+            barrier = threading.Barrier(width, timeout=30)
+
+            def part(p, thread):
+                if p < width:
+                    barrier.wait()
+                seen.setdefault(name, set()).add(thread)
+                return fn(p, thread)
+            return run_parts(part, parts, threads)
+
+        monkeypatch.setattr(core, "run_parts", recorded)
+        monkeypatch.setattr(dynamics, "run_parts", recorded)
+        cfg = ModelConfig.paper("wc")
+        a, b, c = self._arrays(size, 3, 65)
+        spare = np.empty(width * core.BLOCK)
+        pair = dynamics._SecantPair(size, spare)
+        pair.extrapolate(a, b)
+        for name, call in (("sigmoid", lambda: dynamics.sigmoid(a, 20.0)),
+                           ("gd_step", lambda: dynamics.gd_step(a, b, c, cfg, spare)),
+                           ("relative_change", lambda: core.relative_change(a, b)),
+                           ("secant", lambda: pair.extrapolate(b, c))):
+            call()
+        assert seen == {name: set(range(width))
+                        for name in ("sigmoid", "gd_step", "relative_change", "secant")}
 
 
 def test_stacks_staged_in_the_buffer_evaluate_as_fresh_arrays(monkeypatch):
