@@ -18,8 +18,10 @@ it, and callers that sum over parts add the per-part sums in that
 order, as one thread does, so results are equal bit for bit at any
 width.  A helper allocates nothing larger than a block: glibc gives
 each thread its own arena and keeps what a helper freed resident, so a
-helper's scratch comes from its caller.  The helper threads are made
-on first use and made afresh in a forked child, which inherits the
+helper's scratch comes from its caller: a pass runs on as many threads
+as the buffer its caller lends holds scratch arrays (``thread_scratch``),
+and no thread keeps one of its own.  The helper threads are made on
+first use and made afresh in a forked child, which inherits the
 executor but none of its threads.
 """
 
@@ -149,23 +151,22 @@ def run_spans(fn, count: int, entries: int) -> list:
     return run_parts(lambda part, _: fn(*spans[part]), len(spans))
 
 
-def thread_scratch(buffer, threads: int, shape, dtype, own=None) -> list:
-    """Scratch arrays of ``shape`` and ``dtype``: the calling thread's, then its helpers'.
+def thread_scratch(buffer, parts: int, shape, dtype) -> list:
+    """Scratch arrays of ``shape`` and ``dtype`` for a pass of ``parts`` parts, one per thread.
 
     ``buffer`` is a C-contiguous array that its owner does not read
-    while the arrays are in use, or None.  Where its memory holds
-    ``threads`` arrays, all of them are carved from it.  Otherwise the
-    calling thread takes ``own``, or a new array, and the helpers as
-    many carved ones as fit: a helper runs only on memory the buffer
-    lends, and never gives way to the calling thread.
+    while the arrays are in use, or None.  As many arrays as its memory
+    holds, up to ``pool_threads(parts)``, are carved from it in thread
+    order, the calling thread's first; where it holds none, the calling
+    thread gets one new array.  The pass runs on ``len(scratch)``
+    threads, so a helper runs only on memory the buffer lends.
     """
     raw = np.empty(0, np.uint8) if buffer is None else buffer.reshape(-1).view(np.uint8)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    fit = min(threads, raw.size // nbytes)
-    carved = [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(fit)]
-    if fit == threads:
-        return carved
-    return [np.empty(shape, dtype) if own is None else own] + carved[: threads - 1]
+    fit = min(pool_threads(parts), raw.size // nbytes)
+    if fit == 0:
+        return [np.empty(shape, dtype)]
+    return [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(fit)]
 
 
 def as_image(arr) -> np.ndarray:

@@ -73,10 +73,12 @@ until the next call stages them, the same memory holds every thread's
 scratch: the combine's (a block's rows and its block of ``a`` cast to
 ``RUN_DTYPE``, since the first power is overwritten by then, then H's
 block and the energy's two float64 blocks) and, between calls, the
-descent step's and the accelerator's.  Only on grids of a few blocks,
-where it cannot hold every thread's scratch, does the calling thread
-keep its own.  No evaluation keeps a0 or mu, so a run holds mu only
-until the forcing and C are formed and a0 only as its first state.
+descent step's and the accelerator's.  On an LHE grid of about one
+block, where it cannot hold one thread's combine scratch, the
+evaluation keeps a second array that can, and lends that instead; no
+thread keeps scratch of its own.  No evaluation keeps a0 or mu, so a
+run holds mu only until the forcing and C are formed and a0 only as
+its first state.
 The large arrays a call allocates are the forward spectrum, the
 evolved stacks in its memory, and the interaction.
 
@@ -88,11 +90,13 @@ powers, the mode product of both models, the combine, the descent step
 of either accelerator.  The blocks' sums are added in block order, so
 runs are equal bit for bit at any width.  Every thread's scratch is
 carved from the mode-product buffer, which is idle from the inverse
-transform to the next evaluation (``core.thread_scratch``); a helper
-runs only on memory the buffer lends.  The stopping rule, which takes
-only the two states, is the exception: its calling thread allocates
-every thread's block.  Only the calling thread enters the functions
-the benchmark's recorder wraps, once per evaluation each.
+transform to the next evaluation, and a pass runs on as many threads
+as that buffer holds scratch arrays (``core.thread_scratch``): on a
+grid of a couple of blocks the combine and the accelerators run on the
+calling thread alone.  The stopping rule, which takes only the two
+states, is the exception: its calling thread allocates every thread's
+block.  Only the calling thread enters the functions the benchmark's
+recorder wraps, once per evaluation each.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -126,7 +130,7 @@ from scipy.fft import rfft2
 
 from .cakes import lift
 from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
-from .core import pool_threads, pool_width, project, relative_change, run_parts, thread_scratch
+from .core import pool_width, project, relative_change, run_parts, thread_scratch
 from .heat import HeatPropagator, _evolve_batch, irfft2, mode_product_buffer, staged_stacks
 
 FIT_SAMPLES = 2001
@@ -264,7 +268,7 @@ def _row_scratch(size: int, degree: int, dtype) -> int:
     return max(degree + 2, energy) * min(BLOCK, size)
 
 
-def _combine(a, weights, evolved, forcing, prim, spare=None, own=None):
+def _combine(a, weights, evolved, forcing, prim, spare=None):
     """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's sums.
 
     One pass of ``BLOCK`` entries at a time, in the evolved stacks'
@@ -272,8 +276,7 @@ def _combine(a, weights, evolved, forcing, prim, spare=None, own=None):
     and its rows ``R_p = sum_i W[p, i] E_i`` are one small matmul; both
     go to the end of the thread's ``_row_scratch`` entries, carved from
     ``spare``, a buffer the caller does not read meanwhile
-    (``thread_scratch``; ``own`` is the calling thread's where ``spare``
-    cannot hold every thread's).  A Horner pass in ``a`` over the rows
+    (``thread_scratch``).  A Horner pass in ``a`` over the rows
     gives the interaction, and one over ``R_q / (q + 1)`` gives ``H =
     sum_q a^q R_q / (q + 1)`` over the last row.  The entries before it
     then hold two float64 blocks, in which the energy's sums ``|a|^2``,
@@ -289,8 +292,7 @@ def _combine(a, weights, evolved, forcing, prim, spare=None, own=None):
     a_flat, f_flat, term_flat = a.ravel(), forcing.ravel(), term.ravel()
     e_flat = evolved.reshape(-1, nmax)
     blocks = -(-a.size // BLOCK)
-    scratch = thread_scratch(spare, pool_threads(blocks), (_row_scratch(a.size, nmax, dtype),),
-                             dtype, own)
+    scratch = thread_scratch(spare, blocks, (_row_scratch(a.size, nmax, dtype),), dtype)
 
     def block(part, thread):
         start, stop = part * BLOCK, min((part + 1) * BLOCK, a.size)
@@ -379,8 +381,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     mode-product buffer.  The stacks it hands the heat layer (the
     sigmoid stack, or the powers) are staged in it (``staged_stacks``),
     and the same memory, idle from the inverse transform to the next
-    call, holds every thread's combine scratch; the evaluation offers it
-    as ``spare`` for the descent step's and the accelerator's scratch
+    call, lends the combine its threads' scratch (on an LHE grid of
+    about one block, a second array does); the evaluation offers it as
+    ``spare`` for the descent step's and the accelerator's scratch
     between calls.
     Each call returns a new ``term``.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
@@ -405,20 +408,16 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     n = cfg.poly_degree
     product = mode_product_buffer(prop, n, dtype)
     powers = staged_stacks(product)
-    # where the powers' memory cannot hold every thread's combine scratch
-    # (grids of a few blocks), the calling thread keeps its own
-    threads = pool_threads(-(-forcing.size // BLOCK))
     entries = _row_scratch(forcing.size, n, dtype)
-    own = np.empty(entries, dtype) if powers.size < threads * entries else None
+    spare = powers if powers.size >= entries else np.empty(entries, dtype)
 
     def lhe(a):
         evolved = _evolved_powers(a, powers, prop, cfg.tau, product)
-        # the powers' memory is idle from here to the next call: every
-        # thread's combine scratch is carved from it
-        term, sums = _combine(a, weights, evolved, forcing, prim, powers, own)
+        # the powers' memory is idle from here to the next call
+        term, sums = _combine(a, weights, evolved, forcing, prim, spare)
         return term, _energy_from_terms(sums, constant, cfg)
 
-    lhe.spare = powers
+    lhe.spare = spare
     return lhe
 
 
@@ -446,7 +445,7 @@ def gd_step(a, forcing, inter, cfg: ModelConfig, spare=None) -> np.ndarray:
     """
     g = np.empty(a.shape)
     blocks = -(-g.size // BLOCK)
-    scratch = thread_scratch(spare, pool_threads(blocks), (min(BLOCK, g.size),), inter.dtype)
+    scratch = thread_scratch(spare, blocks, (min(BLOCK, g.size),), inter.dtype)
     flat = [x.ravel() for x in (g, a, forcing, inter)]
 
     def block(part, thread):
@@ -572,8 +571,7 @@ class _SecantPair:
             np.subtract(g_flat, x_flat, out=self.f_prev)
             return g
         blocks = -(-g_flat.size // BLOCK)
-        scratch = thread_scratch(self.spare, pool_threads(blocks), (min(BLOCK, g_flat.size),),
-                                 np.float64)
+        scratch = thread_scratch(self.spare, blocks, (min(BLOCK, g_flat.size),), np.float64)
 
         def record(part, thread):
             g_b, x_b, fp_b = (v[part * BLOCK : (part + 1) * BLOCK]
@@ -673,11 +671,9 @@ class _AndersonHistory:
         pairs, slot = self.pairs, self.slot
         out = np.empty(x_flat.size)
         blocks = -(-out.size // BLOCK)
-        threads = pool_threads(blocks)
         # per thread, one block of the df rows widened, of the new df row and of f
-        scratch = thread_scratch(self.spare, threads, (ANDERSON_WINDOW + 2, min(BLOCK, out.size)),
+        scratch = thread_scratch(self.spare, blocks, (ANDERSON_WINDOW + 2, min(BLOCK, out.size)),
                                  np.float64)
-        threads = len(scratch)
 
         def record(part, thread):
             start, stop = part * BLOCK, min((part + 1) * BLOCK, out.size)
@@ -703,7 +699,7 @@ class _AndersonHistory:
             x_prev[...] = x_b
             return dots
 
-        partial = run_parts(record, blocks, threads)
+        partial = run_parts(record, blocks, len(scratch))
         self.recorded = True
         if pairs:
             dots = np.zeros((pairs, 2))
@@ -721,7 +717,7 @@ class _AndersonHistory:
                 c = scratch[thread][0].view(self.dphi.dtype)[: len(out_b)]
                 out_b -= np.matmul(gamma, self.dphi[:pairs, b], out=c)
 
-            run_parts(correct, blocks, threads)
+            run_parts(correct, blocks, len(scratch))
         return out.reshape(x.shape)
 
 

@@ -1,5 +1,8 @@
 """The block pool: equal results at any width, a fresh pool in forked workers, FFTs on the width.
 
+A pass that needs scratch runs on as many threads as its lent buffer
+holds scratch arrays (``core.thread_scratch``).
+
 Widths are forced by setting ``core._width``.  The run grid, 72 x 72 x
 16, is 2.53 blocks, so the threads get uneven shares and the last block
 is ragged.  The recorder's span stack is not thread-safe, so the names
@@ -16,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +149,140 @@ class TestPool:
         assert len(spans) % threads == 0 or len(spans) == count
         sizes = [stop - start for start, stop in spans]
         assert max(sizes) - min(sizes) <= 1
+
+
+def _address(array) -> int:
+    return array.__array_interface__["data"][0]
+
+
+class TestThreadScratch:
+    """One scratch array per thread, carved from the lent buffer: as many as it holds.
+
+    The arrays are float32 and the buffer float64, as a float32
+    evaluation lends float64 passes its memory.  Every buffer has a few
+    bytes to spare, short of another array.
+    """
+
+    SHAPE, DTYPE = (3, 50), np.float32
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_arrays_are_the_buffers_memory_in_thread_order(self, monkeypatch, width):
+        monkeypatch.setattr(core, "_width", width)
+        nbytes = math.prod(self.SHAPE) * np.dtype(self.DTYPE).itemsize
+        for held in sorted({0, 1, width - 1, width}):
+            buffer = np.empty((held * nbytes + nbytes // 2) // 8)
+            scratch = core.thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)
+            assert len(scratch) == max(held, 1), (width, held)
+            for array in scratch:
+                assert array.shape == self.SHAPE and array.dtype == self.DTYPE
+                assert array.flags.c_contiguous
+            if held == 0:
+                assert not np.shares_memory(scratch[0], buffer)
+            else:
+                assert [_address(x) - _address(buffer) for x in scratch] == [
+                    thread * nbytes for thread in range(held)]
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_no_more_arrays_than_threads(self, monkeypatch, width):
+        # a buffer that holds more arrays than the pass has threads: the
+        # width, or fewer parts
+        monkeypatch.setattr(core, "_width", width)
+        buffer = np.empty(4 * math.prod(self.SHAPE))  # eight float32 arrays
+        assert len(core.thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)) == width
+        assert len(core.thread_scratch(buffer, 1, self.SHAPE, self.DTYPE)) == 1
+
+    def test_no_buffer_gives_one_fresh_array(self, monkeypatch):
+        monkeypatch.setattr(core, "_width", 3)
+        [array] = core.thread_scratch(None, 10, self.SHAPE, self.DTYPE)
+        assert array.shape == self.SHAPE and array.dtype == self.DTYPE
+
+
+def _traced(call):
+    """``call()`` and the traced peak of its allocations."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestOneArrayBuffer:
+    """Lent a buffer that holds one thread's scratch, a pass at width 3 runs on it alone.
+
+    It gives the bytes of a run at width 1 and allocates, beyond what it
+    returns, less than that one scratch array: numpy's casting buffers
+    and small arrays.  Four blocks and a ragged one.
+    """
+
+    SIZE = 7 * core.BLOCK // 2 + 7
+
+    @staticmethod
+    def _check(monkeypatch, make, spare, returns_new=True):
+        """``make()`` gives a pass; run one at width 1 and one at width 3, traced.
+
+        ``returns_new``: the pass allocates the array it returns.
+        """
+        monkeypatch.setattr(core, "_width", 1)
+        expected = make()()
+        run = make()
+        monkeypatch.setattr(core, "_width", 3)
+        got, peak = _traced(run)
+        if isinstance(got, tuple):  # the combine's term and sums
+            (got, sums), (expected, expected_sums) = got, expected
+            assert sums == expected_sums
+        assert got.tobytes() == expected.tobytes()
+        assert peak - got.nbytes * returns_new < spare.nbytes, peak
+
+    def _arrays(self, count):
+        rng = np.random.default_rng(66)
+        return [rng.random(self.SIZE) for _ in range(count)]
+
+    def test_combine(self, monkeypatch):
+        a, forcing = self._arrays(2)
+        coeffs = dynamics.fit_polynomial(6.0, 9).coeffs
+        weights, prim = dynamics._weights(coeffs), dynamics._primitive_coeffs(coeffs)
+        evolved = np.random.default_rng(67).random((self.SIZE, 9)).astype(dynamics.RUN_DTYPE)
+        spare = np.empty(dynamics._row_scratch(self.SIZE, 9, dynamics.RUN_DTYPE),
+                         dynamics.RUN_DTYPE)
+        self._check(monkeypatch,
+                    lambda: lambda: dynamics._combine(a, weights, evolved, forcing, prim, spare),
+                    spare)
+
+    def test_gd_step(self, monkeypatch):
+        cfg = ModelConfig.paper("lhe")
+        a, forcing, inter = self._arrays(3)
+        inter = (inter - 0.5).astype(dynamics.RUN_DTYPE)
+        spare = np.empty(core.BLOCK, inter.dtype)
+        self._check(monkeypatch, lambda: lambda: dynamics.gd_step(a, forcing, inter, cfg, spare),
+                    spare)
+
+    def test_secant_pair(self, monkeypatch):
+        # the update writes over the first call's g, a fresh copy each time
+        x0, g0, x1, g1 = self._arrays(4)
+        spare = np.empty(core.BLOCK)
+
+        def make():
+            pair = dynamics._SecantPair(self.SIZE, spare)
+            pair.extrapolate(x0, g0.copy())
+            return lambda: pair.extrapolate(x1, g1)
+
+        self._check(monkeypatch, make, spare, returns_new=False)
+
+    def test_anderson_history(self, monkeypatch):
+        # two recorded pairs, then an update that extrapolates from them
+        cfg = ModelConfig.paper("lhe")
+        states = self._arrays(6)
+        spare = np.empty((dynamics.ANDERSON_WINDOW + 2) * core.BLOCK)
+
+        def make():
+            history = dynamics._AndersonHistory(self.SIZE, cfg, spare)
+            for x, g in zip(states[0:4:2], states[1:4:2]):
+                history.extrapolate(x, g)
+            return lambda: history.extrapolate(states[4], states[5])
+
+        self._check(monkeypatch, make, spare)
 
 
 @pytest.mark.parametrize("model", ["wc", "lhe"])
