@@ -41,10 +41,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft2
 
-from .core import as_image, pool_width
-from .heat import irfft2
+from .core import as_image
+from .heat import irfft2, rfft2
 
 TAPER_START = 0.9  # fraction of the Nyquist radius where the roll-off begins
 
@@ -179,7 +178,7 @@ def lift(f, bank: WaveletBank) -> np.ndarray:
     n = bank.n_pixels
     if img.shape[0] != n:
         raise ValueError(f"image size {img.shape[0]} does not match bank size {n}")
-    spec = np.moveaxis(bank.filters, 0, -1) * rfft2(img, workers=pool_width())[..., None]
+    spec = np.moveaxis(bank.filters, 0, -1) * rfft2(img)[..., None]
     return irfft2(spec, n)
 
 

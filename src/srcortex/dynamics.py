@@ -126,12 +126,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import rfft2
 
 from .cakes import lift
 from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
-from .core import pool_width, project, relative_change, run_parts, thread_scratch
-from .heat import HeatPropagator, _evolve_batch, irfft2, mode_product_buffer, staged_stacks
+from .core import project, relative_change, run_parts, thread_scratch
+from .heat import HeatPropagator, _evolve_batch, irfft2, mode_product_buffer, rfft2, staged_stacks
 
 FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
@@ -342,8 +341,8 @@ def local_mean(a0, sigma_mu: float):
     taps = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 * (taps / sigma_mu) ** 2)
     kernel = np.bincount(taps % n, weights / weights.sum(), minlength=n)
-    spec = rfft2(a, axes=(0, 1), workers=pool_width())
-    spec *= rfft2(np.outer(kernel, kernel), workers=pool_width()).real[..., None]
+    spec = rfft2(a)
+    spec *= rfft2(np.outer(kernel, kernel)).real[..., None]
     return irfft2(spec, n)
 
 

@@ -86,6 +86,20 @@ N=100, K=16 with nine stacks the mode product took 27.4 ms unflushed,
 2.1 ms flushed and 3.9 ms in float64 (one thread of a 2-vCPU machine).
 The dropped entries lie far below float32's resolution of the results.
 
+Every FFT of the package, the lift's and the local mean's included, is
+``rfft2`` or ``irfft2`` here.  They call scipy's compiled pocketfft
+kernel, ``scipy/fft/_pocketfft/pypocketfft``, directly, with the
+arguments ``scipy.fft`` hands it, so their results are scipy's bit for
+bit.  The module is loaded from its file once, at import: importing the
+``scipy.fft`` package loads ``scipy.special`` and about 300 other
+modules with it, and a fresh ``import srcortex, srcortex.cli`` took
+0.38-0.39 s and 56.1-56.3 MB of resident memory that way, against
+0.09-0.17 s and 31.4 MB with the kernel loaded alone (2 vCPUs); every
+process pays it, the sweep's workers included.  ``numpy.fft`` needs no
+import of scipy either, but its forward real transform of a float32
+(200, 200, 16, 1) stack took 9.5-14.4 ms against pocketfft's 1.8-2.0
+ms on one thread, and its results are not pocketfft's bit for bit.
+
 The inverse transform (``irfft2``) starts in place in the mode-product
 buffer.  A caller that evolves the same shapes on every iteration (the
 WC and LHE evaluations) holds the mode-product buffer for the whole
@@ -123,14 +137,37 @@ columns through a whole (U V, K) table of maps; medians of 15 calls).
 
 import math
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 
 import numpy as np
-from scipy.fft import ifft, irfft, rfft2
 
 from .core import as_stack, pool_width, run_parts, run_spans, steps_of
 
 # single-precision propagator entries below this are set to zero
 SINGLE_FLUSH = float(np.finfo(np.float32).eps) ** 2
+
+
+def _load_pocketfft(directory: Path):
+    """scipy's compiled pocketfft module, ``pypocketfft``, loaded from its file in ``directory``.
+
+    Loaded by path, so that the ``scipy.fft`` package, and with it
+    ``scipy.special``, is never imported.
+    """
+    for suffix in EXTENSION_SUFFIXES:
+        path = directory / f"pypocketfft{suffix}"
+        if path.is_file():
+            spec = spec_from_file_location("scipy.fft._pocketfft.pypocketfft", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's pypocketfft extension module is not in {directory}")
+
+
+_pocketfft = _load_pocketfft(
+    Path(find_spec("scipy").submodule_search_locations[0], "fft", "_pocketfft")
+)
 
 
 @dataclass
@@ -437,7 +474,7 @@ def _evolve_batch(stacks, prop, m, product=None):
     if m == 0:
         return stacks.copy()
     pm = prop.propagator(m) if stacks.dtype == np.float32 else prop.float64_propagator(m)
-    spec = rfft2(stacks, axes=(0, 1), workers=pool_width()).view(stacks.dtype)
+    spec = rfft2(stacks).view(stacks.dtype)
     if product is None:
         product = mode_product_buffer(prop, stacks.shape[-1], stacks.dtype)
     real = product.view(stacks.dtype)
@@ -451,16 +488,28 @@ def _evolve_batch(stacks, prop, m, product=None):
     return irfft2(product, prop.n_pixels)
 
 
+def rfft2(x):
+    """Real forward FFT of ``x`` over axes (0, 1), on ``pool_width()`` threads.
+
+    The one forward FFT of the lift, the local mean and the heat layer:
+    the kernel call of ``scipy.fft.rfft2(x, axes=(0, 1))``, bit for bit.
+    ``x`` is a float32 or float64 array of any strides.
+    """
+    return _pocketfft.r2c(x, (0, 1), True, 0, None, pool_width())
+
+
 def irfft2(spec, n):
     """Real inverse of ``rfft2`` over axes (0, 1), for an N x N grid.
 
     The one inverse real FFT of the lift, the local mean and the heat
     layer.  Axis 0 is inverted in place in ``spec``, which is overwritten,
     then axis 1 into a new C-contiguous array, on ``pool_width()``
-    threads; scipy's one-call ``irfft2`` copies the whole spectrum.
+    threads: the kernel calls of scipy's ``ifft(axis=0,
+    overwrite_x=True)`` and ``irfft(n=n, axis=1)``, bit for bit.
+    scipy's one-call ``irfft2`` copies the whole spectrum.
     """
-    spec = ifft(spec, axis=0, overwrite_x=True, workers=pool_width())
-    return irfft(spec, n=n, axis=1, overwrite_x=True, workers=pool_width())
+    spec = _pocketfft.c2c(spec, (0,), False, 2, spec, pool_width())
+    return _pocketfft.c2r(spec, (1,), n, False, 2, None, pool_width())
 
 
 def kernel_column(prop: HeatPropagator, i: int, j: int, k: int, tau: float):

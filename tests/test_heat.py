@@ -1,18 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from scipy.fft import irfft2, rfft2
+from scipy.fft import ifft, irfft, irfft2, rfft2
 from scipy.linalg import expm
 
 from srcortex import ModelConfig, build_propagator, heat_evolve, kernel_column
-from srcortex import heat
+from srcortex import core, heat
 from srcortex.heat import (
     SINGLE_FLUSH,
     _evolve_batch,
     _sines,
     _symmetry_classes,
     mode_product_buffer,
+    staged_stacks,
 )
 
 # (N, K): odd and even K, odd N and N mod 4 = 0 and 2
@@ -593,3 +595,47 @@ def test_default_coupling_strength(n, tau):
     col = kernel_column(build_propagator(n, k, beta, 0.01), n // 2, n // 2, k0, tau)
     left = 1.0 - col[:, :, k0].sum()
     assert left == pytest.approx(2.0 * tau * beta**2 / (math.pi / k) ** 2, rel=0.02)
+
+
+def _fft_inputs(n, dtype):
+    """A 2D image, an (N, N, K, B) stack and the staged view ``_evolve_batch`` is handed."""
+    rng = np.random.default_rng(n)
+    k, batch = 4, 3
+    product = np.empty((n, n // 2 + 1, k, batch), np.result_type(dtype, np.complex64))
+    staged = staged_stacks(product)
+    staged[...] = rng.standard_normal(staged.shape)
+    return {
+        "image": rng.standard_normal((n, n)).astype(dtype),
+        "stack": rng.standard_normal((n, n, k, batch)).astype(dtype),
+        "staged": np.moveaxis(staged, 0, -1),
+    }
+
+
+class TestFFTEntryPoint:
+    """``heat.rfft2`` and ``heat.irfft2`` against ``scipy.fft``, byte for byte."""
+
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("n", [32, 100, 101, 200])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_bytes_as_scipy_fft(self, monkeypatch, dtype, n, width):
+        monkeypatch.setattr(core, "_width", width)
+        for case, x in _fft_inputs(n, dtype).items():
+            spec = rfft2(x, axes=(0, 1))
+            got = heat.rfft2(x)
+            assert got.dtype == spec.dtype and got.tobytes() == spec.tobytes(), case
+            expected = irfft(ifft(spec, axis=0), n=n, axis=1)
+            back = heat.irfft2(got, n)
+            assert back.dtype == x.dtype and back.flags.c_contiguous, case
+            assert back.tobytes() == expected.tobytes(), case
+
+    def test_inverse_overwrites_the_spectrum(self):
+        x = _fft_inputs(32, np.float32)["stack"]
+        spec = heat.rfft2(x)
+        original = spec.copy()
+        back = heat.irfft2(spec, 32)
+        assert not np.shares_memory(back, spec)
+        assert spec.tobytes() == ifft(original, axis=0).tobytes()
+
+    def test_kernel_missing_from_the_directory(self, tmp_path):
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            heat._load_pocketfft(tmp_path)

@@ -20,6 +20,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from srcortex import dynamics, heat, poggendorff_gratings, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 WIDTHS = (1, 2, 3)
-FFT_MODULES = (heat, cakes, dynamics)  # the modules that call scipy.fft
+FFT_MODULES = (heat, cakes, dynamics)  # the modules that call heat's FFTs
 
 
 def _config(model, out_dir):
@@ -522,24 +523,32 @@ def test_stacks_staged_in_the_buffer_evaluate_as_fresh_arrays(monkeypatch):
             monkeypatch.undo()
 
 
-def _record_fft_workers(monkeypatch) -> list:
-    """Wrap the scipy.fft names bound in ``FFT_MODULES``; each call appends (module, workers)."""
+def _record_fft_threads(monkeypatch) -> list:
+    """Wrap the pocketfft kernel ``heat`` calls; each call appends (caller, nthreads).
+
+    The caller is the module of the function that called ``heat.rfft2``
+    or ``heat.irfft2``; ``heat`` passes nthreads last, by position.
+    """
     calls = []
-    for module in FFT_MODULES:
-        for name, fn in list(vars(module).items()):
-            if getattr(fn, "__module__", "").startswith("scipy.fft"):
-                def wrapper(*args, _fn=fn, _module=module.__name__, **kwargs):
-                    calls.append((_module, kwargs.get("workers")))
-                    return _fn(*args, **kwargs)
-                monkeypatch.setattr(module, name, wrapper)
+    kernel = heat._pocketfft
+
+    def recording(fn):
+        def wrapper(*args):
+            calls.append((sys._getframe(2).f_globals["__name__"], args[-1]))
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(heat, "_pocketfft", types.SimpleNamespace(
+        **{name: recording(getattr(kernel, name)) for name in ("r2c", "c2c", "c2r")}))
     return calls
 
 
 @pytest.mark.parametrize("width", (1, 2))
 def test_every_fft_runs_on_the_pool_width(monkeypatch, width):
-    # scipy reads workers=-1 as os.cpu_count(), not the CPUs this process
-    # may use nor a sweep worker's share, and no argument as one thread
-    calls = _record_fft_workers(monkeypatch)
+    # pocketfft reads nthreads=0 as its system default and no argument as
+    # one thread, neither the CPUs this process may use nor a sweep
+    # worker's share
+    calls = _record_fft_threads(monkeypatch)
     monkeypatch.setattr(core, "_width", width)
     n, k = 32, 8
     bank = cakes.build_cake_bank(n, k, 3)
@@ -550,7 +559,7 @@ def test_every_fft_runs_on_the_pool_width(monkeypatch, width):
         prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
         dynamics._interaction(cfg, prop, a, 0.0, dynamics.RUN_DTYPE)(a)
     assert {module for module, _ in calls} == {module.__name__ for module in FFT_MODULES}
-    assert {workers for _, workers in calls} == {core.pool_width()}
+    assert {threads for _, threads in calls} == {core.pool_width()}
 
 
 def test_traced_names_are_entered_from_the_main_thread_only(monkeypatch, tmp_path):
@@ -580,29 +589,28 @@ def test_traced_names_are_entered_from_the_main_thread_only(monkeypatch, tmp_pat
 
 
 FORK_PROBE = """
-import json, sys, threading
+import json, sys, threading, types
 import srcortex.experiment as experiment
-from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, cakes, core, dynamics, heat
+from srcortex import ExperimentConfig, ModelConfig, StimulusSpec, core, heat
 
 core.set_pool_width(2)
 core.run_parts(lambda part, thread: thread, 4)  # starts the parent's helper threads
 experiment.cpu_count = lambda: 4  # two sweep values: each worker's share is two
 run_experiment = experiment.run_experiment
-fft_workers = set()  # the workers argument of every scipy.fft call in this process
+fft_threads = set()  # the nthreads argument of every pocketfft call in this process
+kernel = heat._pocketfft
 
 def recording(fn):
-    def wrapper(*args, **kwargs):
-        fft_workers.add(kwargs.get("workers"))
-        return fn(*args, **kwargs)
+    def wrapper(*args):
+        fft_threads.add(args[-1])  # heat passes nthreads last, by position
+        return fn(*args)
     return wrapper
 
-for module in (heat, cakes, dynamics):
-    for name, fn in list(vars(module).items()):
-        if getattr(fn, "__module__", "").startswith("scipy.fft"):
-            setattr(module, name, recording(fn))
+heat._pocketfft = types.SimpleNamespace(
+    **{name: recording(getattr(kernel, name)) for name in ("r2c", "c2c", "c2r")})
 
 def reporting(cfg):
-    fft_workers.clear()
+    fft_threads.clear()
     report = run_experiment(cfg)
     barrier = threading.Barrier(2, timeout=60)  # both of the worker's threads at once
 
@@ -612,7 +620,7 @@ def reporting(cfg):
 
     report["threads"] = sorted(core.run_parts(part, 2))
     report["width"] = core.pool_width()
-    report["fft_workers"] = sorted(fft_workers, key=str)
+    report["fft_threads"] = sorted(fft_threads, key=str)
     return report
 
 experiment.run_experiment = reporting
@@ -620,7 +628,7 @@ spec = StimulusSpec(n_pixels=32, bar_width=8, grating_period=8, line_thickness=3
 cfg = ExperimentConfig(model_cfg=ModelConfig.paper("lhe"), out_dir=sys.argv[1], stimulus=spec,
                        n_orient=8, sweep_param="tau", sweep_values=(0.05, 0.1))
 reports = experiment.run_sweep(cfg)
-print(json.dumps([[r["width"], r["threads"], r["fft_workers"]] for r in reports]))
+print(json.dumps([[r["width"], r["threads"], r["fft_threads"]] for r in reports]))
 """
 
 
