@@ -18,11 +18,10 @@ it, and callers that sum over parts add the per-part sums in that
 order, as one thread does, so results are equal bit for bit at any
 width.  A helper allocates nothing larger than a block: glibc gives
 each thread its own arena and keeps what a helper freed resident, so a
-helper's scratch comes from its caller: a pass runs on as many threads
-as the buffer its caller lends holds scratch arrays (``thread_scratch``),
-and no thread keeps one of its own.  The helper threads are made on
-first use and made afresh in a forked child, which inherits the
-executor but none of its threads.
+helper's scratch comes from its caller (``run_blocks``), and no thread
+keeps one of its own.  The helper threads are made on first use and
+made afresh in a forked child, which inherits the executor but none of
+its threads.
 """
 
 import contextvars
@@ -30,7 +29,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -151,15 +150,14 @@ def run_spans(fn, count: int, entries: int) -> list:
     return run_parts(lambda part, _: fn(*spans[part]), len(spans))
 
 
-def thread_scratch(buffer, parts: int, shape, dtype) -> list:
+def _thread_scratch(buffer, parts: int, shape, dtype) -> list:
     """Scratch arrays of ``shape`` and ``dtype`` for a pass of ``parts`` parts, one per thread.
 
     ``buffer`` is a C-contiguous array that its owner does not read
     while the arrays are in use, or None.  As many arrays as its memory
     holds, up to ``pool_threads(parts)``, are carved from it in thread
     order, the calling thread's first; where it holds none, the calling
-    thread gets one new array.  The pass runs on ``len(scratch)``
-    threads, so a helper runs only on memory the buffer lends.
+    thread gets one new array.
     """
     raw = np.empty(0, np.uint8) if buffer is None else buffer.reshape(-1).view(np.uint8)
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
@@ -167,6 +165,31 @@ def thread_scratch(buffer, parts: int, shape, dtype) -> list:
     if fit == 0:
         return [np.empty(shape, dtype)]
     return [raw[i * nbytes : (i + 1) * nbytes].view(dtype).reshape(shape) for i in range(fit)]
+
+
+def run_blocks(fn, size: int, spare=None, rows: int = 0, dtype=np.float64) -> list:
+    """``fn(block, scratch)`` for each ``BLOCK``-entry slice of ``range(size)``, on the block pool.
+
+    The results come back in block order, so a caller that sums over
+    blocks adds their sums in that order, as one thread does.  With
+    ``rows`` 0, ``scratch`` is None and the pass runs on the pool width.
+    Otherwise ``scratch`` is the thread's own ``(rows, min(BLOCK,
+    size))`` array of ``dtype``, carved from ``spare``, a C-contiguous
+    buffer that its owner does not read during the call, and the pass
+    runs on as many threads as ``spare`` holds such arrays, so a helper
+    runs only on lent memory.  Where ``spare`` holds none, or is None,
+    the calling thread runs the pass alone on one new array.
+    """
+    parts = -(-size // BLOCK)
+    if rows and size:
+        scratch = _thread_scratch(spare, parts, (rows, min(BLOCK, size)), dtype)
+    else:
+        scratch = [None] * pool_threads(parts)
+
+    def part(index, thread):
+        return fn(slice(index * BLOCK, (index + 1) * BLOCK), scratch[thread])
+
+    return run_parts(part, parts, len(scratch))
 
 
 def as_image(arr) -> np.ndarray:
@@ -196,31 +219,28 @@ def project(a) -> np.ndarray:
     return as_stack(a).sum(axis=2)
 
 
-def relative_change(a, b) -> float:
+def relative_change(a, b, spare=None) -> float:
     """``||a - b|| / ||a||`` with the Euclidean norm over all entries.
 
     Returns 0 when both arguments vanish and +inf when only ``a`` does.
-    Both arrays are read once, a block of ``BLOCK`` entries at a time on
-    the block pool, with no full-size difference array: each thread
-    forms its block's difference in a block of scratch that the calling
-    thread allocates, and the blocks' squared norms are added in block
-    order.
+    Both arrays are read once, a block at a time (``run_blocks``, whose
+    scratch ``spare`` lends), with no full-size difference array: each
+    block's difference is formed in the thread's scratch, and the
+    blocks' squared norms are added in block order.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     a, b = a.ravel(), b.ravel()
-    blocks = -(-a.size // BLOCK)
-    scratch = np.empty((pool_threads(blocks), min(BLOCK, a.size)))
 
-    def block(part, thread):
-        x = a[part * BLOCK : (part + 1) * BLOCK]
-        d = np.subtract(x, b[part * BLOCK : (part + 1) * BLOCK], out=scratch[thread, : x.size])
+    def block(part, scratch):
+        x = a[part]
+        d = np.subtract(x, b[part], out=scratch[0, : x.size])
         return float(d @ d), float(x @ x)
 
     diff = denom = 0.0
-    for d, x in run_parts(block, blocks, len(scratch)):
+    for d, x in run_blocks(block, a.size, spare, 1):
         diff += d
         denom += x
     if denom == 0.0:
@@ -279,6 +299,10 @@ class ModelConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be 'wc' or 'lhe', got {self.model!r}")
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type is float and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         check_fit(self.alpha, self.poly_degree)
@@ -346,7 +370,8 @@ def check_fit(alpha: float, degree: int) -> None:
 
 def steps_of(tau: float, dtau: float) -> int:
     """Number of inner steps in ``tau``; rejects non-integer multiples."""
-    m = int(round(tau / dtau))
+    steps = tau / dtau
+    m = int(round(steps)) if math.isfinite(steps) else -1
     if m < 0 or abs(tau - m * dtau) > 1e-9 * max(1.0, abs(tau)):
         raise ValueError(f"tau={tau} is not an integer multiple of dtau={dtau}")
     return m

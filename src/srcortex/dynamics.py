@@ -73,30 +73,26 @@ until the next call stages them, the same memory holds every thread's
 scratch: the combine's (a block's rows and its block of ``a`` cast to
 ``RUN_DTYPE``, since the first power is overwritten by then, then H's
 block and the energy's two float64 blocks) and, between calls, the
-descent step's and the accelerator's.  On an LHE grid of about one
-block, where it cannot hold one thread's combine scratch, the
-evaluation keeps a second array that can, and lends that instead; no
-thread keeps scratch of its own.  No evaluation keeps a0 or mu, so a
-run holds mu only until the forcing and C are formed and a0 only as
-its first state.
+descent step's, the stopping rule's and the accelerator's.  On an LHE
+grid of about one block, where it cannot hold one thread's combine
+scratch, the evaluation keeps a second array that can, and lends that
+instead; no thread keeps scratch of its own.  No evaluation keeps a0 or
+mu, so a run holds mu only until the forcing and C are formed and a0
+only as its first state.
 The large arrays a call allocates are the forward spectrum, the
 evolved stacks in its memory, and the interaction.
 
-Threads: every full-stack pass of the descent loop runs on ``core``'s
-block pool, a block of ``BLOCK`` entries (or of the heat layer's
-``pieces``) per part: the WC sigmoid, the LHE cast of the state and its
-powers, the mode product of both models, the combine, the descent step
-(``gd_step``), the stopping rule (``relative_change``) and both passes
-of either accelerator.  The blocks' sums are added in block order, so
-runs are equal bit for bit at any width.  Every thread's scratch is
-carved from the mode-product buffer, which is idle from the inverse
-transform to the next evaluation, and a pass runs on as many threads
-as that buffer holds scratch arrays (``core.thread_scratch``): on a
-grid of a couple of blocks the combine and the accelerators run on the
-calling thread alone.  The stopping rule, which takes only the two
-states, is the exception: its calling thread allocates every thread's
-block.  Only the calling thread enters the functions the benchmark's
-recorder wraps, once per evaluation each.
+Threads: every full-stack pass of the descent loop is one
+``core.run_blocks`` call: the WC sigmoid, the LHE cast of the state and
+its powers, the combine, the descent step (``gd_step``), the stopping
+rule (``relative_change``) and both passes of either accelerator; the
+mode product runs on the pool a block of the heat layer's ``pieces``
+at a time.  Every thread's scratch is carved from the mode-product
+buffer, which is idle from the inverse transform to the next
+evaluation, so on a grid of a couple of blocks a pass whose scratch
+that buffer holds only once runs on the calling thread alone.  Only
+the calling thread enters the functions the benchmark's recorder
+wraps, once per evaluation each.
 
 ``run_model`` seeks the fixed point of the descent step
 ``G(a) = a + dt * drift(a)`` and stops when ``|G(a) - a| / |G(a)| <
@@ -129,7 +125,7 @@ import numpy as np
 
 from .cakes import lift
 from .core import BLOCK, LHE, WC, ModelConfig, as_stack, check_fit
-from .core import project, relative_change, run_parts, thread_scratch
+from .core import project, relative_change, run_blocks
 from .heat import HeatPropagator, _evolve_batch, irfft2, mode_product_buffer, rfft2, staged_stacks
 
 FIT_SAMPLES = 2001
@@ -152,20 +148,19 @@ def sigmoid(r, alpha: float, out=None):
     ``r`` and float64 otherwise into a new array.  The cast and the
     shift are one pass, and the negation rides on the slope: clamping is
     odd, so ``clip(-alpha x)`` is the negated clamp bit for bit.  The
-    pass takes a block of ``BLOCK`` entries at a time, on the block pool.
+    pass is one ``run_blocks`` call.
     """
     r = np.asarray(r)
     if out is None:
         out = np.empty(r.shape, np.float32 if r.dtype == np.float32 else np.float64)
     r_flat, out_flat = r.reshape(-1), out.reshape(-1)
 
-    def block(part, _):
-        b = slice(part * BLOCK, (part + 1) * BLOCK)
+    def block(b, _):
         out_b = np.subtract(r_flat[b], 0.5, out=out_flat[b], dtype=out.dtype)
         out_b *= -alpha
         np.clip(out_b, -1.0, 1.0, out=out_b)
 
-    run_parts(block, -(-out.size // BLOCK))
+    run_blocks(block, out.size)
     return out
 
 
@@ -242,40 +237,38 @@ def _evolved_powers(a, powers, prop, tau, product):
     it, and they reach ``_evolve_batch`` as its ``(N, N, K, nmax)`` view.
     ``product`` is the evolution's mode-product buffer, in which
     ``powers`` may be staged (``staged_stacks``).  The cast and the
-    powers are done a ``BLOCK`` of every power at a time, on the block
-    pool.  The evolved stacks come back as a new array with the batch on
+    powers are one ``run_blocks`` pass over a block of every power at a
+    time.  The evolved stacks come back as a new array with the batch on
     the trailing axis, ``(N, N, K, nmax)``.
     """
     flat, a_flat = powers.reshape(len(powers), -1), a.reshape(-1)
 
-    def block(part, _):
-        b = slice(part * BLOCK, (part + 1) * BLOCK)
+    def block(b, _):
         np.copyto(flat[0, b], a_flat[b], casting="same_kind")
         for i in range(1, len(flat)):
             np.multiply(flat[i - 1, b], flat[0, b], out=flat[i, b])
 
-    run_parts(block, -(-flat.shape[1] // BLOCK))
+    run_blocks(block, flat.shape[1])
     return _evolve_batch(np.moveaxis(powers, 0, -1), prop, prop.step_count(tau), product)
 
 
-def _row_scratch(size: int, degree: int, dtype) -> int:
-    """Entries of one thread's combine scratch in ``dtype``: a block's rows and cast of ``a``.
+def _row_scratch(degree: int, dtype) -> int:
+    """Rows of one thread's combine scratch in ``dtype``: a block's rows and cast of ``a``.
 
     Or, where more (float32 at degree 1), the energy's two float64 blocks and H's row.
     """
     energy = 2 * np.dtype(np.float64).itemsize // np.dtype(dtype).itemsize + 1
-    return max(degree + 2, energy) * min(BLOCK, size)
+    return max(degree + 2, energy)
 
 
 def _combine(a, weights, evolved, forcing, prim, spare=None):
     """The interaction ``sum_{p,i} W[p, i] a^p E_i`` (E_0 = 1) and the energy's sums.
 
-    One pass of ``BLOCK`` entries at a time, in the evolved stacks'
-    dtype, on the block pool.  Each block of ``a`` is cast to that dtype,
-    and its rows ``R_p = sum_i W[p, i] E_i`` are one small matmul; both
-    go to the end of the thread's ``_row_scratch`` entries, carved from
-    ``spare``, a buffer the caller does not read meanwhile
-    (``thread_scratch``).  A Horner pass in ``a`` over the rows
+    One ``run_blocks`` pass in the evolved stacks' dtype, on
+    ``_row_scratch`` rows of scratch per thread that ``spare`` lends.
+    Each block of ``a`` is cast to that dtype, and its rows ``R_p =
+    sum_i W[p, i] E_i`` are one small matmul; both go to the end of the
+    thread's scratch.  A Horner pass in ``a`` over the rows
     gives the interaction, and one over ``R_q / (q + 1)`` gives ``H =
     sum_q a^q R_q / (q + 1)`` over the last row.  The entries before it
     then hold two float64 blocks, in which the energy's sums ``|a|^2``,
@@ -290,19 +283,16 @@ def _combine(a, weights, evolved, forcing, prim, spare=None):
     term = np.empty(a.shape, dtype)
     a_flat, f_flat, term_flat = a.ravel(), forcing.ravel(), term.ravel()
     e_flat = evolved.reshape(-1, nmax)
-    blocks = -(-a.size // BLOCK)
-    scratch = thread_scratch(spare, blocks, (_row_scratch(a.size, nmax, dtype),), dtype)
 
-    def block(part, thread):
-        start, stop = part * BLOCK, min((part + 1) * BLOCK, a.size)
-        s, width = scratch[thread], stop - start
-        a_b, f_b = a_flat[start:stop], f_flat[start:stop]
+    def block(b, scratch):
+        a_b, f_b = a_flat[b], f_flat[b]
+        s, width = scratch.reshape(-1), a_b.size
         r = s[s.size - len(weights) * width :].reshape(len(weights), -1)
-        np.matmul(weights[:, 1:], e_flat[start:stop].T, out=r)
+        np.matmul(weights[:, 1:], e_flat[b].T, out=r)
         r += weights[:, :1]
         cast = s[s.size - (len(weights) + 1) * width :][:width]
         np.copyto(cast, a_b, casting="same_kind")
-        _horner(cast, r, out=term_flat[start:stop])
+        _horner(cast, r, out=term_flat[b])
         r /= divisors
         h_b = _horner(cast, r, out=r[-1])
         # the energy's two float64 blocks, 16 bytes an entry, end before H's
@@ -317,7 +307,7 @@ def _combine(a, weights, evolved, forcing, prim, spare=None):
         return float(a_b @ a_b), float(a_b @ f_b), float(total.sum())
 
     sums = [0.0, 0.0, 0.0]
-    for part in run_parts(block, blocks, len(scratch)):
+    for part in run_blocks(block, a.size, spare, _row_scratch(nmax, dtype), dtype):
         sums = [total + b for total, b in zip(sums, part)]
     return term, sums
 
@@ -382,8 +372,8 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     and the same memory, idle from the inverse transform to the next
     call, lends the combine its threads' scratch (on an LHE grid of
     about one block, a second array does); the evaluation offers it as
-    ``spare`` for the descent step's and the accelerator's scratch
-    between calls.
+    ``spare`` for the descent step's, the stopping rule's and the
+    accelerator's scratch between calls.
     Each call returns a new ``term``.
     No call checks ``a``: ``model_drift`` and ``lhe_energy`` validate it
     first.  In ``run_model`` a WC state is ``a0`` or a step whose
@@ -407,7 +397,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     n = cfg.poly_degree
     product = mode_product_buffer(prop, n, dtype)
     powers = staged_stacks(product)
-    entries = _row_scratch(forcing.size, n, dtype)
+    entries = _row_scratch(n, dtype) * min(BLOCK, forcing.size)
     spare = powers if powers.size >= entries else np.empty(entries, dtype)
 
     def lhe(a):
@@ -434,26 +424,22 @@ def _drift(a, forcing, inter, cfg: ModelConfig, out=None, scaled=None):
 def gd_step(a, forcing, inter, cfg: ModelConfig, spare=None) -> np.ndarray:
     """One explicit descent update from precomputed forcing and interaction.
 
-    ``a + dt * drift`` into a new float64 array, a block of ``BLOCK``
-    entries at a time: each block's drift and update are done while it
-    is in cache, so every array is read from memory once.  The scaled
-    interaction of each block goes to a block scratch of inter's dtype,
-    one per thread, carved from ``spare``, a buffer the caller does not
-    read meanwhile (``thread_scratch``).  With no ``spare`` the pass
-    runs on the calling thread.
+    ``a + dt * drift`` into a new float64 array, one ``run_blocks``
+    pass: each block's drift and update are done while it is in cache,
+    so every array is read from memory once.  The scaled interaction of
+    each block goes to the thread's scratch, a block of inter's dtype
+    that ``spare`` lends.
     """
     g = np.empty(a.shape)
-    blocks = -(-g.size // BLOCK)
-    scratch = thread_scratch(spare, blocks, (min(BLOCK, g.size),), inter.dtype)
     flat = [x.ravel() for x in (g, a, forcing, inter)]
 
-    def block(part, thread):
-        out, a_b, f_b, i_b = (x[part * BLOCK : (part + 1) * BLOCK] for x in flat)
-        _drift(a_b, f_b, i_b, cfg, out, scratch[thread][: len(out)])
+    def block(b, scratch):
+        out, a_b, f_b, i_b = (x[b] for x in flat)
+        _drift(a_b, f_b, i_b, cfg, out, scratch[0, : len(out)])
         out *= cfg.dt
         out += a_b
 
-    run_parts(block, blocks, len(scratch))
+    run_blocks(block, g.size, spare, 1, inter.dtype)
     return g
 
 
@@ -537,16 +523,13 @@ class _SecantPair:
     With ``f = G(x) - x`` and ``df = f - f_prev`` the next iterate is
     ``G(x) - gamma (G(x) - g_prev)``, ``gamma = (df . f) / (df . df)``:
     ``_AndersonHistory``'s update with one pair.  The dots and the
-    update each take one pass of ``BLOCK`` entries at a time on the
-    block pool, as ``gd_step`` does, and the blocks' dots are added in
-    block order.  Each block's ``df`` is formed in ``f_prev``, which
-    then takes ``f``, so a thread's only scratch is a block of ``f``,
-    carved from ``spare``, a buffer that nothing reads between the
-    caller's updates (``thread_scratch``; ``run_model`` lends the
-    evaluation's idle memory).  With no ``spare`` the update runs on the
-    calling thread.  The next iterate is written over ``g_prev``, the
-    caller's previous G(x), which the caller no longer reads, so an
-    update allocates no stack.
+    update are one ``run_blocks`` pass each.  Each block's ``df`` is
+    formed in ``f_prev``, which then takes ``f``, so a thread's only
+    scratch is a block of ``f``, lent by ``spare``, a buffer that
+    nothing reads between the caller's updates (``run_model`` lends the
+    evaluation's idle memory).  The next iterate is written over
+    ``g_prev``, the caller's previous G(x), which the caller no longer
+    reads, so an update allocates no stack.
     """
 
     def __init__(self, size: int, spare=None):
@@ -569,34 +552,30 @@ class _SecantPair:
         if g_prev is None:
             np.subtract(g_flat, x_flat, out=self.f_prev)
             return g
-        blocks = -(-g_flat.size // BLOCK)
-        scratch = thread_scratch(self.spare, blocks, (min(BLOCK, g_flat.size),), np.float64)
 
-        def record(part, thread):
-            g_b, x_b, fp_b = (v[part * BLOCK : (part + 1) * BLOCK]
-                              for v in (g_flat, x_flat, self.f_prev))
-            f_b = np.subtract(g_b, x_b, out=scratch[thread][: len(g_b)])
+        def record(b, scratch):
+            g_b, x_b, fp_b = g_flat[b], x_flat[b], self.f_prev[b]
+            f_b = np.subtract(g_b, x_b, out=scratch[0, : len(g_b)])
             df_b = np.subtract(f_b, fp_b, out=fp_b)
             dots = float(df_b @ f_b), float(df_b @ df_b)
             fp_b[...] = f_b
             return dots
 
         dot_f = dot_df = 0.0
-        for block_f, block_df in run_parts(record, blocks, len(scratch)):
+        for block_f, block_df in run_blocks(record, g_flat.size, self.spare, 1):
             dot_f += block_f
             dot_df += block_df
         if dot_df == 0.0:
             return g
         gamma = dot_f / dot_df
 
-        def update(part, _):
-            b = slice(part * BLOCK, (part + 1) * BLOCK)
+        def update(b, _):
             g_b, out_b = g_flat[b], g_prev[b]
             out_b -= g_b
             out_b *= gamma
             out_b += g_b  # g - gamma (g - g_prev)
 
-        run_parts(update, blocks, len(scratch))
+        run_blocks(update, g_flat.size)
         return g_prev.reshape(g.shape)
 
 
@@ -626,13 +605,12 @@ class _AndersonHistory:
     ``df f`` are float64 sums over the stored rows, widened a block at
     a time, and ``Phi(x)`` is float64; the correction ``dphi^T gamma``
     is taken in ``RUN_DTYPE``, like the rows it combines, and vanishes
-    at the fixed point.  An update reads ``x`` and ``G(x)`` once, a
-    block of ``BLOCK`` entries at a time on the block pool, and its one
-    new stack is the returned iterate.  Each thread's block scratch
-    (the widened df rows, the new df row and f, then the correction) is
-    carved per call from ``spare``, a buffer that nothing reads between
-    the caller's updates (``thread_scratch``; ``run_model`` hands the
-    history its evaluation's idle memory).
+    at the fixed point.  An update reads ``x`` and ``G(x)`` once, in
+    two ``run_blocks`` passes, and its one new stack is the returned
+    iterate.  Each thread's block scratch (the widened df rows, the new
+    df row and f; then the correction) is lent by ``spare``, a buffer
+    that nothing reads between the caller's updates (``run_model`` hands
+    the history its evaluation's idle memory).
     """
 
     def __init__(self, size: int, cfg: ModelConfig, spare=None):
@@ -669,36 +647,32 @@ class _AndersonHistory:
             self.pairs = min(self.pairs + 1, ANDERSON_WINDOW)
         pairs, slot = self.pairs, self.slot
         out = np.empty(x_flat.size)
-        blocks = -(-out.size // BLOCK)
-        # per thread, one block of the df rows widened, of the new df row and of f
-        scratch = thread_scratch(self.spare, blocks, (ANDERSON_WINDOW + 2, min(BLOCK, out.size)),
-                                 np.float64)
 
-        def record(part, thread):
-            start, stop = part * BLOCK, min((part + 1) * BLOCK, out.size)
-            x_b = x_flat[start:stop]
-            rows, pair = np.split(scratch[thread][:, : stop - start], [ANDERSON_WINDOW])
-            f_b = np.subtract(g_flat[start:stop], x_b, out=pair[1])
-            out_b = np.multiply(f_b, self.beta, out=out[start:stop])
+        def record(b, scratch):
+            x_b = x_flat[b]
+            # one block of the df rows widened, of the new df row and of f
+            rows, pair = np.split(scratch[:, : len(x_b)], [ANDERSON_WINDOW])
+            f_b = np.subtract(g_flat[b], x_b, out=pair[1])
+            out_b = np.multiply(f_b, self.beta, out=out[b])
             out_b += x_b  # Phi(x)
-            f_prev, x_prev = self.f_prev[start:stop], self.x_prev[start:stop]
+            f_prev, x_prev = self.f_prev[b], self.x_prev[b]
             dots = None  # df . df[slot] and df . f
             if pairs:
                 d = np.subtract(f_b, f_prev, out=pair[0])
-                self.df[slot, start:stop] = d
+                self.df[slot, b] = d
                 d *= self.beta
                 d += x_b
                 d -= x_prev  # dx + beta df
-                self.dphi[slot, start:stop] = d
+                self.dphi[slot, b] = d
                 rows = rows[:pairs]
-                rows[...] = self.df[:pairs, start:stop]
+                rows[...] = self.df[:pairs, b]
                 d[...] = rows[slot]  # the stored df row
                 dots = rows @ pair.T
             f_prev[...] = f_b
             x_prev[...] = x_b
             return dots
 
-        partial = run_parts(record, blocks, len(scratch))
+        partial = run_blocks(record, out.size, self.spare, ANDERSON_WINDOW + 2)
         self.recorded = True
         if pairs:
             dots = np.zeros((pairs, 2))
@@ -709,14 +683,13 @@ class _AndersonHistory:
             gram = self.gram[:pairs, :pairs]
             gamma = np.linalg.lstsq(gram, dots[:, 1], rcond=None)[0].astype(self.dphi.dtype)
 
-            def correct(part, thread):
-                b = slice(part * BLOCK, (part + 1) * BLOCK)
+            def correct(b, scratch):
                 out_b = out[b]
-                # the correction in RUN_DTYPE, over the thread's first scratch row
-                c = scratch[thread][0].view(self.dphi.dtype)[: len(out_b)]
+                # the correction, in the rows' dtype
+                c = scratch[0, : len(out_b)]
                 out_b -= np.matmul(gamma, self.dphi[:pairs, b], out=c)
 
-            run_parts(correct, blocks, len(scratch))
+            run_blocks(correct, out.size, self.spare, 1, self.dphi.dtype)
         return out.reshape(x.shape)
 
 
@@ -804,7 +777,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     constant = _fidelity_constant(cfg, a, mu) if lhe else None  # the WC evaluation has no energy
     interaction = _interaction(cfg, prop, forcing, constant, RUN_DTYPE)
     del mu  # no evaluation keeps a0 or mu; a0 lives on only as the first state
-    spare = interaction.spare  # idle between evaluations: the step's and history's scratch
+    spare = interaction.spare  # idle between evaluations: every other pass's scratch
     history = _AndersonHistory(a.size, cfg, spare) if lhe else _SecantPair(a.size, spare)
 
     g = None  # G of the last accepted state: where a rejection restarts
@@ -825,7 +798,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
             energies.append(energy)
         step = gd_step(a, forcing, inter, cfg, spare)
         del inter  # the kernel term is not needed past the step
-        rel = relative_change(step, a)
+        rel = relative_change(step, a, spare)
         if not math.isfinite(rel):
             raise FloatingPointError(
                 f"{cfg.model.upper()} run diverged: relative change is {rel} "

@@ -123,9 +123,9 @@ def test_wc_run_reaches_the_traced_names(recorder, monkeypatch):
 
     calls = []
 
-    def forced(g, a):
+    def forced(g, a, *rest):
         calls.append(None)
-        return change(g, a) + (1.0 if len(calls) == 3 else 0.0)
+        return change(g, a, *rest) + (1.0 if len(calls) == 3 else 0.0)
 
     for relative_change, rejected in ((change, 0), (forced, 1)):
         rec, res = traced_run(relative_change)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -62,6 +63,12 @@ def test_relative_change_across_blocks():
     assert relative_change(a, a - tail) == pytest.approx(1.0 / np.linalg.norm(a), rel=1e-14)
 
 
+def test_relative_change_of_empty_arrays():
+    empty = np.zeros(0)
+    assert relative_change(empty, empty) == 0.0
+    assert relative_change(empty, empty, np.empty(BLOCK)) == 0.0
+
+
 def test_relative_change_shape_mismatch():
     with pytest.raises(ValueError):
         relative_change(np.zeros((2, 2, 2)), np.zeros((2, 2, 3)))
@@ -118,6 +125,19 @@ def test_config_rejects_bad_values():
         ModelConfig(**good, poly_degree=4)
     with pytest.raises(ValueError):
         ModelConfig(**good, poly_degree=17)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["lam", "alpha", "sigma_mu", "dt", "dtau", "tau", "tol"])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        dataclasses.replace(ModelConfig.paper("lhe"), **{field: value})
+
+
+def test_steps_of_rejects_a_count_beyond_floats():
+    for tau, dtau in ((math.inf, 0.01), (1e300, 1e-10), (math.nan, 0.01)):
+        with pytest.raises(ValueError, match="not an integer multiple"):
+            steps_of(tau, dtau)
 
 
 def test_paper_rejects_an_unknown_model():

@@ -529,9 +529,9 @@ class TestRunModel:
         get, set_ = functions
         seen = []
 
-        def counting(a, b):
+        def counting(a, b, *rest):
             seen.append(get())
-            return relative_change(a, b)
+            return relative_change(a, b, *rest)
 
         monkeypatch.setattr(dynamics, "relative_change", counting)
         caller = get()
@@ -828,8 +828,8 @@ class TestAnderson:
         change, step = dynamics.relative_change, dynamics.gd_step
         evaluated, steps = [], []
 
-        def forced(g, a):
-            rel = change(g, a)
+        def forced(g, a, *rest):
+            rel = change(g, a, *rest)
             return rel + 1.0 if len(steps) == 3 else rel
 
         def recorded(a, *args):

@@ -376,6 +376,15 @@ class TestCli:
         assert code == 1
         assert "error" in capsys.readouterr().err.lower()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--tau", "inf", "tau"), ("--tol", "nan", "tol"), ("--sigma-mu", "inf", "sigma_mu")])
+    def test_non_finite_parameter_exit_code_one(self, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "P"
+        code = main(["--model", "wc", flag, value, "--out", str(out)])
+        assert code == 1
+        assert f"srcortex: error: {field} must be finite, got {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_colliding_sweep_exit_code_one(self, tmp_path, capsys):
         code = main(["--model", "lhe", "--sweep", "alpha=6,6.0000001",
                      "--out", str(tmp_path / "o")])

@@ -1,11 +1,13 @@
 """The block pool's thread count is decided in ``core`` alone.
 
-A pooled pass hands ``core.thread_scratch`` its part count and a lent
-buffer, and runs on as many threads as the scratch it gets back; no
-other module sizes threads itself.  So no package module other than
-``core`` names ``pool_threads``, and none hands ``thread_scratch`` a
-thread count: an argument built from ``pool_threads`` or
-``pool_width``, or a name that speaks of threads.
+A blocked pass is one ``core.run_blocks`` call, handed its size and a
+lent buffer, and runs on as many threads as that buffer holds scratch
+arrays; no other module sizes threads or carves scratch itself.  So no
+package module other than ``core`` names ``pool_threads`` or
+``thread_scratch``, none other than ``core`` and ``heat`` (whose mode
+product runs a part per piece) names ``run_parts``, and none hands
+``thread_scratch`` a thread count: an argument built from
+``pool_threads`` or ``pool_width``, or a name that speaks of threads.
 """
 
 import ast
@@ -15,6 +17,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "srcortex"
 SIZERS = {"pool_threads", "pool_width"}
+# core's pool internals, by name without a leading underscore, and the
+# other modules that may name them
+INTERNALS = {"thread_scratch": set(), "run_parts": {"heat"}}
 
 
 def _name(node) -> str | None:
@@ -61,4 +66,44 @@ def test_the_check_sees_a_caller_that_sizes_threads():
         "pool_threads (line 2)",
         "thread_scratch given a thread count (line 2)",
         "thread_scratch given a thread count (line 4)",
+    ]
+
+
+def _pool_internals(source: str, module: str) -> list[str]:
+    """Names of ``core``'s pool internals that ``module`` may not name, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [_name(node)]
+        for name in names:
+            allowed = INTERNALS.get(name.lstrip("_")) if name else None
+            if allowed is not None and module not in allowed:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "core"),
+                         ids=lambda p: p.name)
+def test_only_core_carves_scratch_and_runs_parts(path):
+    assert _pool_internals(path.read_text(), path.stem) == []
+
+
+def test_the_check_sees_a_module_that_carves_scratch_or_runs_parts():
+    source = (
+        "from .core import run_blocks, run_parts, thread_scratch\n"
+        "scratch = core._thread_scratch(spare, blocks, (8,), dtype)\n"
+        "run_parts(block, blocks, len(scratch))\n"
+        "run_blocks(block, size, spare, 1)\n"
+    )
+    assert sorted(_pool_internals(source, "dynamics")) == [
+        "_thread_scratch (line 2)",
+        "run_parts (line 1)",
+        "run_parts (line 3)",
+        "thread_scratch (line 1)",
+    ]
+    assert sorted(_pool_internals(source, "heat")) == [
+        "_thread_scratch (line 2)",
+        "thread_scratch (line 1)",
     ]

@@ -1,7 +1,7 @@
 """The block pool: equal results at any width, a fresh pool in forked workers, FFTs on the width.
 
 A pass that needs scratch runs on as many threads as its lent buffer
-holds scratch arrays (``core.thread_scratch``).
+holds scratch arrays (``core.run_blocks``).
 
 Widths are forced by setting ``core._width``.  The run grid, 72 x 72 x
 16, is 2.53 blocks, so the threads get uneven shares and the last block
@@ -172,7 +172,7 @@ class TestThreadScratch:
         nbytes = math.prod(self.SHAPE) * np.dtype(self.DTYPE).itemsize
         for held in sorted({0, 1, width - 1, width}):
             buffer = np.empty((held * nbytes + nbytes // 2) // 8)
-            scratch = core.thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)
+            scratch = core._thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)
             assert len(scratch) == max(held, 1), (width, held)
             for array in scratch:
                 assert array.shape == self.SHAPE and array.dtype == self.DTYPE
@@ -189,13 +189,26 @@ class TestThreadScratch:
         # width, or fewer parts
         monkeypatch.setattr(core, "_width", width)
         buffer = np.empty(4 * math.prod(self.SHAPE))  # eight float32 arrays
-        assert len(core.thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)) == width
-        assert len(core.thread_scratch(buffer, 1, self.SHAPE, self.DTYPE)) == 1
+        assert len(core._thread_scratch(buffer, 10, self.SHAPE, self.DTYPE)) == width
+        assert len(core._thread_scratch(buffer, 1, self.SHAPE, self.DTYPE)) == 1
 
     def test_no_buffer_gives_one_fresh_array(self, monkeypatch):
         monkeypatch.setattr(core, "_width", 3)
-        [array] = core.thread_scratch(None, 10, self.SHAPE, self.DTYPE)
+        [array] = core._thread_scratch(None, 10, self.SHAPE, self.DTYPE)
         assert array.shape == self.SHAPE and array.dtype == self.DTYPE
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_run_blocks_hands_each_block_a_threads_array(self, monkeypatch, width):
+        # three blocks, the last ragged, and a buffer of two arrays of 3 rows
+        monkeypatch.setattr(core, "_width", width)
+        size, block = 5 * core.BLOCK // 2, core.BLOCK
+        buffer = np.empty(2 * 3 * block)
+        seen = core.run_blocks(lambda b, scratch: (b, scratch), size, buffer, 3)
+        assert [b for b, _ in seen] == [slice(i * block, (i + 1) * block) for i in range(3)]
+        starts = {_address(scratch) - _address(buffer) for _, scratch in seen}
+        assert starts <= {thread * 3 * block * 8 for thread in range(min(width, 2))}
+        assert all(scratch.shape == (3, block) for _, scratch in seen)
+        assert core.run_blocks(lambda b, scratch: scratch, size) == [None] * 3
 
 
 def _traced(call):
@@ -245,7 +258,7 @@ class TestOneArrayBuffer:
         coeffs = dynamics.fit_polynomial(6.0, 9).coeffs
         weights, prim = dynamics._weights(coeffs), dynamics._primitive_coeffs(coeffs)
         evolved = np.random.default_rng(67).random((self.SIZE, 9)).astype(dynamics.RUN_DTYPE)
-        spare = np.empty(dynamics._row_scratch(self.SIZE, 9, dynamics.RUN_DTYPE),
+        spare = np.empty(dynamics._row_scratch(9, dynamics.RUN_DTYPE) * core.BLOCK,
                          dynamics.RUN_DTYPE)
         self._check(monkeypatch,
                     lambda: lambda: dynamics._combine(a, weights, evolved, forcing, prim, spare),
@@ -258,6 +271,16 @@ class TestOneArrayBuffer:
         spare = np.empty(core.BLOCK, inter.dtype)
         self._check(monkeypatch, lambda: lambda: dynamics.gd_step(a, forcing, inter, cfg, spare),
                     spare)
+
+    def test_relative_change(self, monkeypatch):
+        a, b = self._arrays(2)
+        spare = np.empty(core.BLOCK)
+        monkeypatch.setattr(core, "_width", 1)
+        expected = core.relative_change(a, b)
+        monkeypatch.setattr(core, "_width", 3)
+        got, peak = _traced(lambda: core.relative_change(a, b, spare))
+        assert got == expected
+        assert peak < spare.nbytes, peak
 
     def test_secant_pair(self, monkeypatch):
         # the update writes over the first call's g, a fresh copy each time
@@ -424,6 +447,7 @@ class TestPooledPasses:
         if size > 3 * core.BLOCK:
             assert serial_relative_change(a, b, reversed) != expected
         assert core.relative_change(a, b) == expected
+        assert core.relative_change(a, b, np.empty(width * min(core.BLOCK, size))) == expected
         zero = np.zeros(size)
         assert core.relative_change(zero, zero) == 0.0
         assert core.relative_change(zero, b) == math.inf
@@ -448,9 +472,9 @@ class TestPooledPasses:
 
     @pytest.mark.parametrize("width", WIDTHS[1:])
     def test_passes_run_on_every_thread(self, monkeypatch, width):
-        # with a spare buffer to carve from (the stopping rule allocates its
-        # own), every pass hands parts to the helpers.  The first parts of
-        # each pass wait until every thread holds one
+        # with a spare buffer to carve from, every pass hands parts to the
+        # helpers.  The first parts of each pass wait until every thread
+        # holds one
         monkeypatch.setattr(core, "_width", width)
         size = 7 * core.BLOCK // 2 + 7
         run_parts, seen = core.run_parts, {}
@@ -466,7 +490,6 @@ class TestPooledPasses:
             return run_parts(part, parts, threads)
 
         monkeypatch.setattr(core, "run_parts", recorded)
-        monkeypatch.setattr(dynamics, "run_parts", recorded)
         cfg = ModelConfig.paper("wc")
         a, b, c = self._arrays(size, 3, 65)
         spare = np.empty(width * core.BLOCK)
@@ -474,7 +497,7 @@ class TestPooledPasses:
         pair.extrapolate(a, b)
         for name, call in (("sigmoid", lambda: dynamics.sigmoid(a, 20.0)),
                            ("gd_step", lambda: dynamics.gd_step(a, b, c, cfg, spare)),
-                           ("relative_change", lambda: core.relative_change(a, b)),
+                           ("relative_change", lambda: core.relative_change(a, b, spare)),
                            ("secant", lambda: pair.extrapolate(b, c))):
             call()
         assert seen == {name: set(range(width))
