@@ -68,7 +68,10 @@ def config_from_args(args) -> ExperimentConfig:
     if args.sweep:  # ExperimentConfig checks the param and that values are given
         param, _, tail = args.sweep.partition("=")
         sweep_param = param.strip()
-        sweep_values = tuple(float(v) for v in tail.split(",") if v.strip())
+        try:
+            sweep_values = tuple(float(v) for v in tail.split(",") if v.strip())
+        except ValueError as exc:  # float's message quotes the bad value
+            raise ValueError(f"--sweep: {exc}") from None
     return ExperimentConfig(
         model_cfg=model_cfg,
         out_dir=args.out,

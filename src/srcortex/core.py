@@ -38,6 +38,7 @@ LHE = "lhe"
 MODELS = (WC, LHE)
 FORCINGS = ("continuous", "discrete-paper")
 MAX_POLY_DEGREE = 15  # contrast-sigmoid fit; above it the fit is ill-conditioned
+FLOAT32_MAX = float(np.finfo(np.float32).max)  # the largest sigmoid slope
 # entries per block of a blocked float64 pass: 256 KB, so a block's few
 # arrays stay in a core's L2 cache between the operations on it
 BLOCK = 1 << 15
@@ -271,7 +272,8 @@ class ModelConfig:
 
     - ``model``: "wc" (sigmoid of activity) or "lhe" (sigmoid of contrast)
     - ``lam``: fidelity weight (>= 0)
-    - ``alpha``: sigmoid slope (> 1)
+    - ``alpha``: sigmoid slope (> 1, and at most the largest float32,
+      which the run's single-precision WC sigmoid multiplies by)
     - ``sigma_mu``: std in pixels of the Gaussian local-mean filter
     - ``dt``: gradient-descent step, constrained to dt <= 1/(1 + lam)
     - ``dtau``: inner step of the heat solver
@@ -361,9 +363,15 @@ class ModelConfig:
 
 
 def check_fit(alpha: float, degree: int) -> None:
-    """The contrast fit's rules: slope alpha > 1, odd degree in [1, MAX_POLY_DEGREE]."""
-    if alpha <= 1:
-        raise ValueError("alpha must be > 1")
+    """The rules of the slope and of the contrast fit.
+
+    1 < alpha <= ``FLOAT32_MAX``, and an odd degree in [1,
+    ``MAX_POLY_DEGREE``].  The run's WC sigmoid multiplies its float32
+    blocks by ``-alpha``; a larger slope would be cast to -inf there,
+    and ``0 * inf`` is NaN.  One rule holds for both models.
+    """
+    if not 1 < alpha <= FLOAT32_MAX:
+        raise ValueError(f"alpha must be > 1 and <= {FLOAT32_MAX:g} (float32), got {alpha:g}")
     if degree < 1 or degree % 2 == 0 or degree > MAX_POLY_DEGREE:
         raise ValueError(f"poly_degree must be odd and in [1, {MAX_POLY_DEGREE}], got {degree}")
 

@@ -76,9 +76,10 @@ block and the energy's two float64 blocks) and, between calls, the
 descent step's, the stopping rule's and the accelerator's.  On an LHE
 grid of about one block, where it cannot hold one thread's combine
 scratch, the evaluation keeps a second array that can, and lends that
-instead; no thread keeps scratch of its own.  No evaluation keeps a0 or
-mu, so a run holds mu only until the forcing and C are formed and a0
-only as its first state.
+instead; no thread keeps scratch of its own.  ``_interaction`` takes a0
+and mu and forms the forcing, and for LHE C, before it returns the
+evaluation, which keeps neither: a run holds mu only while its
+evaluation is built and a0 only as its first state.
 The large arrays a call allocates are the forward spectrum, the
 evolved stacks in its memory, and the interaction.
 
@@ -132,6 +133,7 @@ FIT_SAMPLES = 2001
 ANDERSON_WINDOW = 5  # secant pairs the LHE solver extrapolates from
 RUN_DTYPE = np.float32  # run_model's kernel terms (both models) and LHE Anderson history
 INTERACTION_SCALE = 0.5  # s/2M, the interaction's weight in the drift
+MAX_MEAN_WRAPS = 1024  # axis lengths the local mean's kernel may span
 # (get, set) thread-count symbols of the OpenBLAS numpy links: the
 # suffixed ILP64 build numpy wheels ship, then a plain system build
 _BLAS_THREAD_SYMBOLS = (
@@ -222,11 +224,7 @@ def _horner(a, rows, out=None):
 
 def _primitive_coeffs(coeffs) -> np.ndarray:
     """Even primitive (vanishing at 0) of an odd polynomial, termwise."""
-    prim = np.zeros(len(coeffs) + 1)
-    for j, c in enumerate(coeffs):
-        if c != 0.0:
-            prim[j + 1] = c / (j + 1)
-    return prim
+    return np.concatenate(([0.0], coeffs / np.arange(1, len(coeffs) + 1)))
 
 
 def _evolved_powers(a, powers, prop, tau, product):
@@ -322,12 +320,21 @@ def local_mean(a0, sigma_mu: float):
     and ``truncate=4``.  The blur multiplies each slice's ``rfft2`` half
     spectrum by that of the separable 2D kernel, which is real since the
     kernel is even, and inverts the product with ``heat.irfft2``.
+
+    All ``2 radius + 1`` taps are built before they are wrapped, so a
+    width whose kernel spans more than ``MAX_MEAN_WRAPS`` axis lengths
+    is rejected: the taps of a width near 1e8 would take gigabytes, and
+    at the cap the blur already gives each slice its mean to within a
+    relative 1e-6.
     """
     if sigma_mu <= 0:
         raise ValueError("sigma_mu must be > 0")
     a = as_stack(a0)
     n = a.shape[0]
     radius = int(4.0 * sigma_mu + 0.5)
+    if 2 * radius + 1 > MAX_MEAN_WRAPS * n:
+        raise ValueError(f"sigma_mu={sigma_mu:g}: the local mean's kernel spans more than "
+                         f"{MAX_MEAN_WRAPS} times the N={n} pixel axis")
     taps = np.arange(-radius, radius + 1)
     weights = np.exp(-0.5 * (taps / sigma_mu) ** 2)
     kernel = np.bincount(taps % n, weights / weights.sum(), minlength=n)
@@ -348,16 +355,17 @@ def _fidelity_constant(cfg: ModelConfig, a0, mu) -> float:
     return 0.5 * (w_a0 * float(a0 @ a0) + w_mu * float(mu @ mu))
 
 
-def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: float | None,
-                 dtype=np.float64):
+def _interaction(cfg: ModelConfig, prop: HeatPropagator, a0, mu, dtype=np.float64):
     """The model evaluation: a function of the state ``a`` giving ``(term, energy)``.
 
     ``term`` is the interaction S[a] before its scale s/2M; ``energy``
-    is the energy of ``a`` for LHE and None for WC.  ``forcing`` is the
-    run's ``_forcing`` array and ``constant`` its ``_fidelity_constant``
-    (LHE only; WC reads neither, and callers pass None): the LHE
-    energy's fidelity terms are ``(w_a0 + w_mu) |a|^2 / 2 - a . forcing
-    + constant``, so the evaluation holds neither a0 nor mu.  The kernel
+    is the energy of ``a`` for LHE and None for WC.  From the lifted
+    image ``a0`` and its local mean ``mu`` this is the one place that
+    forms the forcing (``_forcing``), which the evaluation offers as
+    ``forcing`` for the descent step, and, for LHE only, the fidelity
+    constant (``_fidelity_constant``): the LHE energy's fidelity terms
+    are ``(w_a0 + w_mu) |a|^2 / 2 - a . forcing + constant``, so the
+    evaluation holds neither a0 nor mu.  The kernel
     terms are computed from ``a`` cast to ``dtype`` (by the sigmoid in
     the same pass for WC; into the first LHE power, and block by block
     in the combine), and ``term`` comes back in ``dtype``: the WC
@@ -380,6 +388,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
     relative change was found finite, and a non-finite LHE state gives a
     non-finite energy, which the run rejects.
     """
+    forcing = _forcing(cfg, a0, mu)
     if cfg.model == WC:
         m = prop.step_count(cfg.tau)
         product = mode_product_buffer(prop, 1, dtype)
@@ -389,8 +398,9 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
             sigmoid(a, cfg.alpha, out=stack[0])
             return _evolve_batch(np.moveaxis(stack, 0, -1), prop, m, product)[..., 0], None
 
-        wc.spare = stack
+        wc.forcing, wc.spare = forcing, stack
         return wc
+    constant = _fidelity_constant(cfg, a0, mu)
     coeffs = fit_polynomial(cfg.alpha, cfg.poly_degree).coeffs
     weights = _weights(coeffs)
     prim = _primitive_coeffs(coeffs)
@@ -406,7 +416,7 @@ def _interaction(cfg: ModelConfig, prop: HeatPropagator, forcing, constant: floa
         term, sums = _combine(a, weights, evolved, forcing, prim, spare)
         return term, _energy_from_terms(sums, constant, cfg)
 
-    lhe.spare = spare
+    lhe.forcing, lhe.spare = forcing, spare
     return lhe
 
 
@@ -446,10 +456,8 @@ def gd_step(a, forcing, inter, cfg: ModelConfig, spare=None) -> np.ndarray:
 def model_drift(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> np.ndarray:
     """Right-hand side of the evolution at state ``a``."""
     a = as_stack(a)
-    forcing = _forcing(cfg, a0, mu)
-    constant = _fidelity_constant(cfg, a0, mu) if cfg.model == LHE else None
-    inter, _ = _interaction(cfg, prop, forcing, constant)(a)
-    return _drift(a, forcing, inter, cfg)
+    interaction = _interaction(cfg, prop, a0, mu)
+    return _drift(a, interaction.forcing, interaction(a)[0], cfg)
 
 
 def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
@@ -466,8 +474,7 @@ def lhe_energy(a, a0, mu, cfg: ModelConfig, prop: HeatPropagator) -> float:
     """
     if cfg.model != LHE:
         raise ValueError("energy is defined for the LHE model")
-    forcing = _forcing(cfg, a0, mu)
-    return _interaction(cfg, prop, forcing, _fidelity_constant(cfg, a0, mu))(as_stack(a))[1]
+    return _interaction(cfg, prop, a0, mu)(as_stack(a))[1]
 
 
 def _energy_from_terms(sums, constant: float, cfg: ModelConfig) -> float:
@@ -770,14 +777,10 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
     (float32), and the LHE Anderson history is stored in it; everything
     else is float64.
     """
-    a = lift(f0, bank)  # the initial state a0
-    mu = local_mean(a, cfg.sigma_mu)
-    forcing = _forcing(cfg, a, mu)
-    lhe = cfg.model == LHE
-    constant = _fidelity_constant(cfg, a, mu) if lhe else None  # the WC evaluation has no energy
-    interaction = _interaction(cfg, prop, forcing, constant, RUN_DTYPE)
-    del mu  # no evaluation keeps a0 or mu; a0 lives on only as the first state
+    a = lift(f0, bank)  # the initial state a0, which lives on only as the first state
+    interaction = _interaction(cfg, prop, a, local_mean(a, cfg.sigma_mu), RUN_DTYPE)
     spare = interaction.spare  # idle between evaluations: every other pass's scratch
+    lhe = cfg.model == LHE
     history = _AndersonHistory(a.size, cfg, spare) if lhe else _SecantPair(a.size, spare)
 
     g = None  # G of the last accepted state: where a rejection restarts
@@ -796,7 +799,7 @@ def run_model(f0, cfg: ModelConfig, bank, prop: HeatPropagator) -> RunResult:
                     a, extrapolated = g, False
                     continue
             energies.append(energy)
-        step = gd_step(a, forcing, inter, cfg, spare)
+        step = gd_step(a, interaction.forcing, inter, cfg, spare)
         del inter  # the kernel term is not needed past the step
         rel = relative_change(step, a, spare)
         if not math.isfinite(rel):

@@ -76,9 +76,7 @@ casts them and sets every entry below float32 eps^2 (about 1.4e-14) to
 zero before the gather.  The gather only permutes entries, so this is
 the float64 operator cast and flushed, bit for bit, with no float64
 (U, V, K, K) operator made on the way (traced peak 7.2 MB on one
-thread and 7.6 MB on two at N=200, K=16, against 7.8 and 8.1 MB while
-the gather held a whole int64 (U V, K) table of orientation maps, and
-17.7 MB when it was cast from the float64 one).  Without
+thread and 7.6 MB on two at N=200, K=16).  Without
 the flush, 13% of the cast entries at N=100 (17% at N=200) are
 subnormal, and products of small entries with small spectral
 coefficients go subnormal too.  At
@@ -129,10 +127,8 @@ calling thread made.  Every generator and every mode is computed
 alone, so the results are equal bit for bit at any width.  Measured at
 N=200, K=16 on 2 vCPUs (shared machine, widths alternated, two
 processes), one thread then two: factoring 23.8-23.9 -> 16.4-16.5 ms
-(24.8-27.8 -> 18.1-18.5 ms while it copied a whole (P, K, K) generator
-stack up front; medians of 21 calls); the 500-step float32 operator
-10.7-11.2 -> 8.7-8.8 ms (14.8-16.2 -> 11.0 ms while it indexed rows and
-columns through a whole (U V, K) table of maps; medians of 15 calls).
+(medians of 21 calls); the 500-step float32 operator 10.7-11.2 ->
+8.7-8.8 ms (medians of 15 calls).
 """
 
 import math

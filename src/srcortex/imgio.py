@@ -77,6 +77,6 @@ def read_image(path) -> np.ndarray:
 def _pil():
     try:
         from PIL import Image
-    except ImportError as exc:  # pragma: no cover
+    except ImportError as exc:
         raise ImportError("PNG support needs Pillow: pip install Pillow") from exc
     return Image

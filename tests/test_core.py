@@ -134,6 +134,17 @@ def test_config_rejects_non_finite_values(field, value):
         dataclasses.replace(ModelConfig.paper("lhe"), **{field: value})
 
 
+@pytest.mark.parametrize("model", ["wc", "lhe"])
+def test_config_rejects_an_alpha_beyond_float32(model):
+    # the run's WC sigmoid multiplies its float32 block by -alpha
+    largest = float(np.finfo(np.float32).max)
+    for alpha in (1e39, 1e308):
+        with pytest.raises(ValueError, match=r"^alpha must be > 1 and <= 3\.40282e\+38 "
+                                             r"\(float32\), got 1e\+(39|308)$"):
+            dataclasses.replace(ModelConfig.paper(model), alpha=alpha)
+    dataclasses.replace(ModelConfig.paper(model), alpha=largest)  # at the bound: fine
+
+
 def test_steps_of_rejects_a_count_beyond_floats():
     for tau, dtau in ((math.inf, 0.01), (1e300, 1e-10), (math.nan, 0.01)):
         with pytest.raises(ValueError, match="not an integer multiple"):

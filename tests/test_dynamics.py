@@ -29,7 +29,6 @@ from srcortex.core import BLOCK, as_stack, relative_change
 from srcortex.dynamics import (
     _combine,
     _evolved_powers,
-    _fidelity_constant,
     _forcing,
     _horner,
     _interaction,
@@ -112,11 +111,6 @@ def energy_reference(a, a0, mu, cfg, prop):
             - field.sum() / 4.0)
 
 
-def evaluation(cfg, prop, a0, mu, dtype=np.float64):
-    """``_interaction`` for the state-free arrays a0 and mu: their forcing and constant."""
-    return _interaction(cfg, prop, _forcing(cfg, a0, mu), _fidelity_constant(cfg, a0, mu), dtype)
-
-
 def gd_reference(f0, cfg, bank, prop):
     """The plain descent loop: a <- G(a) until |G(a) - a| / |G(a)| < tol.
 
@@ -126,7 +120,7 @@ def gd_reference(f0, cfg, bank, prop):
     a0 = lift(f0, bank)
     mu = local_mean(a0, cfg.sigma_mu)
     forcing = _forcing(cfg, a0, mu)
-    interaction = evaluation(cfg, prop, a0, mu, dynamics.RUN_DTYPE)
+    interaction = _interaction(cfg, prop, a0, mu, dynamics.RUN_DTYPE)
     a, rel_history = a0, []
     for _ in range(cfg.max_iters):
         inter, _ = interaction(a)
@@ -143,6 +137,13 @@ class TestSigmoids:
         assert sigmoid(0.5, 20.0) == 0.0
         assert sigmoid(0.0, 20.0) == 1.0
         assert sigmoid(1.0, 20.0) == -1.0
+
+    def test_float32_sigmoid_holds_the_largest_slope(self):
+        # the largest alpha a config admits stays finite in float32, so
+        # r = 1/2 gives 0, not 0 * inf
+        r = np.array([0.0, 0.5, 1.0], np.float32)
+        got = sigmoid(r, float(np.finfo(np.float32).max))
+        assert got.dtype == np.float32 and got.tolist() == [1.0, 0.0, -1.0]
 
     def test_sigmoid_nonincreasing(self):
         r = np.linspace(-2, 3, 501)
@@ -374,6 +375,19 @@ class TestLocalMean:
         assert err <= 1e-13 * np.abs(expected).max()
 
 
+    def test_rejects_a_kernel_spanning_more_than_the_cap(self):
+        # 2 int(4 sigma + 1/2) + 1 taps against MAX_MEAN_WRAPS * N = 8192
+        # on N = 8: 8191 taps run and blur to the slices' means within
+        # 1e-6, 8193 do not
+        assert dynamics.MAX_MEAN_WRAPS == 1024
+        a = np.random.default_rng(6).random((8, 8, 2))
+        np.testing.assert_allclose(local_mean(a, 1023.7), np.broadcast_to(a.mean((0, 1)), a.shape),
+                                   rtol=1e-6)
+        with pytest.raises(ValueError, match=r"^sigma_mu=1023\.9: the local mean's kernel spans "
+                                             r"more than 1024 times the N=8 pixel axis$"):
+            local_mean(a, 1023.9)
+
+
 class TestGdStep:
     @pytest.mark.parametrize("inter_dtype", [np.float32, np.float64])
     def test_matches_the_reference_formula_bitwise(self, inter_dtype):
@@ -578,10 +592,9 @@ class TestRunModel:
 
     def test_wc_forms_no_fidelity_constant(self, monkeypatch):
         # the WC evaluation has no energy, so neither a run nor the drift
-        # forms the constant, and their bytes equal those of calls that
-        # hand the evaluation the run's constant
+        # forms the constant
         f0, cfg, bank, prop = case = _tiny_wc()
-        constant, interaction = dynamics._fidelity_constant, dynamics._interaction
+        constant = dynamics._fidelity_constant
         calls = []
 
         def counted(*args):
@@ -591,17 +604,9 @@ class TestRunModel:
         monkeypatch.setattr(dynamics, "_fidelity_constant", counted)
         a0 = lift(f0, bank)
         mu = local_mean(a0, cfg.sigma_mu)
-        skipped = run_model(*case), model_drift(a0, a0, mu, cfg, prop)
+        run_model(*case)
+        model_drift(a0, a0, mu, cfg, prop)
         assert calls == []
-
-        def handed(cfg, prop, forcing, _, dtype=np.float64):
-            return interaction(cfg, prop, forcing, constant(cfg, a0, mu), dtype)
-
-        monkeypatch.setattr(dynamics, "_interaction", handed)
-        res, drift = run_model(*case), model_drift(a0, a0, mu, cfg, prop)
-        assert res.stack.tobytes() == skipped[0].stack.tobytes()
-        assert (res.rel_history, res.iterations) == (skipped[0].rel_history, skipped[0].iterations)
-        assert drift.tobytes() == skipped[1].tobytes()
 
     def test_wc_residual_bounded_by_stopping_rule(self):
         f0, bank = _small_gratings()
@@ -1061,14 +1066,14 @@ class TestKeptArrays:
     def test_successive_calls_do_not_alias(self, dtype):
         for model in ("lhe", "wc"):
             cfg, prop, a0, mu, a, b = self._case(model)
-            evaluate = evaluation(cfg, prop, a0, mu, dtype)
+            evaluate = _interaction(cfg, prop, a0, mu, dtype)
             term, energy = evaluate(a)
             first = term.copy()
             term_b, energy_b = evaluate(b)
             assert term.dtype == term_b.dtype == dtype
             np.testing.assert_array_equal(term, first)
             for state, got in ((a, (term, energy)), (b, (term_b, energy_b))):
-                fresh_term, fresh_energy = evaluation(cfg, prop, a0, mu, dtype)(state)
+                fresh_term, fresh_energy = _interaction(cfg, prop, a0, mu, dtype)(state)
                 np.testing.assert_array_equal(got[0], fresh_term)
                 assert got[1] == fresh_energy
 
@@ -1083,7 +1088,7 @@ class TestKeptArrays:
         # closure
         for model, budget in (("lhe", 11), ("wc", 3)):
             cfg, prop, a0, mu, a, _ = self._case(model)
-            evaluate = evaluation(cfg, prop, a0, mu, np.float32)
+            evaluate = _interaction(cfg, prop, a0, mu, np.float32)
             evaluate(a)  # builds the single-precision propagator
             tracemalloc.start()
             try:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +385,41 @@ class TestCli:
         code = main(["--model", "wc", flag, value, "--out", str(out)])
         assert code == 1
         assert f"srcortex: error: {field} must be finite, got {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "1e308",
+         "srcortex: error: alpha must be > 1 and <= 3.40282e+38 (float32), got 1e+308\n"),
+        ("--sigma-mu", "1e300",
+         "srcortex: runtime error: sigma_mu=1e+300: the local mean's kernel spans more "
+         "than 1024 times the N=64 pixel axis\n"),
+    ])
+    def test_parameter_beyond_float32_or_the_grid_names_its_field(
+            self, tmp_path, capsys, flag, value, message):
+        # one error line, and no numpy warning on the way to it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--model", "wc", "--N", "64", flag, value, "--out", str(tmp_path / "P")])
+        assert code == (1 if flag == "--alpha" else 2)
+        assert capsys.readouterr().err == message
+
+    def test_bad_sweep_value_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["--model", "wc", "--sweep", "tau=0.1,abc", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "srcortex: error: --sweep: could not convert string to float: 'abc'\n")
+        assert not out.exists()
+
+    def test_png_without_pillow_exit_code_two_before_writing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # importing PIL raises ImportError
+        path, out = tmp_path / "x.png", tmp_path / "P"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        code = main(["--model", "wc", "--input", str(path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "srcortex: runtime error: PNG support needs Pillow: pip install Pillow\n")
         assert not out.exists()
 
     def test_colliding_sweep_exit_code_one(self, tmp_path, capsys):

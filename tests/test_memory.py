@@ -25,7 +25,7 @@ from srcortex import (
 )
 from srcortex import core, dynamics
 from srcortex.core import BLOCK
-from srcortex.dynamics import _fidelity_constant, _forcing, _interaction, run_model
+from srcortex.dynamics import _interaction, run_model
 
 
 def _case(model, n, k, tau=0.5):
@@ -58,8 +58,7 @@ def test_lhe_evaluation_holds_neither_a0_nor_mu():
     prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
     rng = np.random.default_rng(31)
     a0, mu, a = (0.2 + 0.6 * rng.random((n, n, k)) for _ in range(3))
-    evaluate = _interaction(cfg, prop, _forcing(cfg, a0, mu), _fidelity_constant(cfg, a0, mu),
-                            dynamics.RUN_DTYPE)
+    evaluate = _interaction(cfg, prop, a0, mu, dynamics.RUN_DTYPE)
     _, energy = evaluate(a)
     refs = weakref.ref(a0), weakref.ref(mu)
     del a0, mu
@@ -247,10 +246,11 @@ def test_an_evaluation_keeps_one_working_array(monkeypatch, model, width):
         return buffers[-1]
 
     monkeypatch.setattr(dynamics, "mode_product_buffer", kept)
-    forcing = states[0].copy()
+    forcing = states[0].copy()  # made before tracing, like a run's
+    monkeypatch.setattr(dynamics, "_forcing", lambda cfg, a0, mu: forcing)
     tracemalloc.start()
     try:
-        evaluate = _interaction(cfg, prop, forcing, 0.0, dynamics.RUN_DTYPE)
+        evaluate = _interaction(cfg, prop, states[0], states[1], dynamics.RUN_DTYPE)
         for a in states:
             evaluate(a)
         gc.collect()

@@ -520,7 +520,8 @@ def test_stacks_staged_in_the_buffer_evaluate_as_fresh_arrays(monkeypatch):
             prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
 
             def evaluation():
-                return dynamics._interaction(cfg, prop, states[0], 0.0, dynamics.RUN_DTYPE)
+                return dynamics._interaction(cfg, prop, states[0], states[1],
+                                             dynamics.RUN_DTYPE)
 
             with monkeypatch.context() as fresh:
                 fresh.setattr(dynamics, "staged_stacks",
@@ -580,7 +581,7 @@ def test_every_fft_runs_on_the_pool_width(monkeypatch, width):
     for model in ("wc", "lhe"):
         cfg = dataclasses.replace(ModelConfig.paper(model), tau=0.1)
         prop = build_propagator(n, k, cfg.beta_for(n, k), cfg.dtau)
-        dynamics._interaction(cfg, prop, a, 0.0, dynamics.RUN_DTYPE)(a)
+        dynamics._interaction(cfg, prop, a, a, dynamics.RUN_DTYPE)(a)
     assert {module for module, _ in calls} == {module.__name__ for module in FFT_MODULES}
     assert {threads for _, threads in calls} == {core.pool_width()}
 
